@@ -20,14 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, BudgetError, SpinConfig, weight_of
+from .counting import DEFAULT_BUDGET, SpinConfig, contract, weight_of
 from .graphs import Graph, GraphError, bipartition, certify_biregular
 from .util import derive_key128, derive_seed, parallel_map
 from .values import Backend, NonNegValue, log_of_fraction
 from .weights import WeightError, WeightSystem
-
-_FLOAT_EXACT_LIMIT = 1 << 53
-_INT64_LIMIT = 1 << 62
 
 
 def scale_edge_weights(w: WeightSystem) -> tuple[WeightSystem, Fraction]:
@@ -67,10 +64,6 @@ class BlowupHost:
     vertex_start: tuple[int, ...]
     vertex_size: tuple[int, ...]
     total_vertices: int
-
-    def block_slice(self, v: int, spin: int) -> slice:
-        start = self.block_start[v][spin - 1]
-        return slice(start, start + self.block_size[v][spin - 1])
 
     def local_block_slice(self, v: int, spin: int) -> slice:
         """Block range inside the vertex's own host segment."""
@@ -171,62 +164,6 @@ def sample_subgraph(host: BlowupHost, seed: int) -> SampledSubgraph:
     return SampledSubgraph(host=host, seed=seed, keep=keep)
 
 
-def _eliminate(sizes: dict, factors: list, budget: int):
-    """Sum-of-products contraction over the factor graph by greedy
-    variable elimination.  Entries are exact counts; dtype is chosen so
-    every intermediate stays exactly representable."""
-    bound = 1
-    for s in sizes.values():
-        bound *= max(s, 1)
-    if bound < _FLOAT_EXACT_LIMIT:
-        dtype = np.float64
-    elif bound < _INT64_LIMIT:
-        dtype = np.int64
-    else:
-        raise BudgetError(bound, _INT64_LIMIT)
-
-    work = [(tuple(vars_), np.asarray(arr, dtype=dtype)) for vars_, arr in factors]
-    constant = 1
-    remaining = sorted(sizes)
-
-    def tensor_cells(vars_):
-        c = 1
-        for x in vars_:
-            c *= sizes[x]
-        return c
-
-    axis_ids = {v: i for i, v in enumerate(sorted(sizes))}
-    while remaining:
-        best = None
-        for v in remaining:
-            involved = [f for f in work if v in f[0]]
-            merged = sorted({x for vars_, _ in involved for x in vars_ if x != v})
-            cost = tensor_cells(merged)
-            if best is None or (cost, v) < (best[0], best[1]):
-                best = (cost, v, involved, merged)
-        cost, v, involved, merged = best
-        if cost > budget:
-            raise BudgetError(cost, budget)
-        remaining.remove(v)
-        if not involved:
-            constant *= sizes[v]
-            continue
-        operands = []
-        for vars_, arr in involved:
-            operands.append(arr)
-            operands.append([axis_ids[x] for x in vars_])
-        operands.append([axis_ids[x] for x in merged])
-        result = np.einsum(*operands)
-        work = [f for f in work if v not in f[0]]
-        work.append((tuple(merged), result))
-
-    total = constant
-    for _, arr in work:
-        val = arr.item()
-        total *= int(round(val)) if isinstance(val, float) else int(val)
-    return total
-
-
 def count_block_homs(
     g: Graph,
     sub: SampledSubgraph,
@@ -237,23 +174,24 @@ def count_block_homs(
     """Exact number of maps sending each vertex into its configured block
     with every base edge landing on a surviving host edge.
 
-    Computed by variable elimination over the base graph with one 0/1
-    factor per edge, restricted to the configured blocks.
+    Computed by ``contract`` over the base graph with one 0/1 factor per
+    edge, restricted to the configured blocks; the budget bounds the
+    largest intermediate tensor of the elimination plan.
     """
     if len(cfg) != g.n:
         raise ValueError(f"configuration has {len(cfg)} entries for {g.n} vertices")
     for s in cfg:
         if not (1 <= s <= host.weights.m):
             raise ValueError(f"spin {s} out of range 1..{host.weights.m}")
-    sizes = {v: host.block_size[v][cfg[v] - 1] for v in range(g.n)}
-    if any(s == 0 for s in sizes.values()):
+    sizes = [host.block_size[v][cfg[v] - 1] for v in range(g.n)]
+    if 0 in sizes:
         return 0
     factors = []
     for u, v in g.edges:
         rows = host.local_block_slice(u, cfg[u])
         cols = host.local_block_slice(v, cfg[v])
         factors.append(((u, v), sub.keep[(u, v)][rows, cols]))
-    return _eliminate(sizes, factors, budget)
+    return contract(sizes, factors, budget)
 
 
 def count_all_block_homs(
@@ -261,9 +199,9 @@ def count_all_block_homs(
 ) -> int:
     """List-homomorphism count into the sampled subgraph with every vertex
     allowed anywhere in its own host segment (the union of its blocks)."""
-    sizes = {v: host.vertex_size[v] for v in range(g.n)}
+    sizes = [host.vertex_size[v] for v in range(g.n)]
     factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
-    return _eliminate(sizes, factors, budget)
+    return contract(sizes, factors, budget)
 
 
 @dataclass(frozen=True)

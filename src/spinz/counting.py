@@ -1,10 +1,15 @@
 """Exact evaluation of configuration weights, partition functions,
 list-homomorphism counts, and partial-map extension counts.
 
-Exact-backend kernels clear denominators once per weight system and run
-on machine-assisted big-integer arithmetic, then divide the single scale
-factor back out; results are exact rationals.  Log-backend kernels
-accumulate with streaming log-sum-exp.
+Partition functions are sums of products over a factor graph, and all
+of them but the uniform-table K_{a,b} count-vector DP run on one engine,
+``contract``: greedy variable elimination over ``np.einsum``, planned in
+full and checked against the budget before it contracts anything.
+Exact-backend weights are cleared to integer tables once per weight
+system, contracted in a dtype that holds every intermediate exactly, and
+the single scale factor is divided back out; results are exact
+rationals.  Log-backend weights are contracted as max-shifted floats
+with the shifts carried in the log domain.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .graphs import Bipartition, Graph, NotBipartiteError, bipartition
+import numpy as np
+
+from .graphs import Bipartition, Graph
 from .util import sha256_text
 from .values import NEG_INF, Backend, NonNegValue, ValueSum
 from .weights import KabInstance, WeightSystem
@@ -25,6 +32,9 @@ DEFAULT_BUDGET = 10 ** 8
 
 SpinConfig = tuple  # tuple[int, ...] with 1-based spins
 
+_FLOAT_EXACT_LIMIT = 1 << 53
+_INT64_LIMIT = 1 << 62
+
 
 class BudgetError(ValueError):
     def __init__(self, cost, budget):
@@ -32,11 +42,6 @@ class BudgetError(ValueError):
             f"enumeration cost {cost} exceeds budget {budget}; "
             "raise --budget, use the log backend, or shrink the instance"
         )
-
-
-def all_spin_configs(n: int, m: int) -> Iterator[SpinConfig]:
-    """All m^n spin assignments, lexicographic over the vertex-id vector."""
-    return itertools.product(range(1, m + 1), repeat=n)
 
 
 def weight_of(g: Graph, w: WeightSystem, cfg: SpinConfig) -> NonNegValue:
@@ -54,8 +59,160 @@ def weight_of(g: Graph, w: WeightSystem, cfg: SpinConfig) -> NonNegValue:
     return acc
 
 
-# Integer kernel: scale every vertex row and edge table to integers once,
-# run the enumeration on plain ints, divide the scale back out at the end.
+# Sum-product engine.  A factor is (variables, table): a tuple of variable
+# ids and a table indexed by their values in that order.
+
+
+@lru_cache(maxsize=4096)
+def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
+    """Variable-elimination program for factors over ``scopes``.
+
+    The order is greedy on the interaction graph: eliminate the variable
+    whose remaining neighbours span the fewest cells (lowest id on ties).
+    Each tensor is consumed at the step of its first-eliminated variable.
+    Returns (free, largest, steps, scalars): the number of assignments of
+    the variables in no scope, the cell count of the largest intermediate
+    tensor, per step the einsum operands as (tensor index, labels) pairs
+    and the output labels (step k appends tensor len(scopes) + k), and the
+    indices of the scalar tensors whose product is the sum.  It depends
+    only on the structure, so it is cached.
+    """
+    size_of = sizes.__getitem__
+    scoped = sorted({x for scope in scopes for x in scope})
+    free = math.prod(sizes) // math.prod(map(size_of, scoped))
+    nbrs = {x: set() for x in scoped}
+    for scope in scopes:
+        for x in scope:
+            nbrs[x].update(scope)
+    cost = {}
+    for x, nb in nbrs.items():
+        nb.discard(x)
+        cost[x] = math.prod(map(size_of, nb))
+    largest = 1
+    order = []
+    remaining = list(scoped)
+    while remaining:
+        v = min(remaining, key=cost.__getitem__)
+        largest = max(largest, cost[v])
+        remaining.remove(v)
+        kept = nbrs[v]
+        for u in kept:
+            nb = nbrs[u]
+            nb |= kept
+            nb.discard(u)
+            nb.discard(v)
+            cost[u] = math.prod(map(size_of, nb))
+        order.append((v, tuple(sorted(kept))))
+
+    step_of = {v: k for k, (v, _) in enumerate(order)}
+    buckets: list[list[int]] = [[] for _ in order]
+    scalars = []
+    scope_of = list(scopes)
+
+    def place(i: int) -> None:
+        if scope_of[i]:
+            buckets[min(map(step_of.__getitem__, scope_of[i]))].append(i)
+        else:
+            scalars.append(i)
+
+    for i in range(len(scopes)):
+        place(i)
+    steps = []
+    for (_, kept), bucket in zip(order, buckets):
+        labels: dict[int, int] = {}
+        operands = tuple(
+            (i, tuple(labels.setdefault(x, len(labels)) for x in scope_of[i])) for i in bucket
+        )
+        steps.append((operands, tuple(labels[x] for x in kept)))
+        scope_of.append(kept)
+        place(len(scope_of) - 1)
+    return free, largest, tuple(steps), tuple(scalars)
+
+
+def _table_max(table) -> int:
+    """Largest entry of a 1-D or 2-D integer table."""
+    if isinstance(table, np.ndarray):
+        return int(table.max())
+    if isinstance(table[0], list):
+        return max(map(max, table))
+    return max(table)
+
+
+def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Backend.EXACT):
+    """Sum over every assignment of the variables (variable x ranges over
+    sizes[x] values) of the product of the factor tables.
+
+    EXACT tables hold non-negative integers and the result is an int.
+    The dtype (float64, int64 or Python ints) is chosen from a bound on
+    every intermediate, so nothing rounds or overflows.  LOG tables hold
+    natural logs with -inf for zero and the result is the log of the sum,
+    -inf when it is zero; each table and each intermediate is divided by
+    its maximum, so sums far outside the float range stay finite.  A term
+    more than about 700 nats (the float64 range) below the product of the
+    maxima it multiplies underflows to zero.
+
+    The cost is the largest intermediate tensor of the planned
+    elimination order.  It is checked against the budget before any
+    table is converted or contracted.
+    """
+    if 1 in sizes:  # a length-1 axis selects nothing; dropping it keeps einsum narrow
+        scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
+    else:
+        scopes = tuple(vars_ for vars_, _ in factors)
+    free, largest, steps, scalars = _plan(tuple(sizes), scopes)
+    if largest > budget:
+        raise BudgetError(largest, budget)
+
+    log = backend is Backend.LOG
+    if log:
+        total = math.log(free)  # log of everything split off so far
+        tensors = []
+        for _, table in factors:
+            arr = np.asarray(table, dtype=np.float64)
+            top = float(arr.max())
+            if top == NEG_INF:
+                return NEG_INF
+            total += top
+            tensors.append(np.exp(arr - top))
+    else:
+        total = free
+        bound = math.prod(sizes)
+        for _, table in factors:
+            bound *= max(_table_max(table), 1)
+        if bound < _FLOAT_EXACT_LIMIT:
+            dtype = np.float64
+        elif bound < _INT64_LIMIT:
+            dtype = np.int64
+        else:
+            dtype = object
+        tensors = [np.asarray(table, dtype=dtype) for _, table in factors]
+    for k, ((vars_, _), scope) in enumerate(zip(factors, scopes)):
+        if len(scope) != len(vars_):
+            tensors[k] = tensors[k].reshape([sizes[x] for x in scope])
+
+    for operands, out in steps:
+        args = []
+        for i, labels in operands:
+            args.append(tensors[i])
+            args.append(labels)
+        args.append(out)
+        result = np.einsum(*args)
+        if log:
+            top = float(result.max())
+            if top == 0.0:
+                return NEG_INF
+            total += math.log(top)
+            result = result / top
+        tensors.append(result)
+    if log:
+        return total  # every scalar tensor is 1 after its shift
+    for i in scalars:
+        total *= int(tensors[i])
+    return total
+
+
+# Integer tables: scale every vertex row and edge table to integers once,
+# contract on plain ints, divide the scale back out at the end.
 
 
 @lru_cache(maxsize=256)
@@ -82,148 +239,39 @@ def _log_tables(w: WeightSystem):
     return vw, ew
 
 
-def _brute_exact(g: Graph, w: WeightSystem) -> Fraction:
-    vw, ew, scale = _int_tables(w)
-    m = w.m
-    edges = [(u, v, ew[(u, v)]) for u, v in g.edges]
-    total = 0
-    for cfg in itertools.product(range(m), repeat=g.n):
-        acc = 1
-        for v in range(g.n):
-            acc *= vw[v][cfg[v]]
-        if acc:
-            for u, v, t in edges:
-                acc *= t[cfg[u]][cfg[v]]
-                if not acc:
-                    break
-        total += acc
-    return Fraction(total, scale)
-
-
-def _brute_log(g: Graph, w: WeightSystem) -> float:
-    vw, ew = _log_tables(w)
-    m = w.m
-    edges = [(u, v, ew[(u, v)]) for u, v in g.edges]
-    acc = ValueSum(Backend.LOG)
-    for cfg in itertools.product(range(m), repeat=g.n):
-        logw = 0.0
-        for v in range(g.n):
-            logw += vw[v][cfg[v]]
-        for u, v, t in edges:
-            logw += t[cfg[u]][cfg[v]]
-        acc.add_log(logw)
-    return acc.total().log()
-
-
-def _class_split(g: Graph, bp: Bipartition) -> tuple[list[int], list[int]]:
-    even, odd = sorted(bp.even), sorted(bp.odd)
-    return (even, odd) if len(even) <= len(odd) else (odd, even)
-
-
-def _class_sum_exact(g: Graph, w: WeightSystem, side_s: Sequence[int], side_t: Sequence[int]) -> Fraction:
-    vw, ew, scale = _int_tables(w)
-    m = w.m
-    pos = {v: k for k, v in enumerate(side_s)}
-    t_constraints = []
-    for t in side_t:
-        t_constraints.append(
-            (vw[t], [(pos[u], ew[(min(t, u), max(t, u))]) for u in g.neighbors(t)])
-        )
-    total = 0
-    for cfg in itertools.product(range(m), repeat=len(side_s)):
-        base = 1
-        for k, v in enumerate(side_s):
-            base *= vw[v][cfg[k]]
-        if not base:
-            continue
-        acc = base
-        for row, nbrs in t_constraints:
-            tot = 0
-            for i in range(m):
-                term = row[i]
-                for k, table in nbrs:
-                    term *= table[i][cfg[k]]
-                    if not term:
-                        break
-                tot += term
-            acc *= tot
-            if not acc:
-                break
-        total += acc
-    return Fraction(total, scale)
-
-
-def _class_sum_log(g: Graph, w: WeightSystem, side_s: Sequence[int], side_t: Sequence[int]) -> float:
-    vw, ew = _log_tables(w)
-    m = w.m
-    pos = {v: k for k, v in enumerate(side_s)}
-    t_constraints = []
-    for t in side_t:
-        t_constraints.append(
-            (vw[t], [(pos[u], ew[(min(t, u), max(t, u))]) for u in g.neighbors(t)])
-        )
-    outer = ValueSum(Backend.LOG)
-    for cfg in itertools.product(range(m), repeat=len(side_s)):
-        logw = 0.0
-        for k, v in enumerate(side_s):
-            logw += vw[v][cfg[k]]
-        for row, nbrs in t_constraints:
-            # log-sum-exp over the m spins of this vertex
-            best = NEG_INF
-            terms = []
-            for i in range(m):
-                term = row[i]
-                for k, table in nbrs:
-                    term += table[i][cfg[k]]
-                terms.append(term)
-                if term > best:
-                    best = term
-            if best == NEG_INF:
-                logw = NEG_INF
-                break
-            logw += best + math.log(sum(math.exp(t - best) for t in terms))
-        outer.add_log(logw)
-    return outer.total().log()
-
-
 def partition_brute(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
     """Sum of configuration weights over all m^n assignments, by direct
-    enumeration in lexicographic order."""
+    enumeration in lexicographic order: the reference every faster
+    kernel is tested against.  The budget bounds m^n."""
     cost = w.m ** g.n
     if cost > budget:
         raise BudgetError(cost, budget)
-    if w.backend is Backend.EXACT:
-        return NonNegValue.exact(_brute_exact(g, w))
-    return NonNegValue.from_log(_brute_log(g, w))
+    total = ValueSum(w.backend)
+    for cfg in itertools.product(range(1, w.m + 1), repeat=g.n):
+        total.add(weight_of(g, w, cfg))
+    return total.total()
 
 
 def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
-    """Exact partition function, via the cheapest available exact route.
+    """Partition function by variable elimination over one factor per
+    vertex and one per edge, in either backend.
 
-    Bipartite graphs enumerate only the smaller color class and sum the
-    other class out vertex by vertex; everything else falls back to
-    direct enumeration.  Always equal to ``partition_brute``.
+    The budget bounds the largest intermediate tensor of the planned
+    elimination order (m to the power of the widest elimination
+    neighbourhood), not m^n, and is checked before any contraction.
+    Always equal to ``partition_brute``: exactly on the EXACT backend,
+    up to float rounding on the LOG backend.
     """
-    try:
-        bp = bipartition(g)
-    except NotBipartiteError:
-        return partition_brute(g, w, budget)
-    side_s, side_t = _class_split(g, bp)
-    cost = w.m ** len(side_s)
-    if cost > budget:
-        raise BudgetError(cost, budget)
     if w.backend is Backend.EXACT:
-        return NonNegValue.exact(_class_sum_exact(g, w, side_s, side_t))
-    return NonNegValue.from_log(_class_sum_log(g, w, side_s, side_t))
-
-
-def _count_vectors(total: int, m: int) -> Iterator[tuple[int, ...]]:
-    if m == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, m - 1):
-            yield (first,) + rest
+        vw, ew, scale = _int_tables(w)
+    else:
+        vw, ew = _log_tables(w)
+    factors = [((v,), vw[v]) for v in range(g.n)]
+    factors.extend(((u, v), ew[(u, v)]) for u, v in g.edges)
+    z = contract([w.m] * g.n, factors, budget, w.backend)
+    if w.backend is Backend.EXACT:
+        return NonNegValue.exact(Fraction(z, scale))
+    return NonNegValue.from_log(z)
 
 
 def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequence[int]) -> Fraction:
@@ -278,25 +326,24 @@ def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequenc
 def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValue:
     """Partition function of a labeled K_{a,b} instance.
 
-    Enumerates spins on the smaller side and multiplies, per vertex of
-    the larger side, the sum over its spins of the vertex weight times
-    its incident edge-weight products.  Equal to ``partition_brute`` on
-    the same instance, at cost m^min(a,b) instead of m^(a+b).
+    An EXACT instance whose edges share one table, with at least two
+    vertices on the smaller side, runs the spin-count-vector DP, whose
+    cost (the number of count vectors, polynomial in min(a, b)) the
+    budget bounds.  Every other instance goes to ``partition_function``,
+    whose largest intermediate tensor here is m^min(a,b).  Equal to
+    ``partition_brute`` on the same instance.
     """
     w = inst.weights
-    small = min(inst.a, inst.b)
-    cost = w.m ** small
-    if cost > budget:
-        raise BudgetError(cost, budget)
     if inst.a <= inst.b:
         side_s, side_t = list(inst.z_ids), list(inst.w_ids)
     else:
         side_s, side_t = list(inst.w_ids), list(inst.z_ids)
-    if w.backend is Backend.EXACT:
-        if len(side_s) >= 2 and w.uniform_edge_table() is not None:
-            return NonNegValue.exact(_kab_uniform_exact(inst, side_s, side_t))
-        return NonNegValue.exact(_class_sum_exact(inst.graph, w, side_s, side_t))
-    return NonNegValue.from_log(_class_sum_log(inst.graph, w, side_s, side_t))
+    if w.backend is Backend.EXACT and len(side_s) >= 2 and w.uniform_edge_table() is not None:
+        cost = math.comb(len(side_s) + w.m - 1, w.m - 1)
+        if cost > budget:
+            raise BudgetError(cost, budget)
+        return NonNegValue.exact(_kab_uniform_exact(inst, side_s, side_t))
+    return partition_function(inst.graph, w, budget)
 
 
 def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .util import sha256_text
 
@@ -296,25 +296,15 @@ def certify_biregular(g: Graph, bp: Bipartition) -> BiregularCert:
 
 
 def _component_classes(g: Graph, bp: Bipartition) -> list[tuple[set, set]]:
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comp_even = {v for v in members if v in bp.even}
-        comp_odd = {v for v in members if v in bp.odd}
-        comps.append((comp_even, comp_odd))
-    return comps
+    """Each component's two classes, in ``connected_components`` order.
+
+    The sets are filled in visiting order, which fixes the witnesses that
+    certify_biregular draws from them.
+    """
+    return [
+        ({v for v in members if v in bp.even}, {v for v in members if v in bp.odd})
+        for members in _component_walk(g)
+    ]
 
 
 def _orient_components(g, comps, a, b):
@@ -383,7 +373,9 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph(offset, edges)
 
 
-def connected_components(g: Graph) -> list[frozenset]:
+def _component_walk(g: Graph) -> list[list[int]]:
+    """Each component's vertices in depth-first visiting order, components
+    ordered by their lowest vertex."""
     seen = [False] * g.n
     out = []
     for root in range(g.n):
@@ -391,16 +383,20 @@ def connected_components(g: Graph) -> list[frozenset]:
             continue
         stack = [root]
         seen[root] = True
-        comp = {root}
+        members = []
         while stack:
             u = stack.pop()
+            members.append(u)
             for v in g.neighbors(u):
                 if not seen[v]:
                     seen[v] = True
-                    comp.add(v)
                     stack.append(v)
-        out.append(frozenset(comp))
+        out.append(members)
     return out
+
+
+def connected_components(g: Graph) -> list[frozenset]:
+    return [frozenset(members) for members in _component_walk(g)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -416,8 +412,3 @@ def is_complete_bipartite(g: Graph) -> bool:
     if not bp.even or not bp.odd:
         return False
     return g.num_edges == len(bp.even) * len(bp.odd)
-
-
-def iter_edges_with_degrees(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    for u, v in g.edges:
-        yield u, v, g.degree(u), g.degree(v)

@@ -534,16 +534,7 @@ def recheck_witness(payload: dict, budget: int = DEFAULT_BUDGET) -> BoundReport:
             return list_vertex_restriction_bound(g, h, lists, budget)
         if name == "conj2":
             return list_edge_restriction_bound(g, h, lists, budget)
-        cert = certify_biregular(g, bipartition(g))
-        fam = CoverFamilyPair(
-            pairs=tuple(
-                (frozenset(cert.neighbor_order(v)), frozenset({v}))
-                for v in sorted(cert.odd)
-            ),
-            t1=cert.a,
-            t2=1,
-        )
-        return cover_family_report(g, h, lists, fam, budget)
+        return cover_family_report(g, h, lists, _canonical_cover_family(g), budget)
     if name == "ind":
         return independent_set_regular_bound(g, budget)
     if name == "indconj":

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 NEG_INF = float("-inf")
 
@@ -279,10 +279,6 @@ class PowerProduct:
         if extra <= 0:
             raise ValueError("scale must be positive")
         return PowerProduct(tuple((v, e * extra) for v, e in self.factors))
-
-
-def product_of(values: Iterable[NonNegValue], exponent: Fraction) -> PowerProduct:
-    return PowerProduct(tuple((v, exponent) for v in values))
 
 
 # Absolute log-gap below which the float screen refuses to decide and the

@@ -121,3 +121,20 @@ def block_homs_brute(g_n, g_edges, blocks, keep):
         if ok:
             count += 1
     return count
+
+
+def c4_torus_independent_sets(n):
+    """Independent sets of C_4 x C_n (n >= 3) by transfer matrix: the states
+    are the 7 independent sets of one C_4 column, T[s][t] = 1 when columns
+    s and t share no row, and the count is tr(T^n)."""
+    column = [
+        s for s in range(16) if not any(s >> i & 1 and s >> (i + 1) % 4 & 1 for i in range(4))
+    ]
+    t = [[int(not s & u) for u in column] for s in column]
+    power = [[int(i == j) for j in range(len(column))] for i in range(len(column))]
+    for _ in range(n):
+        power = [
+            [sum(row[k] * t[k][j] for k in range(len(column))) for j in range(len(column))]
+            for row in power
+        ]
+    return sum(power[i][i] for i in range(len(column)))

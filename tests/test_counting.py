@@ -2,18 +2,23 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
     brute_list_homs,
+    c4_torus_independent_sets,
     independent_sets,
+    ising_brute_log_z,
     ising_cycle_z,
     weighted_independent_set_sum,
 )
 from spinz.counting import (
+    DEFAULT_BUDGET,
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
+    contract,
     count_extensions,
     count_list_homs,
     independent_set_count,
@@ -33,6 +38,7 @@ from spinz.graphs import (
     path_graph,
 )
 from spinz.harness import sample_weights
+from spinz.values import Backend
 from spinz.weights import WeightSystem, make_hardcore, make_ising, restrict_to_kab
 from spinz.graphs import certify_biregular
 
@@ -173,6 +179,87 @@ def test_partition_log_backend_agrees_with_exact():
     exact = partition_function(g, w).log()
     logd = partition_function(g, w.to_log()).log()
     assert logd == pytest.approx(exact, rel=1e-12)
+
+
+def _torus(p, q):
+    """C_p x C_q, vertex (i, j) at id i * q + j."""
+    edges = set()
+    for i in range(p):
+        for j in range(q):
+            v = i * q + j
+            for u in (((i + 1) % p) * q + j, i * q + (j + 1) % q):
+                edges.add((min(u, v), max(u, v)))
+    return Graph(p * q, edges)
+
+
+def test_independent_sets_of_c4_tori_match_transfer_matrix():
+    for n in range(3, 13):
+        assert independent_set_count(_torus(4, n)) == c4_torus_independent_sets(n)
+
+
+def test_log_backend_ising_on_torus_matches_enumeration():
+    g = _torus(3, 4)  # triangle columns: not bipartite
+    for beta, h in ((0.7, 0.0), (-0.4, 0.3)):
+        got = partition_function(g, make_ising(g, beta, h)).log()
+        assert got == pytest.approx(ising_brute_log_z(g.n, g.edges, beta, h), rel=1e-12)
+
+
+def test_partition_budget_is_checked_before_any_contraction(monkeypatch):
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum ran before the budget check")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    g = _torus(4, 4)
+    w = make_hardcore(g, 1)
+    for system in (w, w.to_log()):
+        with pytest.raises(BudgetError, match="budget"):
+            partition_function(g, system, budget=4)
+
+
+def test_hardcore_log_backend_is_log_of_exact_count():
+    for g in (cycle_graph(7), complete_graph(4), _torus(4, 5)):
+        logz = partition_function(g, make_hardcore(g, 1).to_log()).log()
+        assert logz == pytest.approx(math.log(independent_set_count(g)), rel=1e-12)
+
+
+def test_all_zero_vertex_row_gives_zero_in_both_backends():
+    g = cycle_graph(5)
+    w = WeightSystem.build(g, 2, vertex={(2, 1): 0, (2, 2): 0})
+    assert partition_function(g, w).fraction == 0
+    assert partition_function(g, w.to_log()).is_zero
+
+
+def test_isolated_vertex_and_factorless_variable():
+    g = Graph(4, [(0, 1), (1, 2)])  # vertex 3 is isolated
+    w = sample_weights(g, 3, seed=5, cap=9)
+    exact = partition_function(g, w)
+    assert exact.fraction == partition_brute(g, w).fraction
+    assert partition_function(g, w.to_log()).log() == pytest.approx(exact.log(), rel=1e-12)
+    # variable 2 is in no factor: it contributes its range of 5
+    assert contract([2, 3, 5], [((0, 1), [[1, 2, 0], [0, 1, 1]])], DEFAULT_BUDGET) == 25
+    logs = [[0.0, math.log(2), -math.inf], [-math.inf, 0.0, 0.0]]
+    assert contract([2, 3, 5], [((0, 1), logs)], DEFAULT_BUDGET, Backend.LOG) == pytest.approx(
+        math.log(25), rel=1e-12
+    )
+
+
+def test_single_spin_systems_on_wide_graphs():
+    # 120 variables of size 1: far more than einsum has axis labels
+    g = complete_bipartite(60, 60)
+    w = WeightSystem.build(g, 1, vertex={(v, 1): 2 for v in g.vertices()})
+    assert partition_function(g, w).fraction == 2 ** 120
+    assert partition_function(g, w.to_log()).log() == pytest.approx(120 * math.log(2), rel=1e-12)
+
+
+def test_contract_is_exact_beyond_int64():
+    keep = np.ones((300, 300), dtype=bool)
+    keep[0, 0] = False
+    factors = [((k, k + 1), keep) for k in range(7)]
+    zero, other = 1, 299  # length-1 sequences ending in value 0 / elsewhere
+    for _ in range(7):  # no two consecutive zeros
+        zero, other = other, 299 * (zero + other)
+    assert zero + other > 2 ** 62
+    assert contract([300] * 8, factors, DEFAULT_BUDGET) == zero + other
 
 
 def test_independent_set_count_matches_enumeration():
