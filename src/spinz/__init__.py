@@ -35,6 +35,7 @@ from .counting import (
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
+    LogRangeError,
     count_extensions,
     count_list_homs,
     independent_set_count,

@@ -75,7 +75,7 @@ def _default_threads() -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["auto", "exact", "log"], default="auto",
-                        help="numeric backend; auto prefers exact and falls back to log")
+                        help="numeric backend; auto uses exact")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget (default 10^8)")
     parser.add_argument("--threads", type=int, default=_default_threads(),
@@ -136,16 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     g = _load_graph(args.graph)
     w = _load_weights(args.weights, g)
-    backend = args.backend
-    if backend == "log":
+    if args.backend == "log":
         w = w.to_log()
-    try:
-        z = partition_function(g, w, args.budget)
-    except BudgetError:
-        if backend != "auto":
-            raise
-        backend = "log"
-        z = partition_function(g, w.to_log(), args.budget)
+    z = partition_function(g, w, args.budget)
     doc = {
         "command": "compute",
         "backend": z.backend.value,

@@ -9,7 +9,8 @@ Exact-backend weights are cleared to integer tables once per weight
 system, contracted in a dtype that holds every intermediate exactly, and
 the single scale factor is divided back out; results are exact
 rationals.  Log-backend weights are contracted as max-shifted floats
-with the shifts carried in the log domain.
+with the shifts carried in the log domain; a contraction that would lose
+terms to float64 underflow raises ``LogRangeError`` instead.
 """
 
 from __future__ import annotations
@@ -34,13 +35,28 @@ SpinConfig = tuple  # tuple[int, ...] with 1-based spins
 
 _FLOAT_EXACT_LIMIT = 1 << 53
 _INT64_LIMIT = 1 << 62
+_TINY = float(np.finfo(np.float64).tiny)
+_LOG_TINY = math.log(_TINY)
+# Operands per einsum call: numpy accepts fewer than NPY_MAXARGS (32 on
+# numpy 1.x, 64 on 2.x).
+_MAX_OPERANDS = 31
 
 
 class BudgetError(ValueError):
     def __init__(self, cost, budget):
         super().__init__(
             f"enumeration cost {cost} exceeds budget {budget}; "
-            "raise --budget, use the log backend, or shrink the instance"
+            "raise --budget or shrink the instance"
+        )
+
+
+class LogRangeError(ValueError):
+    """A log-backend contraction would underflow float64 and lose terms."""
+
+    def __init__(self):
+        super().__init__(
+            "log-backend weights span more than float64 holds at one "
+            "elimination step (about 700 nats); direct enumeration is needed"
         )
 
 
@@ -69,13 +85,15 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
 
     The order is greedy on the interaction graph: eliminate the variable
     whose remaining neighbours span the fewest cells (lowest id on ties).
-    Each tensor is consumed at the step of its first-eliminated variable.
-    Returns (free, largest, steps, scalars): the number of assignments of
-    the variables in no scope, the cell count of the largest intermediate
-    tensor, per step the einsum operands as (tensor index, labels) pairs
-    and the output labels (step k appends tensor len(scopes) + k), and the
-    indices of the scalar tensors whose product is the sum.  It depends
-    only on the structure, so it is cached.
+    Each tensor is consumed at the step of its first-eliminated variable;
+    a bucket of more than ``_MAX_OPERANDS`` tensors is first multiplied
+    in chunks that keep the eliminated variable.  Returns (free, largest,
+    steps): the number of assignments of the variables in no scope, the
+    cell count of the largest intermediate tensor, and per step the
+    einsum operands as (tensor index, labels) pairs, the output labels
+    and the number of products summed into each output cell (step k
+    appends tensor len(scopes) + k).  The last tensor is the scalar sum.
+    It depends only on the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = sorted({x for scope in scopes for x in scope})
@@ -106,27 +124,45 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
 
     step_of = {v: k for k, (v, _) in enumerate(order)}
     buckets: list[list[int]] = [[] for _ in order]
-    scalars = []
+    # scalar tensors all go to the last step, so it returns the whole sum
+    buckets.append([])
     scope_of = list(scopes)
 
     def place(i: int) -> None:
-        if scope_of[i]:
-            buckets[min(map(step_of.__getitem__, scope_of[i]))].append(i)
-        else:
-            scalars.append(i)
+        buckets[min(map(step_of.__getitem__, scope_of[i]), default=-1)].append(i)
 
     for i in range(len(scopes)):
         place(i)
     steps = []
-    for (_, kept), bucket in zip(order, buckets):
+    for (v, kept), bucket in zip(order + [(None, ())], buckets):
+        if v is None and len(bucket) < 2:
+            break  # the sum is this one scalar tensor, or 1 when there is none
         labels: dict[int, int] = {}
-        operands = tuple(
+        operands = [
             (i, tuple(labels.setdefault(x, len(labels)) for x in scope_of[i])) for i in bucket
-        )
-        steps.append((operands, tuple(labels[x] for x in kept)))
+        ]
+        while len(operands) > _MAX_OPERANDS:
+            chunk = operands[:_MAX_OPERANDS]
+            part = tuple(sorted({x for i, _ in chunk for x in scope_of[i]}))
+            largest = max(largest, math.prod(map(size_of, part)))
+            steps.append((tuple(chunk), tuple(labels[x] for x in part), 1))
+            scope_of.append(part)
+            operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, steps[-1][1])]
+        terms = 1 if v is None else sizes[v]
+        steps.append((tuple(operands), tuple(labels[x] for x in kept), terms))
         scope_of.append(kept)
-        place(len(scope_of) - 1)
-    return free, largest, tuple(steps), tuple(scalars)
+        if v is not None:
+            place(len(scope_of) - 1)
+    return free, largest, tuple(steps)
+
+
+def _einsum(tensors, operands, out):
+    args = []
+    for i, labels in operands:
+        args.append(tensors[i])
+        args.append(labels)
+    args.append(out)
+    return np.einsum(*args)
 
 
 def _table_max(table) -> int:
@@ -147,9 +183,10 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
     every intermediate, so nothing rounds or overflows.  LOG tables hold
     natural logs with -inf for zero and the result is the log of the sum,
     -inf when it is zero; each table and each intermediate is divided by
-    its maximum, so sums far outside the float range stay finite.  A term
-    more than about 700 nats (the float64 range) below the product of the
-    maxima it multiplies underflows to zero.
+    its maximum, so sums far outside the float range stay finite.  A
+    nonzero entry that falls below the float64 range after that shift
+    would be lost, so it raises ``LogRangeError`` instead: every log
+    result is within float rounding of the exact sum.
 
     The cost is the largest intermediate tensor of the planned
     elimination order.  It is checked against the budget before any
@@ -159,12 +196,13 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
         scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
     else:
         scopes = tuple(vars_ for vars_, _ in factors)
-    free, largest, steps, scalars = _plan(tuple(sizes), scopes)
+    free, largest, steps = _plan(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
 
     log = backend is Backend.LOG
     if log:
+        dtype = np.float64
         total = math.log(free)  # log of everything split off so far
         tensors = []
         for _, table in factors:
@@ -173,7 +211,10 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
             if top == NEG_INF:
                 return NEG_INF
             total += top
-            tensors.append(np.exp(arr - top))
+            arr = arr - top
+            if arr.min() < _LOG_TINY and (arr[arr < _LOG_TINY] > NEG_INF).any():
+                raise LogRangeError()
+            tensors.append(np.exp(arr))
     else:
         total = free
         bound = math.prod(sizes)
@@ -190,14 +231,18 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
         if len(scope) != len(vars_):
             tensors[k] = tensors[k].reshape([sizes[x] for x in scope])
 
-    for operands, out in steps:
-        args = []
-        for i, labels in operands:
-            args.append(tensors[i])
-            args.append(labels)
-        args.append(out)
-        result = np.einsum(*args)
+    for operands, out, terms in steps:
+        # object einsum returns a bare int for a scalar: keep its dtype
+        result = np.asarray(_einsum(tensors, operands, out), dtype=dtype)
         if log:
+            # Underflow costs each product at most len(operands) units of
+            # 2^-1074, so a cell above `floor` keeps full relative precision;
+            # below it, only a cell whose every product has a zero factor is.
+            floor = _TINY * (1 << 53) * terms * len(operands)
+            if result.min() < floor:
+                live = _einsum({i: tensors[i] > 0 for i, _ in operands}, operands, out)
+                if (live & (result < floor)).any():
+                    raise LogRangeError()
             top = float(result.max())
             if top == 0.0:
                 return NEG_INF
@@ -205,10 +250,8 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
             result = result / top
         tensors.append(result)
     if log:
-        return total  # every scalar tensor is 1 after its shift
-    for i in scalars:
-        total *= int(tensors[i])
-    return total
+        return total  # the sum's tensor is 1 after its shift
+    return total * int(tensors[-1]) if tensors else total
 
 
 # Integer tables: scale every vertex row and edge table to integers once,
@@ -260,7 +303,9 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     elimination order (m to the power of the widest elimination
     neighbourhood), not m^n, and is checked before any contraction.
     Always equal to ``partition_brute``: exactly on the EXACT backend,
-    up to float rounding on the LOG backend.
+    up to float rounding on the LOG backend.  LOG weights whose products
+    leave the float64 range go to ``partition_brute`` when the budget
+    covers m^n, and raise ``LogRangeError`` otherwise.
     """
     if w.backend is Backend.EXACT:
         vw, ew, scale = _int_tables(w)
@@ -268,7 +313,12 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
         vw, ew = _log_tables(w)
     factors = [((v,), vw[v]) for v in range(g.n)]
     factors.extend(((u, v), ew[(u, v)]) for u, v in g.edges)
-    z = contract([w.m] * g.n, factors, budget, w.backend)
+    try:
+        z = contract([w.m] * g.n, factors, budget, w.backend)
+    except LogRangeError:
+        if w.m ** g.n > budget:
+            raise
+        return partition_brute(g, w, budget)
     if w.backend is Backend.EXACT:
         return NonNegValue.exact(Fraction(z, scale))
     return NonNegValue.from_log(z)

@@ -33,7 +33,6 @@ from .bounds import (
 )
 from .counting import (
     DEFAULT_BUDGET,
-    BudgetError,
     CoverFamilyPair,
     ListAssignment,
     parse_lists,
@@ -555,23 +554,6 @@ def _canonical_cover_family(g: Graph) -> CoverFamilyPair:
     )
 
 
-def _eval_weight_bound(fn, g: Graph, w: WeightSystem, budget: int):
-    """EXACT when the budget allows; otherwise the log backend, with one
-    exact re-check attempt whenever the log verdict is INCONCLUSIVE
-    (rational weights always permit the re-check in principle)."""
-    try:
-        return fn(g, w, budget)
-    except BudgetError:
-        pass
-    report = fn(g, w.to_log(), budget)
-    if report.verdict is Verdict.INCONCLUSIVE:
-        try:
-            return fn(g, w, 10 * budget)
-        except BudgetError:
-            pass
-    return report
-
-
 def _evaluate_instance(cfg: CampaignConfig, g: Graph, gi: int, si: int):
     """Evaluate every configured bound on one (graph, sample) work item.
 
@@ -603,7 +585,7 @@ def _evaluate_instance(cfg: CampaignConfig, g: Graph, gi: int, si: int):
         extras = {"weights": w.to_text()}
         for name in weight_bounds:
             fn = vertex_restriction_bound if name == "thm3" else edge_restriction_bound
-            attempt(name, lambda fn=fn: _eval_weight_bound(fn, g, w, cfg.budget), extras)
+            attempt(name, lambda fn=fn: fn(g, w, cfg.budget), extras)
 
     if hom_bounds:
         h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))

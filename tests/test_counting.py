@@ -18,6 +18,7 @@ from spinz.counting import (
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
+    LogRangeError,
     contract,
     count_extensions,
     count_list_homs,
@@ -260,6 +261,39 @@ def test_contract_is_exact_beyond_int64():
         zero, other = other, 299 * (zero + other)
     assert zero + other > 2 ** 62
     assert contract([300] * 8, factors, DEFAULT_BUDGET) == zero + other
+
+
+def test_high_degree_vertices_split_their_einsum_calls():
+    # the centre's bucket holds one tensor per leaf: more than one einsum call takes
+    star = Graph(101, [(0, leaf) for leaf in range(1, 101)])
+    assert independent_set_count(star) == 2 ** 100 + 1
+    assert partition_function(star, make_hardcore(star, 1).to_log()).log() == pytest.approx(
+        math.log(2 ** 100 + 1), rel=1e-12
+    )
+    g = complete_bipartite(2, 80)
+    lam = Fraction(3, 2)
+    want = (1 + lam) ** 80 + 2 * lam + lam * lam  # the 2-side empty, or not
+    assert partition_function(g, make_hardcore(g, lam)).fraction == want
+    logz = partition_function(g, make_hardcore(g, lam).to_log()).log()
+    assert logz == pytest.approx(math.log(want), rel=1e-12)
+
+
+def test_log_backend_never_loses_terms_to_underflow():
+    # antiferromagnetic triangle: the 'same spin' entries sit 800 nats
+    # below the table maximum, and every configuration has such an edge
+    g = cycle_graph(3)
+    w = make_ising(g, 400, 0)
+    assert partition_function(g, w).log() == pytest.approx(400 + math.log(6), rel=1e-12)
+    with pytest.raises(LogRangeError):  # the plan fits, direct enumeration does not
+        partition_function(g, w, budget=4)
+    # every table spans 400 nats, but both products of all four are e^-800
+    tables = ([0.0, -400.0], [-400.0, 0.0], [-400.0, 0.0], [0.0, -400.0])
+    with pytest.raises(LogRangeError):
+        contract([2], [((0,), t) for t in tables], DEFAULT_BUDGET, Backend.LOG)
+    # hard zeros are not underflow: no enumeration could run on C_4 x C_12
+    g = _torus(4, 12)
+    logz = partition_function(g, make_hardcore(g, 1).to_log(), budget=2 ** 12).log()
+    assert logz == pytest.approx(math.log(c4_torus_independent_sets(12)), rel=1e-12)
 
 
 def test_independent_set_count_matches_enumeration():
