@@ -5,12 +5,15 @@ Partition functions are sums of products over a factor graph, and all
 of them but the uniform-table K_{a,b} count-vector DP run on one engine,
 ``contract``: greedy variable elimination over ``np.einsum``, planned in
 full and checked against the budget before it contracts anything.
-Exact-backend weights are cleared to integer tables once per weight
-system, contracted in a dtype that holds every intermediate exactly, and
-the single scale factor is divided back out; results are exact
-rationals.  Log-backend weights are contracted as max-shifted floats
-with the shifts carried in the log domain; a contraction that would lose
-terms to float64 underflow raises ``LogRangeError`` instead.
+Exact-backend weights are contracted as integer tables in a dtype that
+holds every intermediate exactly, and the single scale factor is divided
+back out; results are exact rationals.  The integer tables are the weight
+system's cleared form (``WeightSystem.cleared``), filled once per system
+on first use and shared with every K_{a,b} restriction taken from it, so
+no restricted factor clears anything.  Log-backend weights are contracted
+as max-shifted floats with the shifts carried in the log domain; a
+contraction that would lose terms to float64 underflow raises
+``LogRangeError`` instead.
 """
 
 from __future__ import annotations
@@ -166,11 +169,11 @@ def _einsum(tensors, operands, out):
 
 
 def _table_max(table) -> int:
-    """Largest entry of a 1-D or 2-D integer table."""
+    """Largest entry of an integer array or nested sequence of integers."""
     if isinstance(table, np.ndarray):
         return int(table.max())
-    if isinstance(table[0], list):
-        return max(map(max, table))
+    if isinstance(table[0], (list, tuple, np.ndarray)):
+        return max(map(_table_max, table))
     return max(table)
 
 
@@ -254,26 +257,12 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
     return total * int(tensors[-1]) if tensors else total
 
 
-# Integer tables: scale every vertex row and edge table to integers once,
-# contract on plain ints, divide the scale back out at the end.
-
-
-@lru_cache(maxsize=256)
 def _int_tables(w: WeightSystem):
-    scale = 1
-    vw = []
-    for v in range(w.n):
-        row = [x.fraction for x in w.vertex_row(v)]
-        c = math.lcm(*(f.denominator for f in row))
-        vw.append([int(f * c) for f in row])
-        scale *= c
-    ew = {}
-    for e in w.edges():
-        table = [[x.fraction for x in row] for row in w.edge_table(*e)]
-        c = math.lcm(*(f.denominator for row in table for f in row))
-        ew[e] = [[int(f * c) for f in row] for row in table]
-        scale *= c
-    return vw, ew, scale
+    """Integer rows and tables of an EXACT system, read from its cleared
+    form, and the scale they carry: the product of their denominators."""
+    rows, tables = w.cleared()
+    scale = math.prod(den for _, den in rows) * math.prod(den for _, den in tables.values())
+    return [r for r, _ in rows], {e: t for e, (t, _) in tables.items()}, scale
 
 
 def _log_tables(w: WeightSystem):
@@ -303,9 +292,11 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     elimination order (m to the power of the widest elimination
     neighbourhood), not m^n, and is checked before any contraction.
     Always equal to ``partition_brute``: exactly on the EXACT backend,
-    up to float rounding on the LOG backend.  LOG weights whose products
-    leave the float64 range go to ``partition_brute`` when the budget
-    covers m^n, and raise ``LogRangeError`` otherwise.
+    up to float rounding on the LOG backend.  EXACT weights are read from
+    the system's cleared form, which a restriction shares with its parent.
+    LOG weights whose products leave the float64 range go to
+    ``partition_brute`` when the budget covers m^n, and raise
+    ``LogRangeError`` otherwise.
     """
     if w.backend is Backend.EXACT:
         vw, ew, scale = _int_tables(w)
@@ -382,6 +373,10 @@ def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValu
     budget bounds.  Every other instance goes to ``partition_function``,
     whose largest intermediate tensor here is m^min(a,b).  Equal to
     ``partition_brute`` on the same instance.
+
+    Neither path clears weights: both read the cleared rows and tables a
+    restriction shares with its parent, and the shared-table test is the
+    restriction's own answer or one cached integer comparison.
     """
     w = inst.weights
     if inst.a <= inst.b:

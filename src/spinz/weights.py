@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .graphs import Graph, BiregularCert, complete_bipartite
@@ -44,6 +45,8 @@ class WeightParseError(WeightError):
 
 Table = tuple  # m x m tuple-of-tuples of NonNegValue, symmetric
 
+_UNKNOWN = object()  # uniform_edge_table() not yet worked out
+
 
 def _as_value(x, backend: Backend) -> NonNegValue:
     if isinstance(x, NonNegValue):
@@ -61,16 +64,23 @@ class WeightSystem:
     Immutable after construction.  Every (v, i) and every (edge, i <= j)
     has exactly one entry; the symmetric reads ``edge_weight(u, v, i, j)
     == edge_weight(u, v, j, i)`` hold by construction.
+
+    An EXACT system also has a cleared form (see ``cleared``), filled on
+    first use.  Restrictions share their parent's cleared rows and tables
+    by reference, as they share its value rows, so a system is cleared at
+    most once however many restrictions are taken from it.
     """
 
-    __slots__ = ("m", "n", "_vw", "_ew", "backend")
+    __slots__ = ("m", "n", "_vw", "_ew", "backend", "_cleared", "_uniform")
 
-    def __init__(self, m: int, n: int, vw, ew, backend: Backend):
+    def __init__(self, m: int, n: int, vw, ew, backend: Backend, cleared=None, uniform=_UNKNOWN):
         self.m = m
         self.n = n
         self._vw = vw  # tuple[v] -> tuple[i0] -> NonNegValue
         self._ew = ew  # dict[(u,v)] -> m x m tuple of NonNegValue
         self.backend = backend
+        self._cleared = cleared  # None until first use (EXACT only)
+        self._uniform = uniform
 
     @classmethod
     def build(
@@ -128,16 +138,31 @@ class WeightSystem:
     def edges(self):
         return self._ew.keys()
 
+    def cleared(self):
+        """The integer form of an EXACT system: (rows, tables), where
+        rows[v] and tables[(u, v)] are (entries, denominator) pairs.  The
+        denominator is the lcm of the row's or table's denominators and
+        the entries are the weights times it, so each pair is unique to
+        its rational row or table.
+
+        Filled on first use.  Threads that race here compute equal forms,
+        and whichever is stored last is kept, so no lock is needed.
+        """
+        if self._cleared is None:
+            self._cleared = _clear(self)
+        return self._cleared
+
     def uniform_edge_table(self) -> Table | None:
-        """The shared m x m table if every edge carries the same one."""
-        tables = list(self._ew.values())
-        if not tables:
-            return None
-        first = tables[0]
-        for t in tables[1:]:
-            if t != first:
-                return None
-        return first
+        """The shared m x m table if every edge carries the same one.
+
+        Worked out once per system; an EXACT system compares its cleared
+        tables, which are equal exactly when the rational tables are.
+        """
+        if self._uniform is _UNKNOWN:
+            tables = list((self.cleared()[1] if self.backend is Backend.EXACT else self._ew).values())
+            same = bool(tables) and all(t == tables[0] for t in tables)
+            self._uniform = next(iter(self._ew.values())) if same else None
+        return self._uniform
 
     def to_log(self) -> "WeightSystem":
         if self.backend is Backend.LOG:
@@ -191,6 +216,20 @@ class WeightSystem:
 
     def __repr__(self):
         return f"WeightSystem(m={self.m}, n={self.n}, backend={self.backend.value})"
+
+
+def _clear(w: WeightSystem):
+    def clear(values) -> tuple[tuple[int, ...], int]:
+        fracs = [x.fraction for x in values]
+        den = math.lcm(*(f.denominator for f in fracs))
+        return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+    rows = tuple(clear(row) for row in w._vw)
+    tables = {}
+    for e, table in w._ew.items():
+        flat, den = clear(x for row in table for x in row)
+        tables[e] = tuple(flat[k : k + w.m] for k in range(0, len(flat), w.m)), den
+    return rows, tables
 
 
 def parse_weights(text: str, graph: Graph) -> WeightSystem:
@@ -316,10 +355,30 @@ class KabInstance:
             raise WeightError("side labels do not match (a, b)")
 
 
+@lru_cache(maxsize=1024)
 def _kab_layout(a: int, b: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
-    """K_{a,b} with w side on ids 0..b-1 and z side on ids b..b+a-1."""
+    """K_{a,b} with w side on ids 0..b-1 and z side on ids b..b+a-1.
+
+    Graphs are immutable, so every caller shares one layout per (a, b).
+    """
     graph = complete_bipartite(b, a)
     return graph, tuple(range(b)), tuple(range(b, b + a))
+
+
+def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources, uniform) -> KabInstance:
+    """K_{a,b} instance whose vertex k has w's row rows[k] and whose edges
+    at w-side vertex k have w's table sources[k]: w's own objects, with
+    their cleared forms when w is EXACT."""
+    graph, w_ids, z_ids = _kab_layout(a, b)
+    src = {e: sources[e[0]] for e in graph.edges}  # e[0] is the w-side end
+    vw = tuple(w._vw[u] for u in rows)
+    ew = {e: w._ew[f] for e, f in src.items()}
+    cleared = None
+    if w.backend is Backend.EXACT:
+        c_rows, c_tables = w.cleared()
+        cleared = tuple(c_rows[u] for u in rows), {e: c_tables[f] for e, f in src.items()}
+    weights = WeightSystem(w.m, a + b, vw, ew, w.backend, cleared, uniform)
+    return KabInstance(a=a, b=b, graph=graph, weights=weights, w_ids=w_ids, z_ids=z_ids)
 
 
 def restrict_to_kab(
@@ -342,21 +401,10 @@ def restrict_to_kab(
     nbrs = tuple(neighbor_order) if neighbor_order is not None else cert.neighbor_order(v)
     if sorted(nbrs) != sorted(cert.neighbor_order(v)):
         raise WeightError("neighbor_order must be a permutation of the adjacency of v")
-    a, b = cert.a, cert.b
-    graph, w_ids, z_ids = _kab_layout(a, b)
-    vw_rows: list[tuple] = [None] * (a + b)  # type: ignore[list-item]
-    for k, u in enumerate(nbrs):
-        vw_rows[w_ids[k]] = w.vertex_row(u)
-    for z in z_ids:
-        vw_rows[z] = w.vertex_row(v)
-    ew = {}
-    for k, u in enumerate(nbrs):
-        table = w.edge_table(u, v)
-        for z in z_ids:
-            key = (w_ids[k], z) if w_ids[k] < z else (z, w_ids[k])
-            ew[key] = table
-    weights = WeightSystem(w.m, a + b, tuple(vw_rows), ew, w.backend)
-    return KabInstance(a=a, b=b, graph=graph, weights=weights, w_ids=w_ids, z_ids=z_ids)
+    edges = [(u, v) if u < v else (v, u) for u in nbrs]
+    tables = [w._ew[e] for e in edges]
+    uniform = tables[0] if tables and all(t is tables[0] for t in tables) else _UNKNOWN
+    return _induced(w, cert.a, cert.b, (*nbrs, *[v] * cert.a), edges, uniform)
 
 
 def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
@@ -377,15 +425,8 @@ def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
             "onto the complete bipartite graph is ambiguous"
         )
     a, b = g.degree(u), g.degree(v)
-    graph, w_ids, z_ids = _kab_layout(a, b)
-    vw_rows: list[tuple] = [None] * (a + b)  # type: ignore[list-item]
-    for j, x in enumerate(g.neighbors(v)):
-        vw_rows[w_ids[j]] = w.vertex_row(x)
-    for j, x in enumerate(g.neighbors(u)):
-        vw_rows[z_ids[j]] = w.vertex_row(x)
-    ew = {e: table for e in graph.edges}
-    weights = WeightSystem(w.m, a + b, tuple(vw_rows), ew, w.backend)
-    return KabInstance(a=a, b=b, graph=graph, weights=weights, w_ids=w_ids, z_ids=z_ids)
+    first = next(iter(w.edges()))  # the edge whose table uniform_edge_table returns
+    return _induced(w, a, b, (*g.neighbors(v), *g.neighbors(u)), [first] * b, table)
 
 
 def scale_vertex_weights(w: WeightSystem, v: int, c: RationalLike) -> WeightSystem:

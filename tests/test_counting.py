@@ -263,6 +263,19 @@ def test_contract_is_exact_beyond_int64():
     assert contract([300] * 8, factors, DEFAULT_BUDGET) == zero + other
 
 
+def test_contract_takes_tuple_and_list_tables_alike():
+    table = [[1, 2], [3, 4]]
+    as_tuples = tuple(map(tuple, table))
+    assert contract([2, 2], [((0, 1), as_tuples)], 100) == 10
+    assert contract([2, 2], [((0, 1), table)], 100) == 10
+    assert contract([2, 2], [((0, 1), np.array(table))], 100) == 10
+    cube = [[[1, 2], [3, 4]], [[5, 6], [7, 2 ** 60]]]  # its maximum picks int64
+    nested = tuple(tuple(map(tuple, plane)) for plane in cube)
+    want = sum(x for plane in cube for row in plane for x in row)
+    assert contract([2, 2, 2], [((0, 1, 2), nested)], 100) == want
+    assert contract([2, 2, 2], [((0, 1, 2), cube)], 100) == want
+
+
 def test_high_degree_vertices_split_their_einsum_calls():
     # the centre's bucket holds one tensor per leaf: more than one einsum call takes
     star = Graph(101, [(0, leaf) for leaf in range(1, 101)])

@@ -1,22 +1,38 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinz.graphs import bipartition, certify_biregular, complete_bipartite, cycle_graph
+import spinz.weights as weights_mod
+from spinz.bounds import edge_restriction_bound, vertex_restriction_bound
+from spinz.graphs import (
+    Graph,
+    GraphError,
+    bipartition,
+    certify_biregular,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    path_graph,
+)
+from spinz.harness import WEIGHT_STYLES, sample_weights
+from spinz.util import parallel_map
 from spinz.values import Backend
 from spinz.weights import (
     WeightParseError,
     WeightSystem,
+    _kab_layout,
     make_hardcore,
     make_ising,
     parse_weights,
     restrict_to_edge,
     restrict_to_kab,
 )
-from spinz.counting import partition_brute, partition_function
+from spinz.counting import partition_brute, partition_function, partition_kab
 
 
 def test_build_defaults_to_one():
@@ -205,3 +221,174 @@ def test_sha_stable_and_distinct():
     w2 = WeightSystem.build(g, 2, vertex={(0, 1): 3})
     assert w1.sha() == WeightSystem.build(g, 2, vertex={(0, 1): 2}).sha()
     assert w1.sha() != w2.sha()
+
+
+# The cleared form: integer rows and tables stored once per exact system
+# and shared by reference with every restriction.
+
+
+def _restrictions(g, w):
+    """Every K_{a,b} instance the restriction bounds take from (g, w)."""
+    out = []
+    try:
+        cert = certify_biregular(g, bipartition(g))
+    except GraphError:  # not bipartite, or not biregular
+        cert = None
+    if cert is not None:
+        out.extend(restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd))
+    if w.uniform_edge_table() is not None:
+        out.extend(restrict_to_edge(g, w, u, v) for u, v in g.edges)
+    return out
+
+
+def _all_zero_table(g, m):
+    return WeightSystem.build(
+        g, m, edge={(u, v, i, j): 0 for u, v in g.edges for i in range(1, m + 1) for j in range(i, m + 1)}
+    )
+
+
+def test_cleared_restrictions_match_brute_force():
+    graphs = [cycle_graph(6), complete_bipartite(2, 3), path_graph(3), path_graph(4), complete_graph(3)]
+    checked = 0
+    for gi, g in enumerate(graphs):
+        systems = [_all_zero_table(g, 2)]
+        for style in WEIGHT_STYLES:
+            for allow_zero in (False, True):
+                for trial in range(2):
+                    m = 2 if style == "hardcore" else 1 + (gi + trial) % 3
+                    seed = 100 * gi + 10 * trial + allow_zero
+                    systems.append(sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style))
+        for w in systems:
+            # restrict first, so the restrictions fill the parent's cleared form
+            for inst in _restrictions(g, w):
+                want = partition_brute(inst.graph, inst.weights).fraction
+                assert partition_function(inst.graph, inst.weights).fraction == want
+                assert partition_kab(inst).fraction == want
+                checked += 1
+            assert partition_function(g, w).fraction == partition_brute(g, w).fraction
+    assert checked > 200
+
+
+def test_restrictions_share_the_parents_cleared_rows_and_tables():
+    g = cycle_graph(6)
+    for style in ("general", "uniform_edge"):
+        w = sample_weights(g, 3, seed=4, cap=9, style=style)
+        cert = certify_biregular(g, bipartition(g))
+        rows, tables = w.cleared()
+        for v in sorted(cert.odd):
+            inst = restrict_to_kab(g, w, cert, v)
+            c_rows, c_tables = inst.weights.cleared()
+            nbrs = cert.neighbor_order(v)
+            for k, u in enumerate(nbrs):
+                assert c_rows[inst.w_ids[k]] is rows[u]
+                for z in inst.z_ids:
+                    assert c_tables[(inst.w_ids[k], z)] is tables[tuple(sorted((u, v)))]
+            for z in inst.z_ids:
+                assert c_rows[z] is rows[v]
+    w = sample_weights(g, 2, seed=4, cap=9, style="uniform_edge")
+    inst = restrict_to_edge(g, w, 0, 1)
+    rows, tables = w.cleared()
+    c_rows, c_tables = inst.weights.cleared()
+    assert all(c_rows[x] is rows[y] for x, y in zip(inst.w_ids, g.neighbors(1)))
+    assert all(c_rows[x] is rows[y] for x, y in zip(inst.z_ids, g.neighbors(0)))
+    assert all(t is tables[g.edges[0]] for t in c_tables.values())
+    assert inst.weights.uniform_edge_table() is w.uniform_edge_table()
+
+
+def test_parent_clears_once_for_any_number_of_restrictions(monkeypatch):
+    calls = []
+    real = weights_mod._clear
+
+    def counting_clear(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(weights_mod, "_clear", counting_clear)
+    g = cycle_graph(6)
+    w = sample_weights(g, 3, seed=8, cap=9, style="uniform_edge")
+    cert = certify_biregular(g, bipartition(g))
+    for _ in range(3):
+        for inst in _restrictions(g, w):
+            partition_kab(inst)
+            partition_function(inst.graph, inst.weights)
+        edge_restriction_bound(g, w)
+        vertex_restriction_bound(g, w)
+        restrict_to_kab(g, w, cert, sorted(cert.odd)[0])
+    assert calls == [w]
+
+
+def _uniform_by_value(w):
+    """The uniform-table check by NonNegValue comparison over every edge."""
+    tables = [w.edge_table(*e) for e in w.edges()]
+    if not tables or any(t != tables[0] for t in tables):
+        return None
+    return tables[0]
+
+
+def test_uniform_edge_table_agrees_with_value_comparison():
+    g = cycle_graph(5)
+    half = {(u, v, 1, 1): Fraction(1, 2) for u, v in g.edges}
+    systems = [
+        # equal tables held in distinct NonNegValue objects
+        WeightSystem.build(g, 2, edge={**half, (0, 1, 1, 1): Fraction(2, 4)}),
+        sample_weights(g, 3, seed=2, style="uniform_edge"),
+        make_hardcore(g, 3),
+        # the same integer entries over different denominators: 1/2 1 1 and 1 2 2
+        WeightSystem.build(g, 2, edge={**half, (0, 1, 1, 1): 1, (0, 1, 1, 2): 2, (0, 1, 2, 2): 2}),
+        # a general system, and the log forms of a general and a uniform one
+        sample_weights(g, 2, seed=3, style="general"),
+        sample_weights(g, 2, seed=3, style="general").to_log(),
+        sample_weights(g, 2, seed=3, style="uniform_edge").to_log(),
+        make_ising(g, 0.5, 0.1),
+        # no edges at all
+        WeightSystem.build(Graph(3, []), 2),
+        make_ising(Graph(2, []), 0.5, 0.0),
+    ]
+    expected = [True, True, True, False, False, False, True, True, False, False]
+    for w, uniform in zip(systems, expected):
+        want = _uniform_by_value(w)
+        got = w.uniform_edge_table()
+        assert (got is not None) == (want is not None) == uniform
+        assert got == want
+        assert w.uniform_edge_table() is got  # cached
+
+
+def test_kab_layout_is_shared_and_restrictions_are_unchanged():
+    assert _kab_layout(2, 3) is _kab_layout(2, 3)
+    graph, w_ids, z_ids = _kab_layout(2, 3)
+    assert graph.edges == complete_bipartite(3, 2).edges
+    assert (w_ids, z_ids) == ((0, 1, 2), (3, 4))
+    g = complete_bipartite(2, 3)
+    w = sample_weights(g, 2, seed=1, cap=9)
+    cert = certify_biregular(g, bipartition(g))
+    v = sorted(cert.odd)[0]
+    first, second = restrict_to_kab(g, w, cert, v), restrict_to_kab(g, w, cert, v)
+    assert first.graph is second.graph
+    assert first.weights.to_text() == second.weights.to_text()
+    assert first.graph.n == cert.a + cert.b and first.graph.num_edges == cert.a * cert.b
+
+
+def test_lazy_clearing_is_thread_safe():
+    g = hypercube_graph(3)
+    for bound, style in ((edge_restriction_bound, "uniform_edge"), (vertex_restriction_bound, "general")):
+        reports = [
+            bound(g, sample_weights(g, 3, seed=6, cap=9, style=style), threads=t).to_json_dict()
+            for t in (1, 2)
+        ]
+        assert reports[0] == reports[1]
+
+    def factors(w, threads):
+        edges = list(g.edges) * 4
+        return parallel_map(lambda e: partition_kab(restrict_to_edge(g, w, *e)).fraction, edges, threads)
+
+    serial = factors(sample_weights(g, 2, seed=7, cap=9, style="uniform_edge"), 1)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            # a fresh system, so the threads race to fill its cleared form
+            w = sample_weights(g, 2, seed=7, cap=9, style="uniform_edge")
+            assert factors(w, 8) == serial
+            assert w.cleared() == weights_mod._clear(w)
+    finally:
+        sys.setswitchinterval(old)
