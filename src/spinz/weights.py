@@ -159,7 +159,8 @@ class WeightSystem:
         tables, which are equal exactly when the rational tables are.
         """
         if self._uniform is _UNKNOWN:
-            tables = list((self.cleared()[1] if self.backend is Backend.EXACT else self._ew).values())
+            by_edge = self.cleared()[1] if self.backend is Backend.EXACT else self._ew
+            tables = list(by_edge.values())
             same = bool(tables) and all(t == tables[0] for t in tables)
             self._uniform = next(iter(self._ew.values())) if same else None
         return self._uniform
@@ -365,7 +366,7 @@ def _kab_layout(a: int, b: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]
     return graph, tuple(range(b)), tuple(range(b, b + a))
 
 
-def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources, uniform) -> KabInstance:
+def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources, uniform):
     """K_{a,b} instance whose vertex k has w's row rows[k] and whose edges
     at w-side vertex k have w's table sources[k]: w's own objects, with
     their cleared forms when w is EXACT."""
