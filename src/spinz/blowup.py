@@ -7,10 +7,14 @@ block-respecting homomorphisms into the sampled subgraph gives an
 unbiased estimator of C^N times the configuration weight, and the
 experiment checks the mean and the variance bound empirically.
 
-Sampling uses a counter-based generator (Philox) keyed per trial by a
-SHA-256 derivation from the experiment seed, with host edges consumed in
-a fixed sorted order, so runs are bit-reproducible across platforms and
-trials are independent streams that parallelize freely.
+Sampling uses a counter-based generator (Philox): one key per trial,
+derived by SHA-256 from the experiment seed, and one stream per (base
+edge, block pair) at its own counter offset under that key.  A block
+therefore has the same cells whether it is drawn alone or inside the
+full sample, so a trial that counts one configuration draws only the
+blocks that configuration reads.  Runs are bit-reproducible across
+platforms and thread counts, and trials are independent streams that
+parallelize freely.
 """
 
 from __future__ import annotations
@@ -70,15 +74,13 @@ class BlowupHost:
         offset = self.block_start[v][spin - 1] - self.vertex_start[v]
         return slice(offset, offset + self.block_size[v][spin - 1])
 
-    def edge_probability_matrix(self, u: int, v: int) -> np.ndarray:
-        """Survival probabilities for all host pairs over base edge (u,v),
-        expanded to one float per host pair (u rows, v columns)."""
-        table = self.weights.edge_table(u, v)
-        probs = np.array(
-            [[float(x.fraction) for x in row] for row in table], dtype=np.float64
-        )
-        rows = np.repeat(probs, self.block_size[u], axis=0)
-        return np.repeat(rows, self.block_size[v], axis=1)
+    def check_config(self, cfg: SpinConfig) -> None:
+        """Raise ValueError unless cfg gives every base vertex a spin."""
+        if len(cfg) != self.graph.n:
+            raise ValueError(f"configuration has {len(cfg)} entries for {self.graph.n} vertices")
+        for s in cfg:
+            if not (1 <= s <= self.weights.m):
+                raise ValueError(f"spin {s} out of range 1..{self.weights.m}")
 
 
 def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
@@ -141,27 +143,45 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
 @dataclass(frozen=True)
 class SampledSubgraph:
     """One sampled subgraph: per base edge, the boolean survival matrix
-    over the two vertex segments (same vertex set as the host)."""
+    over the two vertex segments (same vertex set as the host), or only
+    over the two configured blocks when ``cfg`` is set."""
 
     host: BlowupHost
     seed: int
     keep: dict  # (u, v) canonical base edge -> bool ndarray
+    cfg: SpinConfig | None = None
 
 
-def sample_subgraph(host: BlowupHost, seed: int) -> SampledSubgraph:
+def sample_subgraph(host: BlowupHost, seed: int, cfg: SpinConfig | None = None) -> SampledSubgraph:
     """Retain each host edge independently with its table probability.
 
-    Deterministic given the seed: edges are consumed base-edge by
-    base-edge in sorted order, row-major within each pair matrix.
+    Deterministic given the seed.  The block pair (i, j) over the e-th
+    base edge (u, v) in sorted order is drawn row-major from its own
+    Philox stream: the trial's key, counter (0, e, i, j).  Given ``cfg``,
+    only the block pair (cfg[u], cfg[v]) of each edge is drawn; without
+    it, each edge's matrix over the two whole segments is assembled from
+    all its block pairs, so both hold the same cells for that block.
     """
-    key = derive_key128("blowup-edges", seed)
-    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    if cfg is not None:
+        host.check_config(cfg)
+        cfg = tuple(cfg)
+    key = np.array(derive_key128("blowup-edges", seed), dtype=np.uint64)
+    spins = range(1, host.weights.m + 1)
     keep = {}
-    for u, v in host.graph.edges:
-        probs = host.edge_probability_matrix(u, v)
-        draws = rng.random(probs.shape)
-        keep[(u, v)] = draws < probs
-    return SampledSubgraph(host=host, seed=seed, keep=keep)
+    for e, (u, v) in enumerate(host.graph.edges):
+        table = host.weights.edge_table(u, v)
+
+        def block(i: int, j: int) -> np.ndarray:
+            counter = np.array([0, e, i, j], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            draws = rng.random((host.block_size[u][i - 1], host.block_size[v][j - 1]))
+            return draws < float(table[i - 1][j - 1].fraction)
+
+        if cfg is None:
+            keep[(u, v)] = np.block([[block(i, j) for j in spins] for i in spins])
+        else:
+            keep[(u, v)] = block(cfg[u], cfg[v])
+    return SampledSubgraph(host=host, seed=seed, keep=keep, cfg=cfg)
 
 
 def count_block_homs(
@@ -175,22 +195,22 @@ def count_block_homs(
     with every base edge landing on a surviving host edge.
 
     Computed by ``contract`` over the base graph with one 0/1 factor per
-    edge, restricted to the configured blocks; the budget bounds the
-    largest intermediate tensor of the elimination plan.
+    edge, restricted to the configured blocks: sliced from a full sample,
+    read as they are from a sample drawn for ``cfg``.  The budget bounds
+    the largest intermediate tensor of the elimination plan.
     """
-    if len(cfg) != g.n:
-        raise ValueError(f"configuration has {len(cfg)} entries for {g.n} vertices")
-    for s in cfg:
-        if not (1 <= s <= host.weights.m):
-            raise ValueError(f"spin {s} out of range 1..{host.weights.m}")
+    host.check_config(cfg)
+    if sub.cfg is not None and sub.cfg != tuple(cfg):
+        raise ValueError(f"the sample holds only the blocks of configuration {list(sub.cfg)}")
     sizes = [host.block_size[v][cfg[v] - 1] for v in range(g.n)]
     if 0 in sizes:
         return 0
     factors = []
     for u, v in g.edges:
-        rows = host.local_block_slice(u, cfg[u])
-        cols = host.local_block_slice(v, cfg[v])
-        factors.append(((u, v), sub.keep[(u, v)][rows, cols]))
+        keep = sub.keep[(u, v)]
+        if sub.cfg is None:
+            keep = keep[host.local_block_slice(u, cfg[u]), host.local_block_slice(v, cfg[v])]
+        factors.append(((u, v), keep))
     return contract(sizes, factors, budget)
 
 
@@ -198,7 +218,10 @@ def count_all_block_homs(
     g: Graph, sub: SampledSubgraph, host: BlowupHost, budget: int = DEFAULT_BUDGET
 ) -> int:
     """List-homomorphism count into the sampled subgraph with every vertex
-    allowed anywhere in its own host segment (the union of its blocks)."""
+    allowed anywhere in its own host segment (the union of its blocks).
+    Needs a full sample, drawn without a configuration."""
+    if sub.cfg is not None:
+        raise ValueError("the sample holds only the blocks of one configuration")
     sizes = [host.vertex_size[v] for v in range(g.n)]
     factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
     return contract(sizes, factors, budget)
@@ -302,7 +325,7 @@ def concentration_experiment(
     host = build_blowup_host(g, scaled, C)
 
     def run_trial(t: int) -> int:
-        sub = sample_subgraph(host, derive_seed("blowup-trial", seed, t))
+        sub = sample_subgraph(host, derive_seed("blowup-trial", seed, t), cfg)
         return count_block_homs(g, sub, host, cfg, budget)
 
     samples = tuple(parallel_map(run_trial, range(trials), threads))

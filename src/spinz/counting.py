@@ -43,6 +43,14 @@ _LOG_TINY = math.log(_TINY)
 # Operands per einsum call: numpy accepts fewer than NPY_MAXARGS (32 on
 # numpy 1.x, 64 on 2.x).
 _MAX_OPERANDS = 31
+# Exact float64 steps whose label space has at least this many cells let
+# einsum pair operands through BLAS.  Measured on 0/1 blocks: unoptimised
+# einsum wins below about 2^15 cells (a 32^3 matrix product, 20 against
+# 24 us) and loses above it (40^3: 26 against 20 us; 100^3: 320 against
+# 48 us), since the path search costs about 20 us a call.  The path never
+# builds an intermediate larger than the step's largest operand or output,
+# so the budget still bounds memory.
+_BLAS_MIN_CELLS = 1 << 15
 
 
 class BudgetError(ValueError):
@@ -93,10 +101,11 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     in chunks that keep the eliminated variable.  Returns (free, largest,
     steps): the number of assignments of the variables in no scope, the
     cell count of the largest intermediate tensor, and per step the
-    einsum operands as (tensor index, labels) pairs, the output labels
-    and the number of products summed into each output cell (step k
-    appends tensor len(scopes) + k).  The last tensor is the scalar sum.
-    It depends only on the structure, so it is cached.
+    einsum operands as (tensor index, labels) pairs, the output labels,
+    the number of products summed into each output cell and the cell
+    count of the step's whole label space (step k appends tensor
+    len(scopes) + k).  The last tensor is the scalar sum.  It depends
+    only on the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = sorted({x for scope in scopes for x in scope})
@@ -147,25 +156,27 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         while len(operands) > _MAX_OPERANDS:
             chunk = operands[:_MAX_OPERANDS]
             part = tuple(sorted({x for i, _ in chunk for x in scope_of[i]}))
-            largest = max(largest, math.prod(map(size_of, part)))
-            steps.append((tuple(chunk), tuple(labels[x] for x in part), 1))
+            cells = math.prod(map(size_of, part))
+            largest = max(largest, cells)
+            steps.append((tuple(chunk), tuple(labels[x] for x in part), 1, cells))
             scope_of.append(part)
             operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, steps[-1][1])]
         terms = 1 if v is None else sizes[v]
-        steps.append((tuple(operands), tuple(labels[x] for x in kept), terms))
+        cells = math.prod(map(size_of, labels))  # every label is in some operand
+        steps.append((tuple(operands), tuple(labels[x] for x in kept), terms, cells))
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
     return free, largest, tuple(steps)
 
 
-def _einsum(tensors, operands, out):
+def _einsum(tensors, operands, out, optimize=False):
     args = []
     for i, labels in operands:
         args.append(tensors[i])
         args.append(labels)
     args.append(out)
-    return np.einsum(*args)
+    return np.einsum(*args, optimize=optimize)
 
 
 def _table_max(table) -> int:
@@ -177,16 +188,26 @@ def _table_max(table) -> int:
     return max(table)
 
 
-def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Backend.EXACT):
+def contract(
+    sizes: Sequence[int],
+    factors,
+    budget: int,
+    backend: Backend = Backend.EXACT,
+    maxima: Sequence[int] | None = None,
+):
     """Sum over every assignment of the variables (variable x ranges over
     sizes[x] values) of the product of the factor tables.
 
     EXACT tables hold non-negative integers and the result is an int.
     The dtype (float64, int64 or Python ints) is chosen from a bound on
-    every intermediate, so nothing rounds or overflows.  LOG tables hold
-    natural logs with -inf for zero and the result is the log of the sum,
-    -inf when it is zero; each table and each intermediate is divided by
-    its maximum, so sums far outside the float range stay finite.  A
+    every intermediate, so nothing rounds or overflows; ``maxima``, when
+    given, holds each table's largest entry, which is otherwise read off
+    the tables.  The bound covers every partial product and partial sum
+    in any order, so float64 steps over at least ``_BLAS_MIN_CELLS``
+    cells go through BLAS and stay exact.  LOG tables hold natural logs
+    with -inf for zero and the result is the log of the sum, -inf when
+    it is zero; each table and each intermediate is divided by its
+    maximum, so sums far outside the float range stay finite.  A
     nonzero entry that falls below the float64 range after that shift
     would be lost, so it raises ``LogRangeError`` instead: every log
     result is within float rounding of the exact sum.
@@ -220,9 +241,11 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
             tensors.append(np.exp(arr))
     else:
         total = free
+        if maxima is None:
+            maxima = [_table_max(table) for _, table in factors]
         bound = math.prod(sizes)
-        for _, table in factors:
-            bound *= max(_table_max(table), 1)
+        for top in maxima:
+            bound *= max(top, 1)
         if bound < _FLOAT_EXACT_LIMIT:
             dtype = np.float64
         elif bound < _INT64_LIMIT:
@@ -234,9 +257,11 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
         if len(scope) != len(vars_):
             tensors[k] = tensors[k].reshape([sizes[x] for x in scope])
 
-    for operands, out, terms in steps:
+    blas = not log and dtype is np.float64
+    for operands, out, terms, cells in steps:
+        optimize = blas and len(operands) > 1 and cells >= _BLAS_MIN_CELLS
         # object einsum returns a bare int for a scalar: keep its dtype
-        result = np.asarray(_einsum(tensors, operands, out), dtype=dtype)
+        result = np.asarray(_einsum(tensors, operands, out, optimize), dtype=dtype)
         if log:
             # Underflow costs each product at most len(operands) units of
             # 2^-1074, so a cell above `floor` keeps full relative precision;
@@ -258,11 +283,11 @@ def contract(sizes: Sequence[int], factors, budget: int, backend: Backend = Back
 
 
 def _int_tables(w: WeightSystem):
-    """Integer rows and tables of an EXACT system, read from its cleared
-    form, and the scale they carry: the product of their denominators."""
+    """Cleared (entries, denominator, maximum) rows and tables of an EXACT
+    system and the scale they carry: the product of their denominators."""
     rows, tables = w.cleared()
-    scale = math.prod(den for _, den in rows) * math.prod(den for _, den in tables.values())
-    return [r for r, _ in rows], {e: t for e, (t, _) in tables.items()}, scale
+    scale = math.prod(den for _, den, _ in rows) * math.prod(den for _, den, _ in tables.values())
+    return rows, tables, scale
 
 
 def _log_tables(w: WeightSystem):
@@ -298,14 +323,18 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     ``partition_brute`` when the budget covers m^n, and raise
     ``LogRangeError`` otherwise.
     """
+    scopes = [(v,) for v in range(g.n)] + list(g.edges)
     if w.backend is Backend.EXACT:
-        vw, ew, scale = _int_tables(w)
+        rows, tables, scale = _int_tables(w)
+        cleared = [rows[v] for v in range(g.n)] + [tables[e] for e in g.edges]
+        factors = [(scope, ints) for scope, (ints, _, _) in zip(scopes, cleared)]
+        maxima = [top for _, _, top in cleared]
     else:
         vw, ew = _log_tables(w)
-    factors = [((v,), vw[v]) for v in range(g.n)]
-    factors.extend(((u, v), ew[(u, v)]) for u, v in g.edges)
+        factors = list(zip(scopes, [vw[v] for v in range(g.n)] + [ew[e] for e in g.edges]))
+        maxima = None
     try:
-        z = contract([w.m] * g.n, factors, budget, w.backend)
+        z = contract([w.m] * g.n, factors, budget, w.backend, maxima)
     except LogRangeError:
         if w.m ** g.n > budget:
             raise
@@ -324,9 +353,10 @@ def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequenc
     each group, and per-group factors use precomputed powers.
     """
     w = inst.weights
-    vw, ew, scale = _int_tables(w)
+    rows, tables, scale = _int_tables(w)
+    vw = [r for r, _, _ in rows]
     m = w.m
-    table = ew[inst.graph.edges[0]]
+    table = tables[inst.graph.edges[0]][0]
     ns = len(side_s)
     pow_tab = [[[table[i][s] ** k for k in range(ns + 1)] for s in range(m)] for i in range(m)]
 

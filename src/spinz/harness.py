@@ -137,17 +137,26 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
 
 def _canonical_masks_batch(n: int, masks: np.ndarray) -> np.ndarray:
     """Vectorized canonical bitmask: elementwise minimum of the edge
-    bitmask over all n! vertex permutations.  Practical for n <= 6."""
+    bitmask over all n! vertex permutations.  Practical for n <= 6.
+
+    A permutation maps each edge bit to one bit, so the image of a mask
+    is the OR of the images of its low byte and of its higher bits: two
+    table lookups per mask and permutation.
+    """
     pairs = _edge_pairs(n)
     index = {p: k for k, p in enumerate(pairs)}
-    best = None
     masks = masks.astype(np.int64)
+    low, high = masks & 255, masks >> 8
+    # bit k of every possible low byte and of every possible high part
+    bits = np.arange(len(pairs), dtype=np.int64)
+    n_high = max(len(pairs) - 8, 0)
+    low_bits = (np.arange(256, dtype=np.int64)[:, None] >> bits[:8]) & 1
+    high_bits = (np.arange(1 << n_high, dtype=np.int64)[:, None] >> bits[:n_high]) & 1
+    best = None
     for perm in itertools.permutations(range(n)):
-        out = np.zeros_like(masks)
-        for e, (i, j) in enumerate(pairs):
-            pi, pj = perm[i], perm[j]
-            target = index[(pi, pj) if pi < pj else (pj, pi)]
-            out |= ((masks >> e) & 1) << target
+        ends = [(perm[i], perm[j]) for i, j in pairs]
+        image = np.array([1 << index[min(e), max(e)] for e in ends], dtype=np.int64)
+        out = (low_bits @ image[:8])[low] | (high_bits @ image[8:])[high]
         best = out if best is None else np.minimum(best, out)
     return best
 

@@ -71,7 +71,7 @@ class WeightSystem:
     most once however many restrictions are taken from it.
     """
 
-    __slots__ = ("m", "n", "_vw", "_ew", "backend", "_cleared", "_uniform")
+    __slots__ = ("m", "n", "_vw", "_ew", "backend", "_cleared", "_uniform", "_text")
 
     def __init__(self, m: int, n: int, vw, ew, backend: Backend, cleared=None, uniform=_UNKNOWN):
         self.m = m
@@ -81,6 +81,7 @@ class WeightSystem:
         self.backend = backend
         self._cleared = cleared  # None until first use (EXACT only)
         self._uniform = uniform
+        self._text = None  # to_text(), on first use
 
     @classmethod
     def build(
@@ -140,10 +141,11 @@ class WeightSystem:
 
     def cleared(self):
         """The integer form of an EXACT system: (rows, tables), where
-        rows[v] and tables[(u, v)] are (entries, denominator) pairs.  The
-        denominator is the lcm of the row's or table's denominators and
-        the entries are the weights times it, so each pair is unique to
-        its rational row or table.
+        rows[v] and tables[(u, v)] are (entries, denominator, maximum)
+        triples.  The denominator is the lcm of the row's or table's
+        denominators, the entries are the weights times it, so each
+        triple is unique to its rational row or table, and the maximum is
+        the largest entry.
 
         Filled on first use.  Threads that race here compute equal forms,
         and whichever is stored last is kept, so no lock is needed.
@@ -188,10 +190,17 @@ class WeightSystem:
         """Canonical serialization; EXACT backend only.
 
         Every entry is written explicitly, so the text determines the
-        system without relying on defaults.
+        system without relying on defaults.  Built once per system, on
+        first use, and shared by every later call and by ``sha``; threads
+        that race here build equal strings, so no lock is needed.
         """
         if self.backend is not Backend.EXACT:
             raise WeightError("only exact-rational systems serialize to text")
+        if self._text is None:
+            self._text = self._serialize()
+        return self._text
+
+    def _serialize(self) -> str:
         lines = [f"m {self.m}"]
         for v in range(self.n):
             for i in range(1, self.m + 1):
@@ -220,16 +229,17 @@ class WeightSystem:
 
 
 def _clear(w: WeightSystem):
-    def clear(values) -> tuple[tuple[int, ...], int]:
+    def clear(values) -> tuple[tuple[int, ...], int, int]:
         fracs = [x.fraction for x in values]
         den = math.lcm(*(f.denominator for f in fracs))
-        return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+        ints = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        return ints, den, max(ints)
 
     rows = tuple(clear(row) for row in w._vw)
     tables = {}
     for e, table in w._ew.items():
-        flat, den = clear(x for row in table for x in row)
-        tables[e] = tuple(flat[k : k + w.m] for k in range(0, len(flat), w.m)), den
+        flat, den, top = clear(x for row in table for x in row)
+        tables[e] = tuple(flat[k : k + w.m] for k in range(0, len(flat), w.m)), den, top
     return rows, tables
 
 

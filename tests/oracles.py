@@ -138,3 +138,21 @@ def c4_torus_independent_sets(n):
             for row in power
         ]
     return sum(power[i][i] for i in range(len(column)))
+
+
+def canonical_masks_per_bit(n, masks):
+    """Minimum edge bitmask over all n! vertex permutations, moving one
+    edge bit at a time; masks is an int64 array over the pairs i < j in
+    lexicographic order."""
+    import numpy as np
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {p: k for k, p in enumerate(pairs)}
+    best = None
+    for perm in itertools.permutations(range(n)):
+        out = np.zeros_like(masks)
+        for e, (i, j) in enumerate(pairs):
+            target = index[tuple(sorted((perm[i], perm[j])))]
+            out |= ((masks >> e) & 1) << target
+        best = out if best is None else np.minimum(best, out)
+    return best

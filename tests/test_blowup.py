@@ -274,3 +274,92 @@ def test_experiment_scales_oversized_edge_weights():
     # scaled probabilities are 1, so every sample is the full block product
     assert set(stats.samples) == {2 ** 4}
     assert stats.mu == 16
+
+
+def _random_host(rng, n_max=4):
+    """A blow-up host on a random connected graph with random spins,
+    block sizes and edge probabilities in (0, 1]."""
+    import itertools
+
+    from spinz.graphs import is_connected
+
+    while True:
+        n = rng.randint(2, n_max)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        if is_connected(g):
+            break
+    m = rng.randint(1, 3)
+    vertex = {(v, i): Fraction(rng.randint(1, 3), 2) for v in range(n) for i in range(1, m + 1)}
+    edge = {
+        (u, v, i, j): Fraction(rng.randint(1, 4), 4)
+        for u, v in g.edges
+        for i in range(1, m + 1)
+        for j in range(i, m + 1)
+    }
+    return build_blowup_host(g, WeightSystem.build(g, m, vertex, edge), 2 * rng.randint(1, 3))
+
+
+def test_configured_sample_is_the_block_of_the_full_sample():
+    import itertools
+    import random
+
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(12):
+        host = _random_host(rng)
+        g = host.graph
+        for seed in (rng.randrange(2 ** 32) for _ in range(2)):
+            full = sample_subgraph(host, seed)
+            for cfg in itertools.product(range(1, host.weights.m + 1), repeat=g.n):
+                sub = sample_subgraph(host, seed, cfg)
+                assert sub.cfg == cfg
+                for u, v in g.edges:
+                    rows = host.local_block_slice(u, cfg[u])
+                    cols = host.local_block_slice(v, cfg[v])
+                    assert np.array_equal(sub.keep[(u, v)], full.keep[(u, v)][rows, cols])
+                assert count_block_homs(g, sub, host, cfg) == count_block_homs(g, full, host, cfg)
+                checked += 1
+    assert checked > 50
+
+
+def test_every_block_pair_has_its_own_stream():
+    g = cycle_graph(4)
+    host = build_blowup_host(g, uniform_half_weights(g), 8)  # 8 x 8 blocks, p = 1/2
+    sub = sample_subgraph(host, 99)
+    blocks = [
+        sub.keep[e][host.local_block_slice(e[0], i), host.local_block_slice(e[1], j)]
+        for e in g.edges
+        for i in (1, 2)
+        for j in (1, 2)
+    ]
+    assert len({b.tobytes() for b in blocks}) == len(blocks)
+
+
+def test_experiment_samples_equal_counts_on_full_samples():
+    from spinz.util import derive_seed
+
+    g = cycle_graph(4)
+    vertex = {(0, 2): 2, (3, 1): 3}
+    edge = {(0, 1, 1, 2): Fraction(1, 3), (2, 3, 1, 1): Fraction(3, 4)}
+    w = WeightSystem.build(g, 2, vertex, edge)
+    host = build_blowup_host(g, w, 3)
+    full = [sample_subgraph(host, derive_seed("blowup-trial", 31, t)) for t in range(12)]
+    for cfg in [(1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2)]:
+        stats = concentration_experiment(g, w, cfg, 3, 12, seed=31)
+        assert stats.samples == tuple(count_block_homs(g, sub, host, cfg) for sub in full)
+
+
+def test_block_samples_serve_only_their_configuration():
+    g = cycle_graph(4)
+    host = build_blowup_host(g, uniform_half_weights(g), 3)
+    sub = sample_subgraph(host, 5, (1, 2, 1, 2))
+    assert all(keep.shape == (3, 3) for keep in sub.keep.values())
+    with pytest.raises(ValueError, match="configuration"):
+        count_block_homs(g, sub, host, (1, 1, 1, 1))
+    with pytest.raises(ValueError, match="configuration"):
+        count_all_block_homs(g, sub, host)
+    with pytest.raises(ValueError, match="entries"):
+        sample_subgraph(host, 5, (1, 2, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        sample_subgraph(host, 5, (1, 2, 1, 3))

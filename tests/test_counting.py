@@ -462,3 +462,90 @@ def test_cover_family_parse():
     assert fam.pairs[0] == (frozenset({0, 2}), frozenset({1}))
     with pytest.raises(ValueError, match="matching B"):
         parse_cover_family("t 1 1\nA 0\n")
+
+
+# Large exact float64 steps go through BLAS (einsum's optimize=True).
+
+
+def _einsum_calls(monkeypatch):
+    """Record (optimize, operand dtypes) of every np.einsum call."""
+    calls = []
+    real = np.einsum
+
+    def spy(*args, optimize=False):
+        calls.append((optimize, {a.dtype for a in args if isinstance(a, np.ndarray)}))
+        return real(*args, optimize=optimize)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+def _c4_count(keep):
+    """Block homomorphisms of C_4 in object-dtype integers: the trace of
+    the product of the edge matrices around the cycle."""
+    a01, a03, a12, a23 = (keep[e].astype(object) for e in ((0, 1), (0, 3), (1, 2), (2, 3)))
+    return int(np.trace(a01 @ a12 @ a23 @ a03.T))
+
+
+def _k23_count(keep):
+    """K_{2,3} (sides 0, 1 and 2, 3, 4) in object-dtype integers: for each
+    image of 0 and 1, the product over the other side of its common
+    neighbours."""
+    total = np.ones((keep[(0, 2)].shape[0], keep[(1, 2)].shape[0]), dtype=object)
+    for y in (2, 3, 4):
+        total = total * (keep[(0, y)].astype(object) @ keep[(1, y)].astype(object).T)
+    return int(total.sum())
+
+
+def test_blas_steps_are_exact_on_random_blocks(monkeypatch):
+    calls = _einsum_calls(monkeypatch)
+    rng = random.Random(17)
+    nprng = np.random.default_rng(17)
+    for g, oracle in ((cycle_graph(4), _c4_count), (complete_bipartite(2, 3), _k23_count)):
+        for trial in range(6):
+            sizes = [120] * g.n if trial == 0 else [rng.randint(1, 120) for _ in range(g.n)]
+            density = rng.choice([0.05, 0.5, 0.95])
+            keep = {(u, v): nprng.random((sizes[u], sizes[v])) < density for u, v in g.edges}
+            want = oracle(keep)
+            assert contract(sizes, list(keep.items()), DEFAULT_BUDGET) == want
+    blas = [dtypes for optimize, dtypes in calls if optimize]
+    assert blas and all(dtypes == {np.dtype(np.float64)} for dtypes in blas)
+
+
+def test_blas_steps_count_all_ones_blocks_exactly(monkeypatch):
+    calls = _einsum_calls(monkeypatch)
+    for g in (cycle_graph(4), complete_bipartite(2, 3)):
+        for c in (1, 7, 120, 1000):
+            factors = [(e, np.ones((c, c), dtype=bool)) for e in g.edges]
+            assert contract([c] * g.n, factors, DEFAULT_BUDGET) == c ** g.n
+    assert any(optimize for optimize, _ in calls)
+
+
+def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
+    import spinz.counting as counting_mod
+
+    rng = np.random.default_rng(5)
+    g = cycle_graph(4)
+    sizes = [60, 50, 60, 40]
+    logs = [((u, v), rng.normal(size=(sizes[u], sizes[v]))) for u, v in g.edges]
+    wide = [((u, v), rng.integers(0, 2 ** 4, size=(sizes[u], sizes[v]))) for u, v in g.edges]
+    wide.append(((0,), [2 ** 20] * sizes[0]))  # int64 dtype
+    wide_obj = wide + [((1,), [2 ** 62] * sizes[1])]  # object dtype
+    before = [
+        contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG),
+        contract(sizes, wide, DEFAULT_BUDGET),
+        contract(sizes, wide_obj, DEFAULT_BUDGET),
+    ]
+    # even with every step large enough for BLAS, only float64 EXACT steps take it
+    monkeypatch.setattr(counting_mod, "_BLAS_MIN_CELLS", 1)
+    calls = _einsum_calls(monkeypatch)
+    after = [
+        contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG),
+        contract(sizes, wide, DEFAULT_BUDGET),
+        contract(sizes, wide_obj, DEFAULT_BUDGET),
+    ]
+    assert after == before  # bit for bit: the log value is compared with ==
+    assert calls and not any(optimize for optimize, _ in calls)
+    dtypes = set().union(*(d for _, d in calls))
+    assert {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)} <= dtypes
+    assert isinstance(before[0], float) and before[1] < before[2]

@@ -267,3 +267,21 @@ def test_campaign_records_errors_nonfatally():
     assert agg.errors > 0
     assert agg.instances == report.graphs
     assert agg.holds + agg.errors == agg.instances
+
+
+def test_canonical_masks_by_byte_lookup_match_the_per_bit_reference():
+    import numpy as np
+
+    from oracles import canonical_masks_per_bit
+    from spinz.graphs import is_connected
+    from spinz.harness import _canonical_masks_batch, _graph_from_mask
+
+    connected = {}
+    for n in range(2, 7):
+        masks = np.arange(1, 1 << (n * (n - 1) // 2), dtype=np.int64)
+        canon = _canonical_masks_batch(n, masks)
+        assert canon.dtype == np.int64
+        assert np.array_equal(canon, canonical_masks_per_bit(n, masks))
+        graphs = [_graph_from_mask(n, int(c)) for c in np.unique(canon)]
+        connected[n] = sum(map(is_connected, graphs))
+    assert connected == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}

@@ -392,3 +392,36 @@ def test_lazy_clearing_is_thread_safe():
             assert w.cleared() == weights_mod._clear(w)
     finally:
         sys.setswitchinterval(old)
+
+
+def test_cleared_maxima_are_the_largest_entries():
+    from spinz.counting import _table_max
+
+    g = cycle_graph(5)
+    systems = [_all_zero_table(g, 3)]
+    systems += [
+        sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style)
+        for style in WEIGHT_STYLES
+        for m in (1, 2, 3)
+        if style != "hardcore" or m == 2
+        for allow_zero in (False, True)
+        for seed in range(3)
+    ]
+    for w in systems:
+        rows, tables = w.cleared()
+        for ints, _, top in [*rows, *tables.values()]:
+            assert top == _table_max(ints)
+
+
+def test_text_is_serialised_once_and_serves_the_sha():
+    from spinz.util import sha256_text
+
+    g = cycle_graph(4)
+    w = sample_weights(g, 3, seed=5, cap=9)
+    text = w.to_text()
+    assert w.to_text() is text
+    assert w.sha() == sha256_text(text)
+    assert parse_weights(text, g).to_text() == text
+    fresh = sample_weights(g, 3, seed=5, cap=9)
+    assert fresh.sha() == w.sha()  # sha first: it fills the same text
+    assert fresh.to_text() == text
