@@ -19,6 +19,7 @@ parallelize freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,8 @@ import numpy as np
 from .counting import DEFAULT_BUDGET, SpinConfig, contract, weight_of
 from .graphs import Graph, GraphError, bipartition, certify_biregular
 from .util import derive_key128, derive_seed, parallel_map
-from .values import Backend, NonNegValue, log_of_fraction
-from .weights import WeightError, WeightSystem
+from .values import Backend, log_of_fraction
+from .weights import WeightError, WeightSystem, _scaled
 
 
 def scale_edge_weights(w: WeightSystem) -> tuple[WeightSystem, Fraction]:
@@ -46,12 +47,9 @@ def scale_edge_weights(w: WeightSystem) -> tuple[WeightSystem, Fraction]:
     _, emax = w.edge_extremes()
     if emax <= 1:
         return w, Fraction(1)
-    inv = NonNegValue.exact(Fraction(1, 1) / emax)
-    ew = {
-        e: tuple(tuple(x * inv for x in row) for row in w.edge_table(*e))
-        for e in w.edges()
-    }
-    return WeightSystem(w.m, w.n, w._vw, ew, Backend.EXACT), emax
+    rows, tables = w.cleared()
+    scaled = {e: _scaled(t, 1 / emax, w.m) for e, t in tables.items()}
+    return WeightSystem(w.m, w.n, Backend.EXACT, rows, scaled), emax
 
 
 @dataclass(frozen=True)
@@ -112,19 +110,21 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
     vstart: list[int] = []
     vsize: list[int] = []
     cursor = 0
-    for v in range(g.n):
+    rows, _ = w.cleared()
+    for v, (entries, den, _) in enumerate(rows):
         row_starts = []
         row_sizes = []
         vstart.append(cursor)
-        for i in range(1, w.m + 1):
-            size = Fraction(C) * w.vertex_weight(v, i).fraction
-            if size.denominator != 1:
+        for i, x in enumerate(entries, start=1):
+            size, rest = divmod(C * x, den)
+            if rest:
                 raise WeightError(
-                    f"block size C*weight = {size} for vertex {v} spin {i} is not an integer"
+                    f"block size C*weight = {Fraction(C * x, den)} for vertex {v} spin {i} "
+                    "is not an integer"
                 )
             row_starts.append(cursor)
-            row_sizes.append(int(size))
-            cursor += int(size)
+            row_sizes.append(size)
+            cursor += size
         starts.append(tuple(row_starts))
         sizes.append(tuple(row_sizes))
         vsize.append(cursor - vstart[-1])
@@ -167,15 +167,16 @@ def sample_subgraph(host: BlowupHost, seed: int, cfg: SpinConfig | None = None) 
         cfg = tuple(cfg)
     key = np.array(derive_key128("blowup-edges", seed), dtype=np.uint64)
     spins = range(1, host.weights.m + 1)
+    _, tables = host.weights.cleared()
     keep = {}
     for e, (u, v) in enumerate(host.graph.edges):
-        table = host.weights.edge_table(u, v)
+        table, den, _ = tables[(u, v)]
 
         def block(i: int, j: int) -> np.ndarray:
             counter = np.array([0, e, i, j], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
             draws = rng.random((host.block_size[u][i - 1], host.block_size[v][j - 1]))
-            return draws < float(table[i - 1][j - 1].fraction)
+            return draws < table[i - 1][j - 1] / den  # correctly rounded, as float(weight)
 
         if cfg is None:
             keep[(u, v)] = np.block([[block(i, j) for j in spins] for i in spins])
@@ -251,8 +252,6 @@ class BlowupStats:
         """The relative-error level sqrt(alpha) / (sqrt(C) - sqrt(alpha))
         that a large-enough block scale certifies; None when C is still
         below alpha and the guarantee is vacuous."""
-        import math
-
         root_alpha = math.sqrt(float(self.alpha))
         root_c = math.sqrt(self.C)
         if root_c <= root_alpha:

@@ -20,6 +20,7 @@ Registered bound names (the CLI and campaign tokens):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,10 +43,11 @@ from .values import (
     Backend,
     NonNegValue,
     PowerProduct,
+    ValueSum,
     compare_product,
     compare_value_vs_product,
 )
-from .weights import WeightSystem, _kab_layout, restrict_to_edge, restrict_to_kab
+from .weights import WeightSystem, _kab_layout, make_ising, restrict_to_edge, restrict_to_kab
 
 LOG_REL_TOL = 1e-9
 
@@ -284,8 +286,6 @@ def cover_family_value(
             raise ValueError(
                 f"enumerating {cost} partial maps on one cover set exceeds budget {budget}"
             )
-        import itertools
-
         if exact:
             e = fam.t1 // fam.t2
             total = 0
@@ -294,8 +294,6 @@ def cover_family_value(
                 total += count_extensions(g, h, lists, a_sorted, b_i, x) ** e
             factors.append(NonNegValue.exact(total))
         else:
-            from .values import ValueSum
-
             acc = ValueSum(Backend.LOG)
             for combo in itertools.product(*(lists[v] for v in a_sorted)):
                 x = dict(zip(a_sorted, combo))
@@ -486,8 +484,6 @@ def ising_free_energy_check(g: Graph, beta: float, budget: int = DEFAULT_BUDGET)
     """Compute F = log(Z)/N for the beta-coupled two-spin system with
     zero field and check the sandwich bounds.  Needs beta > 0 and a
     d-regular bipartite graph."""
-    from .weights import make_ising
-
     if beta <= 0:
         raise ValueError("the sandwich applies to the antiferromagnetic case beta > 0")
     bipartition(g)

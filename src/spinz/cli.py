@@ -73,9 +73,12 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _add_backend(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--backend", choices=["exact", "log"], default="exact",
+                        help="numeric backend for the weights (default exact)")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["auto", "exact", "log"], default="auto",
-                        help="numeric backend; auto uses exact")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget (default 10^8)")
     parser.add_argument("--threads", type=int, default=_default_threads(),
@@ -95,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="partition function of a graph + weight system")
     p.add_argument("graph")
     p.add_argument("weights")
+    _add_backend(p)
     _add_common(p)
 
     p = sub.add_parser("bound", help="evaluate one named bound")
@@ -104,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target graph file (thm4, thm5, conj2)")
     p.add_argument("--lists", help="list file; defaults to full lists")
     p.add_argument("--families", help="cover family file (thm5)")
+    _add_backend(p)
     _add_common(p)
 
     p = sub.add_parser("listhom", help="count list homomorphisms")

@@ -7,13 +7,13 @@ of them but the uniform-table K_{a,b} count-vector DP run on one engine,
 full and checked against the budget before it contracts anything.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
-back out; results are exact rationals.  The integer tables are the weight
-system's cleared form (``WeightSystem.cleared``), filled once per system
-on first use and shared with every K_{a,b} restriction taken from it, so
-no restricted factor clears anything.  Log-backend weights are contracted
-as max-shifted floats with the shifts carried in the log domain; a
-contraction that would lose terms to float64 underflow raises
-``LogRangeError`` instead.
+back out; results are exact rationals.  The integer tables are the form
+an EXACT weight system stores (``WeightSystem.cleared``), shared with
+every K_{a,b} restriction taken from it, so no kernel converts a weight.
+Log-backend weights are the floats a LOG system stores, contracted
+max-shifted with the shifts carried in the log domain; a contraction
+that would lose terms to float64 underflow raises ``LogRangeError``
+instead.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import Bipartition, Graph
 from .util import sha256_text
 from .values import NEG_INF, Backend, NonNegValue, ValueSum
-from .weights import KabInstance, WeightSystem
+from .weights import KabInstance, WeightSystem, make_hardcore
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -290,12 +290,6 @@ def _int_tables(w: WeightSystem):
     return rows, tables, scale
 
 
-def _log_tables(w: WeightSystem):
-    vw = [[x.log() for x in w.vertex_row(v)] for v in range(w.n)]
-    ew = {e: [[x.log() for x in row] for row in w.edge_table(*e)] for e in w.edges()}
-    return vw, ew
-
-
 def partition_brute(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
     """Sum of configuration weights over all m^n assignments, by direct
     enumeration in lexicographic order: the reference every faster
@@ -317,8 +311,8 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     elimination order (m to the power of the widest elimination
     neighbourhood), not m^n, and is checked before any contraction.
     Always equal to ``partition_brute``: exactly on the EXACT backend,
-    up to float rounding on the LOG backend.  EXACT weights are read from
-    the system's cleared form, which a restriction shares with its parent.
+    up to float rounding on the LOG backend.  Both read the rows and
+    tables the system stores, which a restriction shares with its parent.
     LOG weights whose products leave the float64 range go to
     ``partition_brute`` when the budget covers m^n, and raise
     ``LogRangeError`` otherwise.
@@ -330,8 +324,8 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
         factors = [(scope, ints) for scope, (ints, _, _) in zip(scopes, cleared)]
         maxima = [top for _, _, top in cleared]
     else:
-        vw, ew = _log_tables(w)
-        factors = list(zip(scopes, [vw[v] for v in range(g.n)] + [ew[e] for e in g.edges]))
+        rows, tables = w.logs()
+        factors = list(zip(scopes, [rows[v] for v in range(g.n)] + [tables[e] for e in g.edges]))
         maxima = None
     try:
         z = contract([w.m] * g.n, factors, budget, w.backend, maxima)
@@ -404,9 +398,9 @@ def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValu
     whose largest intermediate tensor here is m^min(a,b).  Equal to
     ``partition_brute`` on the same instance.
 
-    Neither path clears weights: both read the cleared rows and tables a
+    Neither path converts weights: both read the integer rows and tables a
     restriction shares with its parent, and the shared-table test is the
-    restriction's own answer or one cached integer comparison.
+    restriction's own answer or one cached comparison of those tables.
     """
     w = inst.weights
     if inst.a <= inst.b:
@@ -423,8 +417,6 @@ def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValu
 
 def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Number of independent sets, via the hard-constraint two-spin system."""
-    from .weights import make_hardcore
-
     z = partition_function(g, make_hardcore(g, 1), budget)
     frac = z.fraction
     assert frac.denominator == 1

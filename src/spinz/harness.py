@@ -49,7 +49,7 @@ from .util import derive_seed, dump_json, parallel_map
 from .values import Backend
 from .weights import WeightSystem, make_hardcore, parse_weights
 
-ENUMERATION_CEILINGS = {"all": 10, "bipartite": 10, "biregular": 12}
+ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 12}
 _BATCH_CANONICAL_MAX = 6  # vectorized min-over-permutations cutoff
 
 
@@ -273,10 +273,12 @@ def enumerate_graphs(
 
     Modes: ``all`` (every graph), ``bipartite``, ``biregular`` (optionally
     pinned to one (a,b) pair or capped by max_degree).  Deduplication is
-    exact here, but callers must tolerate duplicates by contract.  Cost
-    for ``all``/``bipartite`` grows as 2^(n choose 2); n <= 6 is fast,
-    n = 7 takes minutes, and the ceiling rejects n beyond {all: 10,
-    biregular: 12}.
+    exact here, but callers must tolerate duplicates by contract.
+    ``all``/``bipartite`` try all 2^(n choose 2) edge sets at about
+    100 us each: n <= 6 is fast, n = 7 takes about 4 minutes and n = 8
+    would take 8 hours, so the ceilings, checked before anything is
+    yielded, are {all: 7, bipartite: 7, biregular: 12}; ``biregular``
+    up to 12 takes about 25 minutes.
     """
     if n_max < 0:
         raise EnumerationError(f"n_max must be >= 0, got {n_max}")

@@ -38,10 +38,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def nonneg_rational(value: RationalLike) -> Fraction:
+    """An int, Fraction or ``p/q`` text as a Fraction; refuses negatives."""
+    if type(value) is not Fraction:
+        value = Fraction(parse_rational(value) if isinstance(value, str) else value)
+    if value.numerator < 0:
+        raise ValueError(f"negative value not allowed: {value}")
+    return value
 
 
 def log_of_int(n: int) -> float:
@@ -87,12 +90,7 @@ class NonNegValue:
 
     @classmethod
     def exact(cls, value: RationalLike) -> "NonNegValue":
-        if isinstance(value, str):
-            value = parse_rational(value)
-        frac = Fraction(value)
-        if frac < 0:
-            raise ValueError(f"negative value not allowed: {frac}")
-        return cls(frac, None)
+        return cls(nonneg_rational(value), None)
 
     @classmethod
     def from_log(cls, logv: float) -> "NonNegValue":
@@ -191,7 +189,7 @@ class NonNegValue:
 
     def __repr__(self):
         if self._frac is not None:
-            return f"NonNegValue({format_rational(self._frac)})"
+            return f"NonNegValue({self._frac})"
         return f"NonNegValue(log={self._log!r})"
 
 

@@ -12,6 +12,10 @@ The weight file format is line oriented:
 Rationals are written ``p/q`` or plain ``p``.  Omitted entries default
 to 1.  ``ew`` lines with i > j are rejected: the stored table is the
 canonical i <= j half and is read symmetrically.
+
+An EXACT system stores each row and table once, as integers over their
+lcm denominator (the form every exact kernel reads); a LOG system stores
+natural logs.  ``NonNegValue`` views are built only when asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .values import (
     Backend,
     NonNegValue,
     RationalLike,
-    format_rational,
+    log_of_fraction,
+    nonneg_rational,
     parse_rational,
 )
 
@@ -48,16 +53,6 @@ Table = tuple  # m x m tuple-of-tuples of NonNegValue, symmetric
 _UNKNOWN = object()  # uniform_edge_table() not yet worked out
 
 
-def _as_value(x, backend: Backend) -> NonNegValue:
-    if isinstance(x, NonNegValue):
-        if x.backend is not backend:
-            raise WeightError("mixed backends in one weight system")
-        return x
-    if backend is Backend.LOG:
-        raise WeightError("log-backend weights must be NonNegValue instances")
-    return NonNegValue.exact(x)
-
-
 class WeightSystem:
     """Complete weight tables for every vertex and edge of a graph.
 
@@ -65,21 +60,19 @@ class WeightSystem:
     has exactly one entry; the symmetric reads ``edge_weight(u, v, i, j)
     == edge_weight(u, v, j, i)`` hold by construction.
 
-    An EXACT system also has a cleared form (see ``cleared``), filled on
-    first use.  Restrictions share their parent's cleared rows and tables
-    by reference, as they share its value rows, so a system is cleared at
-    most once however many restrictions are taken from it.
+    Rows and tables are stored in the backend's form only (``cleared``,
+    ``logs``), and restrictions share them by reference, so nothing
+    converts a weight after ``build``.
     """
 
-    __slots__ = ("m", "n", "_vw", "_ew", "backend", "_cleared", "_uniform", "_text")
+    __slots__ = ("m", "n", "backend", "_rows", "_tables", "_uniform", "_text")
 
-    def __init__(self, m: int, n: int, vw, ew, backend: Backend, cleared=None, uniform=_UNKNOWN):
+    def __init__(self, m: int, n: int, backend: Backend, rows, tables, uniform=_UNKNOWN):
         self.m = m
         self.n = n
-        self._vw = vw  # tuple[v] -> tuple[i0] -> NonNegValue
-        self._ew = ew  # dict[(u,v)] -> m x m tuple of NonNegValue
         self.backend = backend
-        self._cleared = cleared  # None until first use (EXACT only)
+        self._rows = rows  # tuple[v] -> EXACT (entries, den, max) triple, LOG tuple of logs
+        self._tables = tables  # dict[(u, v)] -> the same for the m x m table
         self._uniform = uniform
         self._text = None  # to_text(), on first use
 
@@ -90,100 +83,110 @@ class WeightSystem:
         m: int,
         vertex: Mapping[tuple[int, int], RationalLike] | None = None,
         edge: Mapping[tuple[int, int, int, int], RationalLike] | None = None,
-        backend: Backend = Backend.EXACT,
     ) -> "WeightSystem":
-        """Construct with defaults of 1 for all omitted entries.
+        """Construct an EXACT system with defaults of 1 for all omitted
+        entries.
 
         ``vertex`` maps (v, i) with 1-based spin i; ``edge`` maps
         (u, v, i, j) with u < v an edge of the graph and i <= j.
         """
         if m < 1:
             raise WeightError(f"spin count must be >= 1, got {m}")
-        one = NonNegValue.one(backend)
-        rows = [[one] * m for _ in range(graph.n)]
+        rows = [[1] * m for _ in range(graph.n)]
         for (v, i), val in (vertex or {}).items():
             if not (0 <= v < graph.n):
                 raise WeightError(f"vertex {v} out of range")
             if not (1 <= i <= m):
                 raise WeightError(f"spin {i} out of range 1..{m}")
-            rows[v][i - 1] = _as_value(val, backend)
-        tables: dict[tuple[int, int], list[list[NonNegValue]]] = {
-            e: [[one] * m for _ in range(m)] for e in graph.edges
-        }
+            rows[v][i - 1] = nonneg_rational(val)
+        tables = {e: [1] * (m * m) for e in graph.edges}  # row-major
         for (u, v, i, j), val in (edge or {}).items():
             key = (u, v) if u < v else (v, u)
             if key not in tables:
                 raise WeightError(f"({u},{v}) is not an edge of the graph")
             if not (1 <= i <= j <= m):
                 raise WeightError(f"spin pair ({i},{j}) must satisfy 1 <= i <= j <= {m}")
-            w = _as_value(val, backend)
-            tables[key][i - 1][j - 1] = w
-            tables[key][j - 1][i - 1] = w
-        vw = tuple(tuple(row) for row in rows)
-        ew = {e: tuple(tuple(r) for r in t) for e, t in tables.items()}
-        return cls(m, graph.n, vw, ew, backend)
+            table = tables[key]
+            table[(i - 1) * m + j - 1] = table[(j - 1) * m + i - 1] = nonneg_rational(val)
+        rows = tuple(_clear(row) for row in rows)
+        return cls(m, graph.n, Backend.EXACT, rows, {e: _clear(t, m) for e, t in tables.items()})
+
+    def _value(self, stored, *index) -> NonNegValue:
+        entry, den, _ = stored if self.backend is Backend.EXACT else (stored, None, None)
+        for k in index:
+            entry = entry[k]
+        return NonNegValue.exact(Fraction(entry, den)) if den else NonNegValue.from_log(entry)
 
     def vertex_weight(self, v: int, i: int) -> NonNegValue:
-        return self._vw[v][i - 1]
+        return self._value(self._rows[v], i - 1)
 
     def edge_weight(self, u: int, v: int, i: int, j: int) -> NonNegValue:
-        key = (u, v) if u < v else (v, u)
-        return self._ew[key][i - 1][j - 1]
+        return self._value(self._tables[(u, v) if u < v else (v, u)], i - 1, j - 1)
 
     def vertex_row(self, v: int) -> tuple:
-        return self._vw[v]
+        return tuple(self.vertex_weight(v, i) for i in range(1, self.m + 1))
 
     def edge_table(self, u: int, v: int) -> Table:
-        return self._ew[(u, v) if u < v else (v, u)]
+        spins = range(1, self.m + 1)
+        return tuple(tuple(self.edge_weight(u, v, i, j) for j in spins) for i in spins)
 
     def edges(self):
-        return self._ew.keys()
+        return self._tables.keys()
 
     def cleared(self):
-        """The integer form of an EXACT system: (rows, tables), where
+        """The stored form of an EXACT system: (rows, tables), where
         rows[v] and tables[(u, v)] are (entries, denominator, maximum)
         triples.  The denominator is the lcm of the row's or table's
-        denominators, the entries are the weights times it, so each
-        triple is unique to its rational row or table, and the maximum is
-        the largest entry.
-
-        Filled on first use.  Threads that race here compute equal forms,
-        and whichever is stored last is kept, so no lock is needed.
+        reduced denominators, the entries are the weights times it, so
+        each triple is unique to its rational row or table, and the
+        maximum is the largest entry.
         """
-        if self._cleared is None:
-            self._cleared = _clear(self)
-        return self._cleared
+        if self.backend is not Backend.EXACT:
+            raise WeightError("only exact-rational systems have a cleared form")
+        return self._rows, self._tables
+
+    def logs(self):
+        """The stored form of a LOG system: (rows, tables) of natural
+        logs, -inf for a zero weight."""
+        if self.backend is not Backend.LOG:
+            raise WeightError("only log-backend systems hold logs")
+        return self._rows, self._tables
 
     def uniform_edge_table(self) -> Table | None:
         """The shared m x m table if every edge carries the same one.
 
-        Worked out once per system; an EXACT system compares its cleared
-        tables, which are equal exactly when the rational tables are.
+        Worked out once per system by comparing the stored tables, which
+        are equal exactly when the weights are.
         """
         if self._uniform is _UNKNOWN:
-            by_edge = self.cleared()[1] if self.backend is Backend.EXACT else self._ew
-            tables = list(by_edge.values())
+            tables = list(self._tables.values())
             same = bool(tables) and all(t == tables[0] for t in tables)
-            self._uniform = next(iter(self._ew.values())) if same else None
+            self._uniform = self.edge_table(*next(iter(self._tables))) if same else None
         return self._uniform
 
     def to_log(self) -> "WeightSystem":
         if self.backend is Backend.LOG:
             return self
-        vw = tuple(tuple(v.to_log() for v in row) for row in self._vw)
-        ew = {
-            e: tuple(tuple(v.to_log() for v in row) for row in t)
-            for e, t in self._ew.items()
+
+        def logs(entries, den):
+            return tuple(log_of_fraction(Fraction(x, den)) for x in entries)
+
+        rows = tuple(logs(entries, den) for entries, den, _ in self._rows)
+        tables = {
+            e: tuple(logs(row, den) for row in entries)
+            for e, (entries, den, _) in self._tables.items()
         }
-        return WeightSystem(self.m, self.n, vw, ew, Backend.LOG)
+        return WeightSystem(self.m, self.n, Backend.LOG, rows, tables)
 
     def vertex_extremes(self) -> tuple[Fraction, Fraction]:
         """(min, max) over all vertex weights; EXACT backend only."""
-        vals = [v.fraction for row in self._vw for v in row]
+        rows, _ = self.cleared()
+        vals = [Fraction(x, den) for entries, den, _ in rows for x in entries]
         return min(vals), max(vals)
 
     def edge_extremes(self) -> tuple[Fraction, Fraction]:
-        vals = [v.fraction for t in self._ew.values() for row in t for v in row]
+        _, tables = self.cleared()
+        vals = [Fraction(x, den) for table, den, _ in tables.values() for row in table for x in row]
         return min(vals), max(vals)
 
     def to_text(self) -> str:
@@ -202,25 +205,22 @@ class WeightSystem:
 
     def _serialize(self) -> str:
         lines = [f"m {self.m}"]
-        for v in range(self.n):
-            for i in range(1, self.m + 1):
-                lines.append(f"vw {v} {i} {format_rational(self.vertex_weight(v, i).fraction)}")
-        for (u, w) in sorted(self._ew):
-            for i in range(1, self.m + 1):
-                for j in range(i, self.m + 1):
-                    val = format_rational(self.edge_weight(u, w, i, j).fraction)
-                    lines.append(f"ew {u} {w} {i} {j} {val}")
+        for v, (entries, den, _) in enumerate(self._rows):
+            for i, x in enumerate(entries, start=1):
+                lines.append(f"vw {v} {i} {_format(x, den)}")
+        for (u, w), (entries, den, _) in sorted(self._tables.items()):
+            for i in range(self.m):
+                for j in range(i, self.m):
+                    lines.append(f"ew {u} {w} {i + 1} {j + 1} {_format(entries[i][j], den)}")
         return "\n".join(lines) + "\n"
 
     def sha(self) -> str:
         if self.backend is Backend.EXACT:
             return sha256_text(self.to_text())
-        head = ",".join(
-            repr(v.log()) for row in self._vw for v in row
-        )
+        head = ",".join(repr(x) for row in self._rows for x in row)
         tail = ",".join(
-            f"{e}:{','.join(repr(x.log()) for r in t for x in r)}"
-            for e, t in sorted(self._ew.items())
+            f"{e}:{','.join(repr(x) for r in t for x in r)}"
+            for e, t in sorted(self._tables.items())
         )
         return sha256_text(f"log-weights m={self.m} n={self.n} vw={head} ew={tail}")
 
@@ -228,19 +228,35 @@ class WeightSystem:
         return f"WeightSystem(m={self.m}, n={self.n}, backend={self.backend.value})"
 
 
-def _clear(w: WeightSystem):
-    def clear(values) -> tuple[tuple[int, ...], int, int]:
-        fracs = [x.fraction for x in values]
-        den = math.lcm(*(f.denominator for f in fracs))
-        ints = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        return ints, den, max(ints)
+def _cleared(nums: Sequence[int], den: int, m: int | None = None):
+    """The rationals nums[k]/den in lowest terms as an (entries,
+    denominator, maximum) triple, the entries in rows of m when m is
+    given."""
+    g = math.gcd(den, *nums)
+    entries = tuple(x // g for x in nums)
+    top = max(entries)
+    if m is not None:
+        entries = tuple(entries[k : k + m] for k in range(0, len(entries), m))
+    return entries, den // g, top
 
-    rows = tuple(clear(row) for row in w._vw)
-    tables = {}
-    for e, table in w._ew.items():
-        flat, den, top = clear(x for row in table for x in row)
-        tables[e] = tuple(flat[k : k + w.m] for k in range(0, len(flat), w.m)), den, top
-    return rows, tables
+
+def _clear(values, m: int | None = None):
+    """Cleared triple of a flat list of rationals (ints or Fractions)."""
+    den = math.lcm(*(x.denominator for x in values))
+    return _cleared([x.numerator * (den // x.denominator) for x in values], den, m)
+
+
+def _scaled(stored, c: Fraction, m: int | None = None):
+    """A cleared row (or, given m, table) times the positive rational c."""
+    entries, den, _ = stored
+    flat = entries if m is None else [x for row in entries for x in row]
+    return _cleared([x * c.numerator for x in flat], den * c.denominator, m)
+
+
+def _format(x: int, den: int) -> str:
+    """The rational x/den written as in a weight file: ``p`` or ``p/q``."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def parse_weights(text: str, graph: Graph) -> WeightSystem:
@@ -336,14 +352,10 @@ def make_ising(g: Graph, beta: float, h: float) -> WeightSystem:
     """
     if not (math.isfinite(beta) and math.isfinite(h)):
         raise WeightError("beta and h must be finite")
-    up = NonNegValue.from_log(h)
-    down = NonNegValue.from_log(-h)
-    same = NonNegValue.from_log(-beta)
-    diff = NonNegValue.from_log(beta)
-    vw = tuple((up, down) for _ in range(g.n))
+    same, diff = float(-beta), float(beta)
     table = ((same, diff), (diff, same))
-    ew = {e: table for e in g.edges}
-    return WeightSystem(2, g.n, vw, ew, Backend.LOG)
+    rows = tuple((float(h), float(-h)) for _ in range(g.n))
+    return WeightSystem(2, g.n, Backend.LOG, rows, {e: table for e in g.edges})
 
 
 @dataclass(frozen=True)
@@ -376,19 +388,13 @@ def _kab_layout(a: int, b: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]
     return graph, tuple(range(b)), tuple(range(b, b + a))
 
 
-def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources, uniform):
+def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources, uniform=_UNKNOWN):
     """K_{a,b} instance whose vertex k has w's row rows[k] and whose edges
-    at w-side vertex k have w's table sources[k]: w's own objects, with
-    their cleared forms when w is EXACT."""
+    at w-side vertex k have w's table sources[k], shared by reference."""
     graph, w_ids, z_ids = _kab_layout(a, b)
-    src = {e: sources[e[0]] for e in graph.edges}  # e[0] is the w-side end
-    vw = tuple(w._vw[u] for u in rows)
-    ew = {e: w._ew[f] for e, f in src.items()}
-    cleared = None
-    if w.backend is Backend.EXACT:
-        c_rows, c_tables = w.cleared()
-        cleared = tuple(c_rows[u] for u in rows), {e: c_tables[f] for e, f in src.items()}
-    weights = WeightSystem(w.m, a + b, vw, ew, w.backend, cleared, uniform)
+    vw = tuple(w._rows[u] for u in rows)
+    ew = {e: w._tables[sources[e[0]]] for e in graph.edges}  # e[0] is the w-side end
+    weights = WeightSystem(w.m, a + b, w.backend, vw, ew, uniform)
     return KabInstance(a=a, b=b, graph=graph, weights=weights, w_ids=w_ids, z_ids=z_ids)
 
 
@@ -413,9 +419,7 @@ def restrict_to_kab(
     if sorted(nbrs) != sorted(cert.neighbor_order(v)):
         raise WeightError("neighbor_order must be a permutation of the adjacency of v")
     edges = [(u, v) if u < v else (v, u) for u in nbrs]
-    tables = [w._ew[e] for e in edges]
-    uniform = tables[0] if tables and all(t is tables[0] for t in tables) else _UNKNOWN
-    return _induced(w, cert.a, cert.b, (*nbrs, *[v] * cert.a), edges, uniform)
+    return _induced(w, cert.a, cert.b, (*nbrs, *[v] * cert.a), edges)
 
 
 def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
@@ -445,9 +449,6 @@ def scale_vertex_weights(w: WeightSystem, v: int, c: RationalLike) -> WeightSyst
     c = Fraction(c)
     if c <= 0:
         raise WeightError("scale must be positive")
-    factor = NonNegValue.exact(c)
-    vw = tuple(
-        tuple(x * factor for x in row) if idx == v else row
-        for idx, row in enumerate(w._vw)
-    )
-    return WeightSystem(w.m, w.n, vw, w._ew, w.backend)
+    rows, tables = w.cleared()
+    rows = tuple(_scaled(row, c) if idx == v else row for idx, row in enumerate(rows))
+    return WeightSystem(w.m, w.n, Backend.EXACT, rows, tables)

@@ -156,3 +156,40 @@ def canonical_masks_per_bit(n, masks):
             out |= ((masks >> e) & 1) << target
         best = out if best is None else np.minimum(best, out)
     return best
+
+
+def fraction_weight_tables(n, m, edges, vertex, edge):
+    """Full per-entry Fraction tables from ``WeightSystem.build``'s
+    arguments: rows[v][i] and tables[(u, v)][i][j] with 0-based spins,
+    omitted entries 1, each edge entry written to both (i, j) and (j, i)."""
+    rows = [[Fraction(1)] * m for _ in range(n)]
+    for (v, i), x in vertex.items():
+        rows[v][i - 1] = Fraction(x)
+    tables = {e: [[Fraction(1)] * m for _ in range(m)] for e in edges}
+    for (u, v, i, j), x in edge.items():
+        table = tables[(min(u, v), max(u, v))]
+        table[i - 1][j - 1] = table[j - 1][i - 1] = Fraction(x)
+    return rows, tables
+
+
+def clear_fractions(fracs):
+    """Fractions as integers over the lcm of their denominators:
+    (entries, lcm, largest entry)."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = tuple(f.numerator * (den // f.denominator) for f in fracs)
+    return ints, den, max(ints)
+
+
+def weights_file_text(m, rows, tables):
+    """The weight file with every entry written, one Fraction at a time."""
+
+    def fmt(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    lines = [f"m {m}"]
+    for v, row in enumerate(rows):
+        lines += [f"vw {v} {i + 1} {fmt(x)}" for i, x in enumerate(row)]
+    for u, w in sorted(tables):
+        for i in range(m):
+            lines += [f"ew {u} {w} {i + 1} {j + 1} {fmt(tables[(u, w)][i][j])}" for j in range(i, m)]
+    return "\n".join(lines) + "\n"

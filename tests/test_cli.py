@@ -60,6 +60,18 @@ def test_compute_log_backend(capsys, files):
     assert doc["log_z"] == pytest.approx(math.log(7), rel=1e-9)
 
 
+def test_backend_is_exact_or_log_and_only_where_weights_are_read(capsys, files):
+    for argv in (
+        ["compute", files["c4"], files["hc4"], "--backend", "auto"],
+        ["listhom", files["c4"], files["k3"], "--backend", "log"],
+        ["ising", files["c4"], "--beta", "0.5", "--backend", "exact"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
 def test_compute_missing_file_exits_2(capsys, files):
     missing = files["tmp"] / "nope.weights"
     code = main(["compute", str(files["c4"]), str(missing)])

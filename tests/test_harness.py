@@ -114,6 +114,13 @@ def test_enumerate_ceiling():
         list(enumerate_graphs(13, "biregular"))
 
 
+def test_enumerate_ceiling_is_checked_before_the_first_graph():
+    for mode in ("all", "bipartite"):
+        graphs = enumerate_graphs(8, mode)
+        with pytest.raises(EnumerationError, match=f"n_max 8 exceeds the {mode} ceiling 7"):
+            next(graphs)
+
+
 def test_enumerate_deterministic_order():
     a = [g.to_text() for g in enumerate_graphs(5, "all", connected_only=True)]
     b = [g.to_text() for g in enumerate_graphs(5, "all", connected_only=True)]

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinz.weights as weights_mod
+from oracles import clear_fractions, fraction_weight_tables, weights_file_text
 from spinz.bounds import edge_restriction_bound, vertex_restriction_bound
 from spinz.graphs import (
     Graph,
@@ -21,7 +22,7 @@ from spinz.graphs import (
 )
 from spinz.harness import WEIGHT_STYLES, sample_weights
 from spinz.util import parallel_map
-from spinz.values import Backend
+from spinz.values import Backend, NonNegValue, log_of_fraction
 from spinz.weights import (
     WeightParseError,
     WeightSystem,
@@ -31,7 +32,9 @@ from spinz.weights import (
     parse_weights,
     restrict_to_edge,
     restrict_to_kab,
+    scale_vertex_weights,
 )
+from spinz.blowup import scale_edge_weights
 from spinz.counting import partition_brute, partition_function, partition_kab
 
 
@@ -295,18 +298,18 @@ def test_restrictions_share_the_parents_cleared_rows_and_tables():
     assert inst.weights.uniform_edge_table() is w.uniform_edge_table()
 
 
-def test_parent_clears_once_for_any_number_of_restrictions(monkeypatch):
-    calls = []
-    real = weights_mod._clear
-
-    def counting_clear(w):
-        calls.append(w)
-        return real(w)
-
-    monkeypatch.setattr(weights_mod, "_clear", counting_clear)
+def test_restrictions_and_bounds_never_clear(monkeypatch):
     g = cycle_graph(6)
     w = sample_weights(g, 3, seed=8, cap=9, style="uniform_edge")
     cert = certify_biregular(g, bipartition(g))
+    calls = []
+    real = weights_mod._cleared
+
+    def counting_cleared(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights_mod, "_cleared", counting_cleared)
     for _ in range(3):
         for inst in _restrictions(g, w):
             partition_kab(inst)
@@ -314,7 +317,7 @@ def test_parent_clears_once_for_any_number_of_restrictions(monkeypatch):
         edge_restriction_bound(g, w)
         vertex_restriction_bound(g, w)
         restrict_to_kab(g, w, cert, sorted(cert.odd)[0])
-    assert calls == [w]
+    assert calls == []
 
 
 def _uniform_by_value(w):
@@ -368,7 +371,7 @@ def test_kab_layout_is_shared_and_restrictions_are_unchanged():
     assert first.graph.n == cert.a + cert.b and first.graph.num_edges == cert.a * cert.b
 
 
-def test_lazy_clearing_is_thread_safe():
+def test_threads_racing_on_a_fresh_system_agree():
     g = hypercube_graph(3)
     for bound, style in ((edge_restriction_bound, "uniform_edge"), (vertex_restriction_bound, "general")):
         reports = [
@@ -386,10 +389,9 @@ def test_lazy_clearing_is_thread_safe():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            # a fresh system, so the threads race to fill its cleared form
+            # a fresh system, so the threads race to work out its uniform table
             w = sample_weights(g, 2, seed=7, cap=9, style="uniform_edge")
             assert factors(w, 8) == serial
-            assert w.cleared() == weights_mod._clear(w)
     finally:
         sys.setswitchinterval(old)
 
@@ -425,3 +427,96 @@ def test_text_is_serialised_once_and_serves_the_sha():
     fresh = sample_weights(g, 3, seed=5, cap=9)
     assert fresh.sha() == w.sha()  # sha first: it fills the same text
     assert fresh.to_text() == text
+
+
+def _sampled_with_inputs(monkeypatch, g, m, seed, allow_zero, style):
+    """sample_weights' system and the vertex and edge maps it was built from."""
+    seen = []
+    real = WeightSystem.build.__func__
+
+    def spy(cls, graph, m, vertex=None, edge=None):
+        seen.append((dict(vertex or {}), dict(edge or {})))
+        return real(cls, graph, m, vertex, edge)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightSystem, "build", classmethod(spy))
+        w = sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style)
+    (vertex, edge), = seen
+    return w, vertex, edge
+
+
+def test_stored_form_matches_the_per_entry_fraction_reference(monkeypatch):
+    graphs = [cycle_graph(5), complete_bipartite(2, 3), path_graph(2), Graph(3, [])]
+    checked = 0
+    for gi, g in enumerate(graphs):
+        for style in WEIGHT_STYLES:
+            for m in (2,) if style == "hardcore" else (1, 2, 3):
+                for allow_zero in (False, True):
+                    seed = 10 * gi + m + 5 * allow_zero
+                    w, vertex, edge = _sampled_with_inputs(monkeypatch, g, m, seed, allow_zero, style)
+                    rows, tables = fraction_weight_tables(g.n, m, g.edges, vertex, edge)
+                    text = weights_file_text(m, rows, tables)
+                    for system in (w, parse_weights(text, g)):
+                        c_rows, c_tables = system.cleared()
+                        assert c_rows == tuple(clear_fractions(row) for row in rows)
+                        for e, table in tables.items():
+                            ints, den, top = clear_fractions([x for row in table for x in row])
+                            assert c_tables[e] == (tuple(ints[k : k + m] for k in range(0, m * m, m)), den, top)
+                        assert system.to_text() == text
+                        log_rows, log_tables = system.to_log().logs()
+                        assert log_rows == tuple(tuple(map(log_of_fraction, row)) for row in rows)
+                        assert log_tables == {
+                            e: tuple(tuple(map(log_of_fraction, row)) for row in t) for e, t in tables.items()
+                        }
+                        for v, row in enumerate(rows):
+                            entries, den, _ = c_rows[v]
+                            for i, x in enumerate(row):
+                                assert entries[i] / den == float(x)
+                                assert system.vertex_weight(v, i + 1).fraction == x
+                        for e, table in tables.items():
+                            entries, den, _ = c_tables[e]
+                            assert system.edge_table(*e) == tuple(tuple(map(NonNegValue.exact, r)) for r in table)
+                            for i in range(m):
+                                for j in range(m):
+                                    assert entries[i][j] / den == float(table[i][j])
+                        checked += 1
+    assert checked == 4 * 2 * 7 * 2
+
+
+def test_scaled_systems_keep_the_stored_form_in_lowest_terms(monkeypatch):
+    g = cycle_graph(4)
+    for style in ("general", "uniform_edge"):
+        w, vertex, edge = _sampled_with_inputs(monkeypatch, g, 3, 9, False, style)
+        rows, tables = fraction_weight_tables(g.n, 3, g.edges, vertex, edge)
+        for c in (Fraction(3, 4), Fraction(6), Fraction(1, 9)):
+            c_rows, c_tables = scale_vertex_weights(w, 1, c).cleared()
+            assert c_rows[1] == clear_fractions([x * c for x in rows[1]])
+            assert c_rows[0] is w.cleared()[0][0] and c_tables is w.cleared()[1]
+        scaled, emax = scale_edge_weights(w)
+        assert emax == max(x for t in tables.values() for row in t for x in row) > 1
+        for e, table in tables.items():
+            ints, den, top = clear_fractions([x / emax for row in table for x in row])
+            assert scaled.cleared()[1][e] == (tuple(ints[k : k + 3] for k in range(0, 9, 3)), den, top)
+        assert scaled.cleared()[0] is w.cleared()[0]
+        assert (scaled.uniform_edge_table() is None) == (w.uniform_edge_table() is None)
+
+
+def test_build_rejects_bad_input_with_its_messages():
+    g = path_graph(3)
+    cases = [
+        ({"vertex": {(0, 1): Fraction(-1, 2)}}, "negative value not allowed: -1/2"),
+        ({"vertex": {(1, 2): "-2/4"}}, "negative value not allowed: -1/2"),
+        ({"edge": {(0, 1, 1, 2): -3}}, "negative value not allowed: -3"),
+        ({"vertex": {(3, 1): 1}}, "vertex 3 out of range"),
+        ({"vertex": {(0, 3): 1}}, "spin 3 out of range 1..2"),
+        ({"vertex": {(0, 0): 1}}, "spin 0 out of range 1..2"),
+        ({"edge": {(0, 1, 2, 1): 1}}, "spin pair (2,1) must satisfy 1 <= i <= j <= 2"),
+        ({"edge": {(1, 0, 1, 3): 1}}, "spin pair (1,3) must satisfy 1 <= i <= j <= 2"),
+        ({"edge": {(0, 2, 1, 1): 1}}, "(0,2) is not an edge of the graph"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as err:
+            WeightSystem.build(g, 2, **kwargs)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="spin count must be >= 1, got 0"):
+        WeightSystem.build(g, 0)
