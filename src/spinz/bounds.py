@@ -20,21 +20,25 @@ Registered bound names (the CLI and campaign tokens):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .counting import (
     DEFAULT_BUDGET,
     CoverFamilyPair,
     ListAssignment,
-    count_extensions,
     count_list_homs,
+    count_list_homs_batch,
+    cover_sums,
     independent_set_count,
+    list_indicators,
     partition_function,
     partition_kab,
+    partition_kab_batch,
 )
 from .graphs import BiregularCert, Graph, GraphError, bipartition, certify_biregular
 from .util import parallel_map, sha256_text
@@ -43,7 +47,6 @@ from .values import (
     Backend,
     NonNegValue,
     PowerProduct,
-    ValueSum,
     compare_product,
     compare_value_vs_product,
 )
@@ -152,62 +155,62 @@ def finish_report(
     )
 
 
-def _smaller_product(p: PowerProduct, q: PowerProduct) -> PowerProduct:
-    if p.backend is Backend.EXACT:
-        return p if compare_product(p.factors, q.factors) <= 0 else q
-    return p if p.log() <= q.log() else q
-
-
 def _certify(g: Graph) -> BiregularCert:
     return certify_biregular(g, bipartition(g))
+
+
+def _per_vertex_rhs(cert: BiregularCert, factors_of) -> PowerProduct:
+    """The product over the odd class of one factor per vertex, each to
+    the 1/a; when a == b, the smaller of both orientations' products.
+    factors_of(certs) gives every orientation's factors, one batch."""
+    certs = [cert, cert.swapped()] if cert.a == cert.b else [cert]
+    values = factors_of(certs)
+    k = len(values) // len(certs)  # both odd classes have one size when a == b
+    products = [
+        PowerProduct(tuple((z, Fraction(1, c.a)) for z in values[i * k : (i + 1) * k]))
+        for i, c in enumerate(certs)
+    ]
+    p, q = products[0], products[-1]
+    if p.backend is Backend.EXACT:
+        return p if p is q or compare_product(p.factors, q.factors) <= 0 else q
+    return p if p is q or p.log() <= q.log() else q
 
 
 def vertex_restriction_bound(
     g: Graph,
     w: WeightSystem,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> BoundReport:
     """Bound the partition function of an (a,b)-biregular system by the
     product over the degree-b class of restricted K_{a,b} partition
     functions, each raised to 1/a.
 
     When a == b both class orientations are certified upper bounds; the
-    smaller right side is reported.
+    smaller right side is reported.  All restrictions are one batch.
     """
     cert = _certify(g)
     lhs = partition_function(g, w, budget)
-
-    def rhs_for(c: BiregularCert) -> PowerProduct:
-        odd = sorted(c.odd)
-        factors = parallel_map(
-            lambda v: partition_kab(restrict_to_kab(g, w, c, v), budget), odd, threads
-        )
-        return PowerProduct(tuple((z, Fraction(1, c.a)) for z in factors))
-
-    rhs = rhs_for(cert)
-    if cert.a == cert.b:
-        rhs = _smaller_product(rhs, rhs_for(cert.swapped()))
+    rhs = _per_vertex_rhs(
+        cert,
+        lambda certs: partition_kab_batch(
+            [restrict_to_kab(g, w, c, v) for c in certs for v in sorted(c.odd)], budget
+        ),
+    )
     return finish_report("thm3", lhs, rhs, g.sha(), w.sha())
-
-
-def lists_for_vertex(lists: ListAssignment, cert: BiregularCert, v: int) -> ListAssignment:
-    """The list set induced on K_{a,b} around v: every degree-b vertex
-    gets L(v), and degree-a vertex k gets L(n_k(v))."""
-    if v not in cert.odd:
-        raise GraphError(f"vertex {v} is not in the odd (degree-{cert.b}) class")
-    a, b = cert.a, cert.b
-    _, w_ids, z_ids = _kab_layout(a, b)
-    rows: dict[int, tuple[int, ...]] = {}
-    for k, u in enumerate(cert.neighbor_order(v)):
-        rows[w_ids[k]] = lists[u]
-    for z in z_ids:
-        rows[z] = lists[v]
-    return ListAssignment(a + b, rows)
 
 
 def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
     return sha256_text(h.to_text() + lists.to_text())
+
+
+def _vertex_list_counts(h: Graph, lists: ListAssignment, certs, budget: int) -> list:
+    """K_{a,b} list-homomorphism counts around every odd vertex v of each
+    orientation, in one batch: degree-a vertex k takes L(n_k(v)) and
+    every degree-b vertex L(v)."""
+    kab, _, _ = _kab_layout(certs[0].a, certs[0].b)
+    sources = [(*c.neighbor_order(v), *[v] * c.a) for c in certs for v in sorted(c.odd)]
+    rows = list_indicators(h, lists)[np.array(sources)]
+    return [NonNegValue.exact(k) for k in count_list_homs_batch(kab, h, rows, budget)]
 
 
 def list_vertex_restriction_rhs(
@@ -216,19 +219,11 @@ def list_vertex_restriction_rhs(
     lists: ListAssignment,
     cert: BiregularCert,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> PowerProduct:
     """The per-vertex product for one fixed class orientation: over every
     degree-b vertex, the K_{a,b} list-homomorphism count to the 1/a."""
-    kab, _, _ = _kab_layout(cert.a, cert.b)
-    odd = sorted(cert.odd)
-    counts = parallel_map(
-        lambda v: count_list_homs(kab, h, lists_for_vertex(lists, cert, v), budget),
-        odd,
-        threads,
-    )
     return PowerProduct(
-        tuple((NonNegValue.exact(k), Fraction(1, cert.a)) for k in counts)
+        tuple((k, Fraction(1, cert.a)) for k in _vertex_list_counts(h, lists, [cert], budget))
     )
 
 
@@ -237,7 +232,6 @@ def list_vertex_restriction_bound(
     h: Graph,
     lists: ListAssignment | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> BoundReport:
     """Bound the list-homomorphism count of an (a,b)-biregular graph by
     the product over the degree-b class of K_{a,b} list-homomorphism
@@ -247,11 +241,7 @@ def list_vertex_restriction_bound(
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    rhs = list_vertex_restriction_rhs(g, h, lists, cert, budget, threads)
-    if cert.a == cert.b:
-        rhs = _smaller_product(
-            rhs, list_vertex_restriction_rhs(g, h, lists, cert.swapped(), budget, threads)
-        )
+    rhs = _per_vertex_rhs(cert, lambda certs: _vertex_list_counts(h, lists, certs, budget))
     return finish_report(
         "thm4", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )
@@ -269,39 +259,13 @@ def cover_family_value(
         prod_i ( sum_{x in prod_{v in A_i} L(v)} |C^x(A_i, B_i)|^(t1/t2) )^(1/t1)
 
     Exact when t2 divides t1 (integer inner exponents); otherwise the
-    inner sums are accumulated in the log backend.
+    inner sums are LOG values.  Each inner sum is one contraction
+    (``cover_sums``), and pairs of one shape share a batch.
     """
-    bp = bipartition(g)
-    fam.validate(bp)
+    fam.validate(bipartition(g))
     lists.validate_against(h)
-    exact = fam.t1 % fam.t2 == 0
-    exponent = Fraction(fam.t1, fam.t2)
-    factors = []
-    for a_i, b_i in fam.pairs:
-        a_sorted = sorted(a_i)
-        cost = 1
-        for v in a_sorted:
-            cost *= max(len(lists[v]), 1)
-        if cost > budget:
-            raise ValueError(
-                f"enumerating {cost} partial maps on one cover set exceeds budget {budget}"
-            )
-        if exact:
-            e = fam.t1 // fam.t2
-            total = 0
-            for combo in itertools.product(*(lists[v] for v in a_sorted)):
-                x = dict(zip(a_sorted, combo))
-                total += count_extensions(g, h, lists, a_sorted, b_i, x) ** e
-            factors.append(NonNegValue.exact(total))
-        else:
-            acc = ValueSum(Backend.LOG)
-            for combo in itertools.product(*(lists[v] for v in a_sorted)):
-                x = dict(zip(a_sorted, combo))
-                c = count_extensions(g, h, lists, a_sorted, b_i, x)
-                if c:
-                    acc.add_log(float(exponent) * math.log(c))
-            factors.append(acc.total())
-    return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in factors))
+    sums = cover_sums(g, h, lists, fam.pairs, Fraction(fam.t1, fam.t2), budget)
+    return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
 
 
 def cover_family_report(
@@ -354,44 +318,33 @@ def edge_restriction_bound(
     return finish_report("conj1", lhs, rhs, g.sha(), w.sha())
 
 
-def lists_for_edge(g: Graph, lists: ListAssignment, u: int, v: int) -> ListAssignment:
-    """The list set induced on K_{d(u),d(v)} by the edge uv: w-side vertex
-    j gets L(n_j(v)) and z-side vertex j gets L(n_j(u))."""
-    a, b = g.degree(u), g.degree(v)
-    _, w_ids, z_ids = _kab_layout(a, b)
-    rows: dict[int, tuple[int, ...]] = {}
-    for j, x in enumerate(g.neighbors(v)):
-        rows[w_ids[j]] = lists[x]
-    for j, x in enumerate(g.neighbors(u)):
-        rows[z_ids[j]] = lists[x]
-    return ListAssignment(a + b, rows)
-
-
 def list_edge_restriction_bound(
     g: Graph,
     h: Graph,
     lists: ListAssignment | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> BoundReport:
-    """Conjectured per-edge bound on list-homomorphism counts."""
+    """Conjectured per-edge bound on list-homomorphism counts.  The edges
+    of one degree pair (d(u), d(v)) are counted in one batch."""
     _require_min_degree(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    edges = list(g.edges)
-
-    def factor(e):
-        u, v = e
-        kab, _, _ = _kab_layout(g.degree(u), g.degree(v))
-        return count_list_homs(kab, h, lists_for_edge(g, lists, u, v), budget)
-
-    counts = parallel_map(factor, edges, threads)
+    groups: dict[tuple[int, int], list] = {}
+    for u, v in g.edges:
+        groups.setdefault((g.degree(u), g.degree(v)), []).append((u, v))
+    rows = list_indicators(h, lists)
+    counts = {}
+    for (a, b), edges in groups.items():
+        # w-side vertex j of K_{d(u),d(v)} takes L(n_j(v)), z-side j L(n_j(u))
+        kab, _, _ = _kab_layout(a, b)
+        sources = np.array([(*g.neighbors(v), *g.neighbors(u)) for u, v in edges])
+        counts.update(zip(edges, count_list_homs_batch(kab, h, rows[sources], budget)))
     rhs = PowerProduct(
         tuple(
-            (NonNegValue.exact(k), Fraction(1, g.degree(u) * g.degree(v)))
-            for (u, v), k in zip(edges, counts)
+            (NonNegValue.exact(counts[u, v]), Fraction(1, g.degree(u) * g.degree(v)))
+            for u, v in g.edges
         )
     )
     return finish_report(

@@ -161,19 +161,17 @@ def _cmd_compute(args) -> int:
 def _cmd_bound(args) -> int:
     g = _load_graph(args.graph)
     name = args.name
-    budget, threads = args.budget, args.threads
+    budget = args.budget
     if name in ("thm3", "conj1"):
         if not args.weights:
             raise CliError(f"bound {name} needs --weights")
         w = _load_weights(args.weights, g)
         if args.backend == "log":
             w = w.to_log()
-        fn = (
-            bounds_mod.vertex_restriction_bound
-            if name == "thm3"
-            else bounds_mod.edge_restriction_bound
-        )
-        report = fn(g, w, budget, threads)
+        if name == "thm3":
+            report = bounds_mod.vertex_restriction_bound(g, w, budget)
+        else:
+            report = bounds_mod.edge_restriction_bound(g, w, budget, args.threads)
     elif name in ("thm4", "conj2", "thm5"):
         if not args.target:
             raise CliError(f"bound {name} needs --target")
@@ -184,9 +182,9 @@ def _cmd_bound(args) -> int:
             else ListAssignment.full(g, h)
         )
         if name == "thm4":
-            report = bounds_mod.list_vertex_restriction_bound(g, h, lists, budget, threads)
+            report = bounds_mod.list_vertex_restriction_bound(g, h, lists, budget)
         elif name == "conj2":
-            report = bounds_mod.list_edge_restriction_bound(g, h, lists, budget, threads)
+            report = bounds_mod.list_edge_restriction_bound(g, h, lists, budget)
         else:
             if not args.families:
                 raise CliError("bound thm5 needs --families")

@@ -1,10 +1,14 @@
 """Exact evaluation of configuration weights, partition functions,
-list-homomorphism counts, and partial-map extension counts.
+list-homomorphism counts and covering-family sums.
 
 Partition functions are sums of products over a factor graph, and all
 of them but the uniform-table K_{a,b} count-vector DP run on one engine,
 ``contract``: greedy variable elimination over ``np.einsum``, planned in
-full and checked against the budget before it contracts anything.
+full and checked against the budget before it contracts anything.  So
+do list-homomorphism counts (0/1 list rows, adjacency-matrix edge
+tables) and the covering-family sums of thm5.  One call can contract a
+batch of instances of one structure, such as the K_{a,b} restrictions
+of one bound.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -28,7 +32,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import Bipartition, Graph
-from .util import sha256_text
 from .values import NEG_INF, Backend, NonNegValue, ValueSum
 from .weights import KabInstance, WeightSystem, make_hardcore
 
@@ -108,8 +111,8 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     only on the structure, so it is cached.
     """
     size_of = sizes.__getitem__
-    scoped = sorted({x for scope in scopes for x in scope})
-    free = math.prod(sizes) // math.prod(map(size_of, scoped))
+    scoped = {x for scope in scopes for x in scope}
+    free = math.prod(size for x, size in enumerate(sizes) if x not in scoped)
     nbrs = {x: set() for x in scoped}
     for scope in scopes:
         for x in scope:
@@ -120,7 +123,7 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         cost[x] = math.prod(map(size_of, nb))
     largest = 1
     order = []
-    remaining = list(scoped)
+    remaining = sorted(scoped)
     while remaining:
         v = min(remaining, key=cost.__getitem__)
         largest = max(largest, cost[v])
@@ -170,13 +173,20 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     return free, largest, tuple(steps)
 
 
+@lru_cache(maxsize=4096)
+def _batched_plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
+    """``_plan`` with each label tuple led by ``Ellipsis``, the batch axis."""
+    free, largest, steps = _plan(sizes, scopes)
+    return free, largest, tuple(
+        (tuple((i, (..., *l)) for i, l in o), (..., *k), t, c) for o, k, t, c in steps
+    )
+
+
 def _einsum(tensors, operands, out, optimize=False):
     args = []
     for i, labels in operands:
-        args.append(tensors[i])
-        args.append(labels)
-    args.append(out)
-    return np.einsum(*args, optimize=optimize)
+        args += (tensors[i], labels)
+    return np.einsum(*args, out, optimize=optimize)
 
 
 def _table_max(table) -> int:
@@ -194,6 +204,7 @@ def contract(
     budget: int,
     backend: Backend = Backend.EXACT,
     maxima: Sequence[int] | None = None,
+    batch: int | None = None,
 ):
     """Sum over every assignment of the variables (variable x ranges over
     sizes[x] values) of the product of the factor tables.
@@ -212,15 +223,23 @@ def contract(
     would be lost, so it raises ``LogRangeError`` instead: every log
     result is within float rounding of the exact sum.
 
+    With ``batch`` = B it sums B instances of one structure and returns
+    a list of B results: a table with one more axis than its variables
+    holds one table per instance on that leading axis, any other table
+    is shared.  ``maxima`` then holds maxima over the batch; LOG tables
+    and intermediates are shifted per instance.
+
     The cost is the largest intermediate tensor of the planned
     elimination order.  It is checked against the budget before any
-    table is converted or contracted.
+    table is converted or contracted, and a batch is contracted in
+    chunks of budget // cost instances, so the chunk's tensors stay
+    within the budget too.
     """
     if 1 in sizes:  # a length-1 axis selects nothing; dropping it keeps einsum narrow
         scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
     else:
         scopes = tuple(vars_ for vars_, _ in factors)
-    free, largest, steps = _plan(tuple(sizes), scopes)
+    free, largest, steps = (_plan if batch is None else _batched_plan)(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
 
@@ -228,17 +247,6 @@ def contract(
     if log:
         dtype = np.float64
         total = math.log(free)  # log of everything split off so far
-        tensors = []
-        for _, table in factors:
-            arr = np.asarray(table, dtype=np.float64)
-            top = float(arr.max())
-            if top == NEG_INF:
-                return NEG_INF
-            total += top
-            arr = arr - top
-            if arr.min() < _LOG_TINY and (arr[arr < _LOG_TINY] > NEG_INF).any():
-                raise LogRangeError()
-            tensors.append(np.exp(arr))
     else:
         total = free
         if maxima is None:
@@ -252,16 +260,67 @@ def contract(
             dtype = np.int64
         else:
             dtype = object
+    if log or batch is not None:  # a table several factors share converts once
+        converted = {id(table): table for _, table in factors}
+        converted = {key: np.asarray(table, dtype=dtype) for key, table in converted.items()}
+        tensors = [converted[id(table)] for _, table in factors]
+    else:
         tensors = [np.asarray(table, dtype=dtype) for _, table in factors]
-    for k, ((vars_, _), scope) in enumerate(zip(factors, scopes)):
-        if len(scope) != len(vars_):
-            tensors[k] = tensors[k].reshape([sizes[x] for x in scope])
+    stacked = [False] * len(factors)  # which tables carry the batch axis
+    if batch is not None:
+        stacked = [arr.ndim > len(vars_) for arr, (vars_, _) in zip(tensors, factors)]
+    if log:
+        shifts = {}  # id(array) -> (its maximum, per instance when stacked; exp of the rest)
+        for k, arr in enumerate(tensors):
+            if id(arr) not in shifts:
+                top = arr.max(axis=tuple(range(1, arr.ndim))) if stacked[k] else float(arr.max())
+                if (top == NEG_INF).all() if stacked[k] else top == NEG_INF:
+                    return NEG_INF if batch is None else [NEG_INF] * batch
+                if stacked[k]:  # an instance whose table is all zero keeps its -inf
+                    arr = arr - np.where(top == NEG_INF, 0, top).reshape(-1, *[1] * (arr.ndim - 1))
+                else:
+                    arr = arr - top
+                if arr.min() < _LOG_TINY and (arr[arr < _LOG_TINY] > NEG_INF).any():
+                    raise LogRangeError()
+                shifts[id(tensors[k])] = top, np.exp(arr)
+            top, tensors[k] = shifts[id(tensors[k])]
+            total = total + top
+    if 1 in sizes:
+        for k, ((vars_, _), scope) in enumerate(zip(factors, scopes)):
+            if len(scope) != len(vars_):
+                shape = tensors[k].shape[: stacked[k]] + tuple(sizes[x] for x in scope)
+                tensors[k] = tensors[k].reshape(shape)
 
+    if batch is None:
+        total, last = _run(steps, tensors, total, log, dtype, 1, False)
+        return total if log or last is None else total * int(last)
+    out, chunk = [], budget // largest  # at least 1
+    for lo in range(0, batch, chunk):
+        n = min(chunk, batch - lo)
+        if n == batch:
+            part, shift = tensors, total
+        else:
+            part = [t[lo : lo + n] if b else t for t, b in zip(tensors, stacked)]
+            shift = total[lo : lo + n] if np.ndim(total) else total
+        shift, last = _run(steps, part, shift, log, dtype, n, True)
+        if log:
+            out += shift.tolist() if np.ndim(shift) else [shift] * n
+        elif last is None or last.ndim == 0:  # every table was shared
+            out += [total if last is None else total * int(last)] * n
+        else:
+            out += [total * int(x) for x in last.tolist()]
+    return out
+
+
+def _run(steps, tensors, total, log, dtype, n, batched):
+    """Run a plan's steps on its tensors (n instances when batched); return
+    the LOG shift carried so far and the last tensor (None if none)."""
     blas = not log and dtype is np.float64
     for operands, out, terms, cells in steps:
-        optimize = blas and len(operands) > 1 and cells >= _BLAS_MIN_CELLS
-        # object einsum returns a bare int for a scalar: keep its dtype
-        result = np.asarray(_einsum(tensors, operands, out, optimize), dtype=dtype)
+        optimize = blas and cells * n >= _BLAS_MIN_CELLS and len(operands) > 1
+        result = _einsum(tensors, operands, out, optimize)
+        if dtype is object:  # object einsum returns a bare int for a scalar
+            result = np.asarray(result, dtype=object)
         if log:
             # Underflow costs each product at most len(operands) units of
             # 2^-1074, so a cell above `floor` keeps full relative precision;
@@ -271,15 +330,20 @@ def contract(
                 live = _einsum({i: tensors[i] > 0 for i, _ in operands}, operands, out)
                 if (live & (result < floor)).any():
                     raise LogRangeError()
-            top = float(result.max())
-            if top == 0.0:
-                return NEG_INF
-            total += math.log(top)
-            result = result / top
+            if not batched or result.ndim < len(out):  # no batch axis
+                top = float(result.max())
+                if top == 0.0:
+                    return NEG_INF, None
+                total = total + math.log(top)
+                result = result / top
+            else:
+                top = result.max(axis=tuple(range(1, result.ndim)))
+                if not top.any():
+                    return NEG_INF, None
+                total = total + np.array([math.log(x) if x else NEG_INF for x in top.tolist()])
+                result = result / np.where(top == 0, 1.0, top).reshape(-1, *[1] * (result.ndim - 1))
         tensors.append(result)
-    if log:
-        return total  # the sum's tensor is 1 after its shift
-    return total * int(tensors[-1]) if tensors else total
+    return total, tensors[-1] if tensors else None
 
 
 def _int_tables(w: WeightSystem):
@@ -303,6 +367,36 @@ def partition_brute(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> 
     return total.total()
 
 
+def _partitions(g: Graph, ws: Sequence[WeightSystem], budget: int) -> list:
+    """Partition functions of the systems ws over g, one factor per vertex
+    and one per edge, in one ``contract`` call: a batch of stacked tables
+    when there are several systems.  Factors whose rows or tables are the
+    same objects in every system (as restrictions share) share a stack."""
+    exact, batch = ws[0].backend is Backend.EXACT, len(ws) if len(ws) > 1 else None
+    stored, scales = [], []
+    for w in ws:
+        rows, tables, scale = _int_tables(w) if exact else (*w.logs(), None)
+        stored.append([rows[v] for v in range(g.n)] + [tables[e] for e in g.edges])
+        scales.append(scale)
+    if batch is None:
+        picked = [(c[0], c[2]) if exact else (c, None) for c in stored[0]]
+    else:
+        stacks, picked = {}, []  # one stack per distinct tuple of row or table objects
+        for column in zip(*stored):
+            key = tuple(map(id, column))
+            if key not in stacks:
+                tables = [c[0] for c in column] if exact else column
+                stacks[key] = tables, max([c[2] for c in column]) if exact else None
+            picked.append(stacks[key])
+    factors = list(zip([(v,) for v in range(g.n)] + list(g.edges), [t for t, _ in picked]))
+    maxima = [top for _, top in picked] if exact else None
+    zs = contract([ws[0].m] * g.n, factors, budget, ws[0].backend, maxima, batch)
+    zs = zs if batch else [zs]
+    if exact:
+        return [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
+    return [NonNegValue.from_log(z) for z in zs]
+
+
 def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
     """Partition function by variable elimination over one factor per
     vertex and one per edge, in either backend.
@@ -317,25 +411,12 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     ``partition_brute`` when the budget covers m^n, and raise
     ``LogRangeError`` otherwise.
     """
-    scopes = [(v,) for v in range(g.n)] + list(g.edges)
-    if w.backend is Backend.EXACT:
-        rows, tables, scale = _int_tables(w)
-        cleared = [rows[v] for v in range(g.n)] + [tables[e] for e in g.edges]
-        factors = [(scope, ints) for scope, (ints, _, _) in zip(scopes, cleared)]
-        maxima = [top for _, _, top in cleared]
-    else:
-        rows, tables = w.logs()
-        factors = list(zip(scopes, [rows[v] for v in range(g.n)] + [tables[e] for e in g.edges]))
-        maxima = None
     try:
-        z = contract([w.m] * g.n, factors, budget, w.backend, maxima)
+        return _partitions(g, [w], budget)[0]
     except LogRangeError:
         if w.m ** g.n > budget:
             raise
         return partition_brute(g, w, budget)
-    if w.backend is Backend.EXACT:
-        return NonNegValue.exact(Fraction(z, scale))
-    return NonNegValue.from_log(z)
 
 
 def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequence[int]) -> Fraction:
@@ -388,31 +469,44 @@ def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequenc
     return Fraction(total, scale)
 
 
-def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValue:
-    """Partition function of a labeled K_{a,b} instance.
+def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDGET) -> list:
+    """Partition functions of labeled K_{a,b} instances of one (a, b),
+    spin count and backend, each equal to ``partition_brute``.
 
     An EXACT instance whose edges share one table, with at least two
     vertices on the smaller side, runs the spin-count-vector DP, whose
     cost (the number of count vectors, polynomial in min(a, b)) the
-    budget bounds.  Every other instance goes to ``partition_function``,
-    whose largest intermediate tensor here is m^min(a,b).  Equal to
-    ``partition_brute`` on the same instance.
-
-    Neither path converts weights: both read the integer rows and tables a
-    restriction shares with its parent, and the shared-table test is the
-    restriction's own answer or one cached comparison of those tables.
+    budget bounds.  The others are one batch of ``_partitions`` (largest
+    tensor m^min(a,b)) over the rows and tables the restrictions share
+    with their parent; a LOG batch that would underflow is redone one by
+    one through ``partition_function``.
     """
-    w = inst.weights
-    if inst.a <= inst.b:
-        side_s, side_t = list(inst.z_ids), list(inst.w_ids)
-    else:
-        side_s, side_t = list(inst.w_ids), list(inst.z_ids)
-    if w.backend is Backend.EXACT and len(side_s) >= 2 and w.uniform_edge_table() is not None:
-        cost = math.comb(len(side_s) + w.m - 1, w.m - 1)
-        if cost > budget:
-            raise BudgetError(cost, budget)
-        return NonNegValue.exact(_kab_uniform_exact(inst, side_s, side_t))
-    return partition_function(inst.graph, w, budget)
+    out, rest = [None] * len(insts), []
+    for k, inst in enumerate(insts):
+        w = inst.weights
+        side_s, side_t = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
+        if w.backend is Backend.EXACT and len(side_s) >= 2 and w.uniform_edge_table() is not None:
+            cost = math.comb(len(side_s) + w.m - 1, w.m - 1)
+            if cost > budget:
+                raise BudgetError(cost, budget)
+            out[k] = NonNegValue.exact(_kab_uniform_exact(inst, side_s, side_t))
+        else:
+            rest.append(k)
+    if rest:
+        g, ws = insts[rest[0]].graph, [insts[k].weights for k in rest]
+        try:
+            zs = _partitions(g, ws, budget)
+        except LogRangeError:
+            zs = [partition_function(g, w, budget) for w in ws]
+        for k, z in zip(rest, zs):
+            out[k] = z
+    return out
+
+
+def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValue:
+    """Partition function of one labeled K_{a,b} instance: the
+    one-instance case of ``partition_kab_batch``."""
+    return partition_kab_batch([inst], budget)[0]
 
 
 def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
@@ -449,11 +543,6 @@ class ListAssignment:
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.lists[v]
 
-    def replace(self, v: int, targets: Iterable[int]) -> "ListAssignment":
-        rows = list(self.lists)
-        rows[v] = tuple(sorted(set(targets)))
-        return ListAssignment(self.n, rows)
-
     def validate_against(self, h: Graph) -> None:
         for v, row in enumerate(self.lists):
             for y in row:
@@ -465,9 +554,6 @@ class ListAssignment:
         for v, row in enumerate(self.lists):
             lines.append("l " + " ".join([str(v)] + [str(y) for y in row]))
         return "\n".join(lines) + "\n"
-
-    def sha(self) -> str:
-        return sha256_text(self.to_text())
 
     def __eq__(self, other):
         if not isinstance(other, ListAssignment):
@@ -511,84 +597,93 @@ def parse_lists(text: str, g: Graph, h: Graph) -> ListAssignment:
     return ListAssignment(g.n, {v: rows.get(v, full) for v in range(g.n)})
 
 
+def list_indicators(h: Graph, lists: ListAssignment) -> np.ndarray:
+    """The 0/1 indicator over V(h) of each vertex's list: row v marks L(v)."""
+    lists.validate_against(h)
+    return np.array([[1.0 if y in row else 0.0 for y in range(h.n)] for row in lists.lists])
+
+
+def _adjacency(h: Graph) -> np.ndarray:
+    return np.array([[1.0 if h.has_edge(x, y) else 0.0 for y in range(h.n)] for x in range(h.n)])
+
+
+def count_list_homs_batch(
+    g: Graph, h: Graph, rows: np.ndarray, budget: int = DEFAULT_BUDGET
+) -> list:
+    """List-homomorphism counts of g into h for a batch of list
+    assignments, rows[i, v] being the ``list_indicators`` row of L_i(v):
+    partition functions with those vertex rows and h's adjacency matrix
+    on every edge, in one ``contract`` call; the budget bounds its plan."""
+    adj = _adjacency(h)
+    factors = [((v,), rows[:, v]) for v in range(g.n)] + [(e, adj) for e in g.edges]
+    return contract([h.n] * g.n, factors, budget, maxima=[1] * len(factors), batch=len(rows))
+
+
 def count_list_homs(g: Graph, h: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> int:
     """Number of maps f with f(v) in L(v) mapping every edge of g onto an
-    edge of h.
-
-    Backtracking chooses the vertex with the smallest current candidate
-    set and filters neighbor domains on every assignment; worst case is
-    still |V(h)|^n, which is what the budget guards.
-    """
+    edge of h: the one-assignment case of ``count_list_homs_batch``."""
     if lists.n != g.n:
         raise ValueError("list assignment length does not match the graph")
-    lists.validate_against(h)
-    cost = max(h.n, 1) ** g.n
-    if cost > budget:
-        raise BudgetError(cost, budget)
-    hadj = [frozenset(h.neighbors(x)) for x in range(h.n)]
-    domains = {v: list(lists[v]) for v in range(g.n)}
-
-    def recurse(domains: dict, remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        v = min(remaining, key=lambda u: (len(domains[u]), u))
-        rest = remaining - {v}
-        nbrs = [u for u in g.neighbors(v) if u in rest]
-        total = 0
-        for y in domains[v]:
-            pruned = dict(domains)
-            ok = True
-            for u in nbrs:
-                newdom = [z for z in pruned[u] if z in hadj[y]]
-                if not newdom:
-                    ok = False
-                    break
-                pruned[u] = newdom
-            if ok:
-                total += recurse(pruned, rest)
-        return total
-
-    return recurse(domains, frozenset(range(g.n)))
+    return count_list_homs_batch(g, h, list_indicators(h, lists)[None], budget)[0]
 
 
-def count_extensions(
+def cover_sums(
     g: Graph,
     h: Graph,
     lists: ListAssignment,
-    A: Iterable[int],
-    B: Iterable[int],
-    x: Mapping[int, int],
-) -> int:
-    """Number of list-respecting maps on B compatible with the partial map
-    x on A across A-B edges.
+    pairs: Sequence[tuple[frozenset, frozenset]],
+    exponent: Fraction,
+    budget: int = DEFAULT_BUDGET,
+) -> list:
+    """For each pair (A, B), the sum over the list-respecting maps x on A
+    of prod_{v in B} c_v(x)^exponent, where c_v(x) counts the y in L(v)
+    adjacent in h to x(u) for every neighbour u of v in A.
 
-    Only edges between A and B constrain anything, so the count is a
-    product of per-vertex candidate counts; B vertices with no neighbor
-    in A contribute a free factor |L(v)|.
+    c_v depends on x only through N(v) & A, so a sum is one contraction
+    of A's list rows and one c_v table per v in B (an einsum of L(v)
+    against those adjacency rows); pairs of one shape are one batch.  An
+    integer exponent gives exact values, any other LOG values (tables
+    exponent * log c_v).  The budget bounds every table and the plan.
     """
-    a_set = sorted(set(A))
-    b_set = sorted(set(B))
-    for u in a_set:
-        if u not in x:
-            raise ValueError(f"partial map is undefined on vertex {u}")
-        if x[u] not in lists[u]:
-            raise ValueError(f"partial map value {x[u]} violates the list of vertex {u}")
-    hadj = [frozenset(h.neighbors(y)) for y in range(h.n)]
-    total = 1
-    a_lookup = set(a_set)
-    for v in b_set:
-        anchored = [u for u in g.neighbors(v) if u in a_lookup]
-        if not anchored:
-            total *= len(lists[v])
-        else:
-            count = 0
-            for y in lists[v]:
-                if all(y in hadj[x[u]] for u in anchored):
-                    count += 1
-            total *= count
-        if total == 0:
-            return 0
-    return total
+    exact = exponent.denominator == 1
+    rows = list_indicators(h, lists)
+    adj = _adjacency(h)
+    shapes: dict[tuple, list] = {}
+    for k, (a_set, b_set) in enumerate(pairs):
+        a_sorted = sorted(a_set)
+        pos = {u: i for i, u in enumerate(a_sorted)}
+        scoped = sorted((tuple(pos[u] for u in g.neighbors(v) if u in pos), v) for v in b_set)
+        key = (len(a_sorted), tuple(scope for scope, _ in scoped))
+        shapes.setdefault(key, []).append((k, a_sorted, [v for _, v in scoped]))
+    out = [None] * len(pairs)
+    for (size, scopes), members in shapes.items():
+        for scope in scopes:
+            if h.n ** len(scope) > budget:
+                raise BudgetError(h.n ** len(scope), budget)
+        factors = [((i,), rows[[a[i] for _, a, _ in members]]) for i in range(size)]
+        maxima = [1] * size
+        for j, scope in enumerate(scopes):
+            operands = [rows[[b[j] for _, _, b in members]], [..., 0]]
+            for i in range(len(scope)):
+                operands += [adj, [0, i + 1]]
+            counts = np.einsum(*operands, [..., *range(1, len(scope) + 1)]).astype(np.int64)
+            if exact:
+                maxima.append(int(counts.max()) ** exponent.numerator)
+                if maxima[-1] >= _INT64_LIMIT:
+                    counts = counts.astype(object)
+                counts = counts ** exponent.numerator
+            factors.append((scope, counts))
+        if not exact:  # logs of the list rows, and exponent * log c_v
+            with np.errstate(divide="ignore"):
+                factors = [
+                    (scope, np.log(table) * (1.0 if k < size else float(exponent)))
+                    for k, (scope, table) in enumerate(factors)
+                ]
+        backend = Backend.EXACT if exact else Backend.LOG  # LOG reads no maxima
+        sums = contract([h.n] * size, factors, budget, backend, maxima, len(members))
+        for (k, _, _), z in zip(members, sums):
+            out[k] = NonNegValue.exact(z) if exact else NonNegValue.from_log(z)
+    return out
 
 
 @dataclass(frozen=True)

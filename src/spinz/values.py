@@ -63,23 +63,14 @@ def log_of_fraction(x: Fraction) -> float:
     return log_of_int(x.numerator) - log_of_int(x.denominator)
 
 
-def lse_pair(a: float, b: float) -> float:
-    """log(e^a + e^b), stable, with -inf as the additive zero."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 class NonNegValue:
     """A non-negative number, either an exact rational or a log float.
 
     EXACT payload is a canonical ``Fraction`` (gcd-reduced, positive
-    denominator, value >= 0).  LOG payload is the natural log of the
-    magnitude, with ``-inf`` as the distinguished zero, which compares
-    below every finite value.
+    denominator, value >= 0), whose log is worked out once, when first
+    asked for.  LOG payload is the natural log of the magnitude, with
+    ``-inf`` as the distinguished zero, which compares below every
+    finite value.
     """
 
     __slots__ = ("_frac", "_log")
@@ -97,12 +88,6 @@ class NonNegValue:
         if math.isnan(logv) or logv == math.inf:
             raise ValueError(f"invalid log magnitude: {logv}")
         return cls(None, float(logv))
-
-    @classmethod
-    def zero(cls, backend: Backend) -> "NonNegValue":
-        if backend is Backend.EXACT:
-            return cls.exact(0)
-        return cls.from_log(NEG_INF)
 
     @classmethod
     def one(cls, backend: Backend) -> "NonNegValue":
@@ -127,13 +112,13 @@ class NonNegValue:
         return self._frac
 
     def log(self) -> float:
-        if self._frac is not None:
-            return log_of_fraction(self._frac)
+        if self._log is None:
+            self._log = log_of_fraction(self._frac)
         return self._log
 
     def to_log(self) -> "NonNegValue":
         if self._frac is not None:
-            return NonNegValue.from_log(log_of_fraction(self._frac))
+            return NonNegValue.from_log(self.log())
         return self
 
     def _require_same_backend(self, other: "NonNegValue") -> None:
@@ -145,21 +130,6 @@ class NonNegValue:
         if self._frac is not None:
             return NonNegValue(self._frac * other._frac, None)
         return NonNegValue(None, self._log + other._log)
-
-    def __add__(self, other: "NonNegValue") -> "NonNegValue":
-        self._require_same_backend(other)
-        if self._frac is not None:
-            return NonNegValue(self._frac + other._frac, None)
-        return NonNegValue(None, lse_pair(self._log, other._log))
-
-    def __pow__(self, k: int) -> "NonNegValue":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        if self._frac is not None:
-            return NonNegValue(self._frac ** k, None)
-        if k == 0:
-            return NonNegValue.from_log(0.0)
-        return NonNegValue(None, self._log * k)
 
     def _cmp_key(self, other: "NonNegValue"):
         self._require_same_backend(other)
@@ -185,7 +155,7 @@ class NonNegValue:
         return self._log == other._log
 
     def __hash__(self):
-        return hash((self.backend, self._frac, self._log))
+        return hash((self.backend, self._log if self._frac is None else self._frac))
 
     def __repr__(self):
         if self._frac is not None:
@@ -221,9 +191,6 @@ class ValueSum:
         else:
             self._acc = self._acc * math.exp(self._max - x) + 1.0
             self._max = x
-
-    def add_log(self, x: float) -> None:
-        self.add(NonNegValue.from_log(x))
 
     def total(self) -> NonNegValue:
         if self.backend is Backend.EXACT:
@@ -271,12 +238,6 @@ class PowerProduct:
         if self.is_zero:
             return NEG_INF
         return sum(float(e) * v.log() for v, e in self.factors)
-
-    def scaled(self, extra: Fraction) -> "PowerProduct":
-        """Multiply every exponent by a positive rational."""
-        if extra <= 0:
-            raise ValueError("scale must be positive")
-        return PowerProduct(tuple((v, e * extra) for v, e in self.factors))
 
 
 # Absolute log-gap below which the float screen refuses to decide and the

@@ -246,11 +246,10 @@ def _clear(values, m: int | None = None):
     return _cleared([x.numerator * (den // x.denominator) for x in values], den, m)
 
 
-def _scaled(stored, c: Fraction, m: int | None = None):
-    """A cleared row (or, given m, table) times the positive rational c."""
+def _scaled(stored, c: Fraction, m: int):
+    """A cleared m x m table times the positive rational c."""
     entries, den, _ = stored
-    flat = entries if m is None else [x for row in entries for x in row]
-    return _cleared([x * c.numerator for x in flat], den * c.denominator, m)
+    return _cleared([x * c.numerator for row in entries for x in row], den * c.denominator, m)
 
 
 def _format(x: int, den: int) -> str:
@@ -442,13 +441,3 @@ def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
     a, b = g.degree(u), g.degree(v)
     first = next(iter(w.edges()))  # the edge whose table uniform_edge_table returns
     return _induced(w, a, b, (*g.neighbors(v), *g.neighbors(u)), [first] * b, table)
-
-
-def scale_vertex_weights(w: WeightSystem, v: int, c: RationalLike) -> WeightSystem:
-    """Multiply every spin weight at one vertex by a positive rational."""
-    c = Fraction(c)
-    if c <= 0:
-        raise WeightError("scale must be positive")
-    rows, tables = w.cleared()
-    rows = tuple(_scaled(row, c) if idx == v else row for idx, row in enumerate(rows))
-    return WeightSystem(w.m, w.n, Backend.EXACT, rows, tables)

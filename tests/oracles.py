@@ -193,3 +193,139 @@ def weights_file_text(m, rows, tables):
         for i in range(m):
             lines += [f"ew {u} {w} {i + 1} {j + 1} {fmt(tables[(u, w)][i][j])}" for j in range(i, m)]
     return "\n".join(lines) + "\n"
+
+
+def backtrack_list_homs(g, h, lists):
+    """List homomorphisms g -> h by backtracking: choose the vertex with
+    the fewest candidates left, filter its neighbours' candidates on each
+    choice.  g and h are spinz Graphs, lists[v] the allowed targets."""
+    hadj = [frozenset(h.neighbors(x)) for x in range(h.n)]
+
+    def recurse(domains, remaining):
+        if not remaining:
+            return 1
+        v = min(remaining, key=lambda u: (len(domains[u]), u))
+        rest = remaining - {v}
+        nbrs = [u for u in g.neighbors(v) if u in rest]
+        total = 0
+        for y in domains[v]:
+            pruned = dict(domains)
+            for u in nbrs:
+                pruned[u] = [z for z in pruned[u] if z in hadj[y]]
+                if not pruned[u]:
+                    break
+            else:
+                total += recurse(pruned, rest)
+        return total
+
+    return recurse({v: list(lists[v]) for v in range(g.n)}, frozenset(range(g.n)))
+
+
+def count_extensions(g, h, lists, A, B, x):
+    """Number of list-respecting maps on B compatible with the partial map
+    x on A across A-B edges: a product of per-vertex candidate counts."""
+    a_set = set(A)
+    for u in a_set:
+        if u not in x:
+            raise ValueError(f"partial map is undefined on vertex {u}")
+        if x[u] not in lists[u]:
+            raise ValueError(f"partial map value {x[u]} violates the list of vertex {u}")
+    total = 1
+    for v in sorted(set(B)):
+        anchored = [u for u in g.neighbors(v) if u in a_set]
+        total *= sum(1 for y in lists[v] if all(h.has_edge(y, x[u]) for u in anchored))
+    return total
+
+
+def cover_sum_by_enumeration(g, h, lists, A, B, exponent):
+    """Sum over every list-respecting map x on A of count_extensions ** exponent:
+    an exact integer for an integer exponent, else the log of the float sum."""
+    a_sorted = sorted(A)
+    counts = [
+        count_extensions(g, h, lists, a_sorted, B, dict(zip(a_sorted, combo)))
+        for combo in itertools.product(*(lists[v] for v in a_sorted))
+    ]
+    if exponent.denominator == 1:
+        return sum(c ** exponent.numerator for c in counts)
+    logs = [float(exponent) * math.log(c) for c in counts if c]
+    if not logs:
+        return float("-inf")
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def value_zero(backend):
+    """The zero NonNegValue of a backend."""
+    from spinz.values import Backend, NonNegValue
+
+    return NonNegValue.exact(0) if backend is Backend.EXACT else NonNegValue.from_log(float("-inf"))
+
+
+def value_power(value, k):
+    """value ** k for a NonNegValue and an integer k >= 0, with 0 ** 0 = 1."""
+    from spinz.values import NonNegValue
+
+    if value.backend.value == "exact":
+        return NonNegValue.exact(value.fraction ** k)
+    return NonNegValue.from_log(0.0 if k == 0 else value.log() * k)
+
+
+def scale_vertex_weights(w, v, c):
+    """The EXACT system w with every spin weight at vertex v multiplied by
+    the positive rational c, rebuilt from Fractions."""
+    from spinz.graphs import Graph
+    from spinz.weights import WeightSystem
+
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("scale must be positive")
+    rows, tables = w.cleared()
+    vertex = {
+        (u, i + 1): Fraction(x, den) * (c if u == v else 1)
+        for u, (entries, den, _) in enumerate(rows)
+        for i, x in enumerate(entries)
+    }
+    edge = {
+        (p, q, i + 1, j + 1): Fraction(entries[i][j], den)
+        for (p, q), (entries, den, _) in tables.items()
+        for i in range(w.m)
+        for j in range(i, w.m)
+    }
+    return WeightSystem.build(Graph(w.n, list(tables)), w.m, vertex, edge)
+
+
+def lists_for_vertex(lists, cert, v):
+    """The lists induced on K_{a,b} (w side 0..b-1, z side b..b+a-1)
+    around odd vertex v: w-side vertex k gets L(n_k(v)), every z-side
+    vertex L(v)."""
+    from spinz.counting import ListAssignment
+
+    nbrs = cert.neighbor_order(v)
+    return ListAssignment(cert.a + cert.b, [lists[u] for u in nbrs] + [lists[v]] * cert.a)
+
+
+def lists_for_edge(g, lists, u, v):
+    """The lists induced on K_{d(u),d(v)} by the edge uv: w-side vertex j
+    gets L(n_j(v)), z-side vertex j L(n_j(u))."""
+    from spinz.counting import ListAssignment
+
+    rows = [lists[x] for x in g.neighbors(v) + g.neighbors(u)]
+    return ListAssignment(len(rows), rows)
+
+
+def lse_pair(a, b):
+    """log(e^a + e^b), stable, with -inf as the additive zero."""
+    if a == float("-inf"):
+        return b
+    if b == float("-inf"):
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def with_list(lists, v, targets):
+    """The ListAssignment lists with vertex v's list replaced by targets."""
+    from spinz.counting import ListAssignment
+
+    rows = [targets if u == v else row for u, row in enumerate(lists.lists)]
+    return ListAssignment(lists.n, rows)

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import weighted_two_sided_hom_sum
+from oracles import (
+    backtrack_list_homs,
+    cover_sum_by_enumeration,
+    lists_for_edge,
+    lists_for_vertex,
+    scale_vertex_weights,
+    weighted_two_sided_hom_sum,
+    with_list,
+)
 from spinz.bounds import (
     Verdict,
     cover_family_report,
@@ -33,9 +41,14 @@ from spinz.graphs import (
     hypercube_graph,
     path_graph,
 )
-from spinz.harness import enumerate_graphs, sample_weights
+from spinz.harness import (
+    enumerate_graphs,
+    sample_list_assignment,
+    sample_target_graph,
+    sample_weights,
+)
 from spinz.values import Backend, NonNegValue, PowerProduct, compare_product
-from spinz.weights import WeightSystem, make_hardcore, scale_vertex_weights
+from spinz.weights import WeightSystem, _kab_layout, make_hardcore
 
 
 def _cert(g):
@@ -257,7 +270,7 @@ def test_thm4_full_lists_reduces_to_homomorphism_bound():
 
 def test_thm4_empty_list_holds_with_zero_lhs():
     g, h = cycle_graph(6), complete_graph(3)
-    lists = ListAssignment.full(g, h).replace(3, [])
+    lists = with_list(ListAssignment.full(g, h), 3, [])
     r = list_vertex_restriction_bound(g, h, lists)
     assert r.lhs.fraction == 0
     assert r.verdict is Verdict.HOLDS
@@ -327,8 +340,6 @@ def test_thm5_neighborhood_family_equals_thm4_rhs():
 
 
 def _vertex_lists(lists, cert, v):
-    from spinz.bounds import lists_for_vertex
-
     return lists_for_vertex(lists, cert, v)
 
 
@@ -447,7 +458,7 @@ def test_conj2_biregular_full_lists_matches_thm4_rhs():
 
 def test_conj2_empty_list_holds():
     g, h = cycle_graph(6), complete_graph(3)
-    lists = ListAssignment.full(g, h).replace(0, [])
+    lists = with_list(ListAssignment.full(g, h), 0, [])
     r = list_edge_restriction_bound(g, h, lists)
     assert r.lhs.fraction == 0
     assert r.verdict is Verdict.HOLDS
@@ -595,3 +606,55 @@ def test_report_json_schema():
         assert key in doc
     assert doc["lhs"] == {"num": "18", "den": "1"}
     assert all(f["exp_den"] == 2 for f in doc["rhs_factors"])
+
+
+# ----- batched list-hom factors against the backtracker -----
+
+
+def test_list_bounds_batch_factors_match_the_backtracker():
+    graphs = [cycle_graph(6), complete_bipartite(2, 3), hypercube_graph(3), path_graph(5)]
+    for trial in range(12):
+        g = graphs[trial % len(graphs)]
+        h = sample_target_graph(4, seed=1300 + trial)
+        lists = sample_list_assignment(g, h, seed=1400 + trial)
+        conj2 = list_edge_restriction_bound(g, h, lists)
+        for (u, v), (value, _) in zip(g.edges, conj2.rhs.factors):
+            kab, _, _ = _kab_layout(g.degree(u), g.degree(v))
+            assert value.fraction == backtrack_list_homs(kab, h, lists_for_edge(g, lists, u, v))
+        assert conj2.lhs.fraction == backtrack_list_homs(g, h, lists)
+        if g.n == 5:
+            continue  # the path is not biregular
+        cert = _cert(g)
+        kab, _, _ = _kab_layout(cert.a, cert.b)
+        thm4 = list_vertex_restriction_bound(g, h, lists)
+        got = [value.fraction for value, _ in thm4.rhs.factors]
+        wants = [
+            [backtrack_list_homs(kab, h, lists_for_vertex(lists, c, v)) for v in sorted(c.odd)]
+            for c in ([cert, cert.swapped()] if cert.a == cert.b else [cert])
+        ]
+        assert got in wants  # with a == b, the smaller orientation
+
+
+def test_cover_family_value_matches_enumeration():
+    rng = random.Random(151)
+    for trial in range(16):
+        g = (cycle_graph(6), complete_bipartite(2, 3), hypercube_graph(3))[trial % 3]
+        even, odd = sorted(bipartition(g).even), sorted(bipartition(g).odd)
+        h = sample_target_graph(4, seed=1500 + trial)
+        lists = sample_list_assignment(g, h, seed=1600 + trial)
+        t1, t2 = rng.choice([(1, 1), (2, 1), (3, 1), (4, 3), (3, 2)])
+        # the whole classes t1 * t2 times cover every vertex enough
+        pairs = [(frozenset(even), frozenset(odd))] * t1 * t2
+        for _ in range(3):
+            a_set = frozenset(v for v in even if rng.random() < 0.5)
+            pairs.append((a_set, frozenset(v for v in odd if rng.random() < 0.5)))
+        value = cover_family_value(g, h, lists, CoverFamilyPair(pairs=tuple(pairs), t1=t1, t2=t2))
+        for (a_set, b_set), (factor, e) in zip(pairs, value.factors):
+            want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, Fraction(t1, t2))
+            assert e == Fraction(1, t1)
+            if t1 % t2 == 0:
+                assert factor.fraction == want
+            elif want == -math.inf:
+                assert factor.is_zero
+            else:
+                assert factor.log() == pytest.approx(want, rel=1e-12, abs=1e-12)

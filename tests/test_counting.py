@@ -1,17 +1,23 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
+    backtrack_list_homs,
     brute_list_homs,
     c4_torus_independent_sets,
+    count_extensions,
     independent_sets,
     ising_brute_log_z,
     ising_cycle_z,
     weighted_independent_set_sum,
+    with_list,
 )
 from spinz.counting import (
     DEFAULT_BUDGET,
@@ -20,22 +26,27 @@ from spinz.counting import (
     ListAssignment,
     LogRangeError,
     contract,
-    count_extensions,
     count_list_homs,
+    count_list_homs_batch,
+    cover_sums,
+    list_indicators,
     independent_set_count,
     parse_cover_family,
     parse_lists,
     partition_brute,
     partition_function,
     partition_kab,
+    partition_kab_batch,
     weight_of,
 )
 from spinz.graphs import (
     Graph,
+    GraphError,
     bipartition,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     path_graph,
 )
 from spinz.harness import sample_weights
@@ -353,7 +364,7 @@ def test_count_list_homs_k2_to_k3():
 
 def test_count_list_homs_empty_list():
     g, h = cycle_graph(4), complete_graph(3)
-    lists = ListAssignment.full(g, h).replace(2, [])
+    lists = with_list(ListAssignment.full(g, h), 2, [])
     assert count_list_homs(g, h, lists) == 0
 
 
@@ -378,9 +389,12 @@ def test_count_list_homs_matches_brute():
 
 
 def test_count_list_homs_budget_guard():
-    g, h = cycle_graph(6), complete_graph(3)
-    with pytest.raises(BudgetError, match="budget"):
+    # the plan's largest tensor is 3^6 = 729 cells
+    g, h = complete_bipartite(6, 6), complete_graph(3)
+    with pytest.raises(BudgetError, match="729 exceeds budget 100"):
         count_list_homs(g, h, ListAssignment.full(g, h), budget=100)
+    # one side takes a colour set S, the other the rest: 3 * 2^6 + 3 * (2^6 - 2)
+    assert count_list_homs(g, h, ListAssignment.full(g, h), budget=729) == 378
 
 
 def test_count_list_homs_singleton_lists():
@@ -396,7 +410,7 @@ def test_count_list_homs_monotone_in_lists():
     lists = ListAssignment(6, [[0], [1], [0, 2], [1], [0], [1, 2]])
     base = count_list_homs(g, h, lists)
     for v in range(6):
-        grown = lists.replace(v, list(lists[v]) + [y for y in range(3) if y not in lists[v]][:1])
+        grown = with_list(lists, v, list(lists[v]) + [y for y in range(3) if y not in lists[v]][:1])
         assert count_list_homs(g, h, grown) >= base
 
 
@@ -422,7 +436,7 @@ def test_count_extensions_free_vertices_multiply():
 
 def test_count_extensions_validates_partial_map():
     g, h = cycle_graph(4), complete_graph(3)
-    lists = ListAssignment.full(g, h).replace(0, [1])
+    lists = with_list(ListAssignment.full(g, h), 0, [1])
     with pytest.raises(ValueError, match="violates"):
         count_extensions(g, h, lists, [0], [1], {0: 0})
     with pytest.raises(ValueError, match="undefined"):
@@ -549,3 +563,125 @@ def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
     dtypes = set().union(*(d for _, d in calls))
     assert {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)} <= dtypes
     assert isinstance(before[0], float) and before[1] < before[2]
+
+
+# Batched contraction: K_{a,b} restrictions, list-hom counts, cover sums.
+
+_BIREGULAR = (
+    cycle_graph(6), complete_bipartite(2, 3), complete_bipartite(3, 3), hypercube_graph(3)
+)
+
+
+@given(
+    st.sampled_from(_BIREGULAR),
+    st.integers(1, 3),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["general", "uniform_edge"]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_batched_partition_kab_equals_each_instance(g, m, seed, style, zero_row, log, tight):
+    w = sample_weights(g, m, seed=seed, cap=9, allow_zero=seed % 2 == 0, style=style)
+    cert = certify_biregular(g, bipartition(g))
+    if zero_row:  # one even vertex with every spin weight 0
+        vertex, edge = _tables(w, g)
+        vertex[min(cert.even)] = [0] * m
+        spins = [(i, j) for i in range(m) for j in range(i, m)]
+        w = WeightSystem.build(
+            g,
+            m,
+            {(v, i + 1): x for v, row in enumerate(vertex) for i, x in enumerate(row)},
+            {(*e, i + 1, j + 1): edge[e][i][j] for e in g.edges for i, j in spins},
+        )
+    if log:
+        w = w.to_log()
+    insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
+    # the largest tensor is m^min(a, b): this budget contracts one instance per chunk
+    budget = m ** min(cert.a, cert.b) if tight else DEFAULT_BUDGET
+    batched = partition_kab_batch(insts, budget)
+    for inst, z in zip(insts, batched):
+        one = partition_function(inst.graph, inst.weights)
+        assert partition_kab(inst, budget) == z
+        if log:
+            assert z.log() == one.log() or z.log() == pytest.approx(one.log(), rel=1e-12)
+        else:
+            assert z.fraction == one.fraction == partition_brute(inst.graph, inst.weights).fraction
+
+
+def test_batched_contract_chunks_and_shares_tables():
+    rng = np.random.default_rng(3)
+    sizes, scopes = [3, 2, 4], [(0,), (0, 1), (1, 2), ()]
+    # six instances; the (1, 2) table has no batch axis and is shared by all
+    shapes = [(6, 3), (6, 3, 2), (2, 4), (6,)]
+    factors = [(s, rng.integers(0, 5, size=shape)) for s, shape in zip(scopes, shapes)]
+    want = [
+        contract(sizes, [(s, t[k, ...] if s != (1, 2) else t) for s, t in factors], DEFAULT_BUDGET)
+        for k in range(6)
+    ]
+    for budget in (2, 3, 5, DEFAULT_BUDGET):  # the largest tensor has 2 cells
+        assert contract(sizes, factors, budget, batch=6) == want
+    with pytest.raises(BudgetError):
+        contract(sizes, factors, 1, batch=6)
+    with np.errstate(divide="ignore"):
+        logs = [(s, np.log(t)) for s, t in factors]
+    got = contract(sizes, logs, 2, Backend.LOG, batch=6)
+    assert got == pytest.approx([math.log(x) if x else -math.inf for x in want], rel=1e-12)
+    assert contract([2], [((0,), [1, 1])], DEFAULT_BUDGET, batch=3) == [2, 2, 2]
+
+
+def test_count_list_homs_matches_backtracker_and_brute():
+    rng = random.Random(71)
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph(n, [e for e in pairs if rng.random() < 0.5])
+        hn = rng.randint(1, 4)  # |V(h)| = 1 has no edge
+        hpairs = [(i, j) for i in range(hn) for j in range(i + 1, hn)]
+        h = Graph(hn, [e for e in hpairs if rng.random() < 0.6])
+        batch = [
+            ListAssignment(n, [[y for y in range(hn) if rng.random() < 0.7] for _ in range(n)])
+            for _ in range(3)
+        ]
+        got = count_list_homs_batch(g, h, np.stack([list_indicators(h, lists) for lists in batch]))
+        for lists, k in zip(batch, got):
+            assert k == count_list_homs(g, h, lists) == backtrack_list_homs(g, h, lists)
+            assert k == brute_list_homs(n, g.edges, hn, h.edges, lists.lists)
+        if not g.edges:  # every list an empty one gives no map at all
+            assert count_list_homs(g, h, ListAssignment(n, [[]] * n)) == 0
+
+
+def test_list_hom_engine_on_empty_vertex_sets():
+    # A spinz graph has at least one vertex, so |V(G)| = 0 and |V(H)| = 0
+    # reach the engine only as contractions: no variables sum to the one
+    # empty map, and variables with no values to no map.
+    with pytest.raises(GraphError):
+        Graph(0, [])
+    assert contract([], [], DEFAULT_BUDGET) == 1
+    assert contract([], [], DEFAULT_BUDGET, batch=2) == [1, 1]
+    empty = [((0,), np.zeros(0)), ((1,), np.zeros(0)), ((0, 1), np.zeros((0, 0)))]
+    assert contract([0, 0], empty, DEFAULT_BUDGET, maxima=[1, 1, 1]) == 0
+    assert count_list_homs_batch(cycle_graph(4), complete_graph(3), np.zeros((0, 4, 3))) == []
+
+
+def test_count_list_homs_c30_to_k3_is_fast():
+    g, h = cycle_graph(30), complete_graph(3)
+    lists = ListAssignment.full(g, h)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        count = count_list_homs(g, h, lists)
+        times.append(time.perf_counter() - start)
+        assert count == 2 ** 30 + 2
+    assert min(times) < 0.05
+
+
+def test_cover_sums_budget_bounds_every_table():
+    g, h = complete_bipartite(3, 3), complete_graph(3)
+    lists = ListAssignment.full(g, h)
+    bp = bipartition(g)
+    pairs = [(frozenset(bp.even), frozenset(bp.odd))]
+    want = count_list_homs(g, h, lists)
+    assert cover_sums(g, h, lists, pairs, Fraction(1), budget=27)[0].fraction == want
+    with pytest.raises(BudgetError, match="27 exceeds budget 26"):
+        cover_sums(g, h, lists, pairs, Fraction(1), budget=26)

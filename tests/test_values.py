@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import lse_pair, value_power, value_zero
 from spinz.values import (
     Backend,
     NonNegValue,
@@ -13,7 +14,6 @@ from spinz.values import (
     compare_product,
     compare_value_vs_product,
     log_of_fraction,
-    lse_pair,
     parse_rational,
 )
 
@@ -34,7 +34,7 @@ def test_parse_rational_forms():
 
 
 def test_log_zero_compares_below_everything():
-    zero = NonNegValue.zero(Backend.LOG)
+    zero = value_zero(Backend.LOG)
     assert zero.is_zero
     assert zero < NonNegValue.from_log(-1e9)
     assert zero.log() == float("-inf")
@@ -63,8 +63,8 @@ def test_mul_matches_log_addition(a, b):
 
 
 def test_pow_zero_of_zero_is_one():
-    assert (NonNegValue.exact(0) ** 0).fraction == 1
-    assert (NonNegValue.zero(Backend.LOG) ** 0).log() == 0.0
+    assert value_power(NonNegValue.exact(0), 0).fraction == 1
+    assert value_power(value_zero(Backend.LOG), 0).log() == 0.0
 
 
 def test_lse_pair_against_direct():
@@ -77,7 +77,7 @@ def test_lse_pair_against_direct():
 def test_streaming_log_sum_matches_direct(xs):
     acc = ValueSum(Backend.LOG)
     for x in xs:
-        acc.add_log(x)
+        acc.add(NonNegValue.from_log(x))
     direct = math.log(sum(math.exp(x) for x in xs))
     assert acc.total().log() == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -87,10 +87,10 @@ def test_log_sum_order_insensitive(order):
     xs = [float(i) * 3.7 - 11 for i in range(8)]
     acc = ValueSum(Backend.LOG)
     for i in order:
-        acc.add_log(xs[i])
+        acc.add(NonNegValue.from_log(xs[i]))
     ref = ValueSum(Backend.LOG)
     for x in xs:
-        ref.add_log(x)
+        ref.add(NonNegValue.from_log(x))
     assert acc.total().log() == pytest.approx(ref.total().log(), rel=1e-12)
 
 
@@ -149,3 +149,18 @@ def test_product_log_matches_factor_logs(pairs):
 def test_log_of_fraction_handles_huge_values():
     big = Fraction(17 ** 400, 3 ** 100)
     assert log_of_fraction(big) == pytest.approx(400 * math.log(17) - 100 * math.log(3))
+
+
+def test_exact_log_is_worked_out_once(monkeypatch):
+    import spinz.values as values_mod
+
+    calls = []
+    real = values_mod.log_of_fraction
+    monkeypatch.setattr(values_mod, "log_of_fraction", lambda x: calls.append(x) or real(x))
+    v = NonNegValue.exact(Fraction(22, 7))
+    key = hash(v)
+    product = PowerProduct(((v, Fraction(1, 2)), (v, Fraction(1, 3))))
+    assert product.log() == pytest.approx(math.log(22 / 7) * 5 / 6, rel=1e-15)
+    assert v.log() == v.to_log().log() == real(Fraction(22, 7))
+    assert calls == [Fraction(22, 7)]
+    assert hash(v) == key and v == NonNegValue.exact(Fraction(44, 14))
