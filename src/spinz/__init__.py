@@ -36,7 +36,6 @@ from .counting import (
     CoverFamilyPair,
     ListAssignment,
     LogRangeError,
-    count_extensions,
     count_list_homs,
     independent_set_count,
     parse_cover_family,

@@ -213,20 +213,6 @@ def _vertex_list_counts(h: Graph, lists: ListAssignment, certs, budget: int) -> 
     return [NonNegValue.exact(k) for k in count_list_homs_batch(kab, h, rows, budget)]
 
 
-def list_vertex_restriction_rhs(
-    g: Graph,
-    h: Graph,
-    lists: ListAssignment,
-    cert: BiregularCert,
-    budget: int = DEFAULT_BUDGET,
-) -> PowerProduct:
-    """The per-vertex product for one fixed class orientation: over every
-    degree-b vertex, the K_{a,b} list-homomorphism count to the 1/a."""
-    return PowerProduct(
-        tuple((k, Fraction(1, cert.a)) for k in _vertex_list_counts(h, lists, [cert], budget))
-    )
-
-
 def list_vertex_restriction_bound(
     g: Graph,
     h: Graph,

@@ -78,11 +78,14 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
                         help="numeric backend for the weights (default exact)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_IGNORED_THREADS = "accepted and ignored: the command runs single-threaded"
+
+
+def _add_common(parser: argparse.ArgumentParser, threads_help: str | None = None) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget (default 10^8)")
     parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads for independent subtasks")
+                        help=threads_help or "worker threads for independent subtasks")
     parser.add_argument("--seed", type=int, default=0, help="random seed where applicable")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("weights")
     _add_backend(p)
-    _add_common(p)
+    _add_common(p, _IGNORED_THREADS)
 
     p = sub.add_parser("bound", help="evaluate one named bound")
     p.add_argument("name", choices=list(bounds_mod.BOUND_NAMES))
@@ -109,18 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", help="list file; defaults to full lists")
     p.add_argument("--families", help="cover family file (thm5)")
     _add_backend(p)
-    _add_common(p)
+    _add_common(p, "worker threads for the per-edge factors of conj1; the other bounds "
+                "run single-threaded and ignore it")
 
     p = sub.add_parser("listhom", help="count list homomorphisms")
     p.add_argument("graph")
     p.add_argument("target")
     p.add_argument("--lists")
-    _add_common(p)
+    _add_common(p, _IGNORED_THREADS)
 
     p = sub.add_parser("ising", help="free-energy sandwich check at zero field")
     p.add_argument("graph")
     p.add_argument("--beta", type=float, required=True)
-    _add_common(p)
+    _add_common(p, _IGNORED_THREADS)
 
     p = sub.add_parser("blowup", help="block blow-up concentration experiment")
     p.add_argument("graph")

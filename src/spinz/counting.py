@@ -6,9 +6,9 @@ of them but the uniform-table K_{a,b} count-vector DP run on one engine,
 ``contract``: greedy variable elimination over ``np.einsum``, planned in
 full and checked against the budget before it contracts anything.  So
 do list-homomorphism counts (0/1 list rows, adjacency-matrix edge
-tables) and the covering-family sums of thm5.  One call can contract a
-batch of instances of one structure, such as the K_{a,b} restrictions
-of one bound.
+tables) and the covering-family sums of thm5, whose LOG form runs the
+same plan in the log domain.  One call can contract a batch of
+instances of one structure, such as the K_{a,b} restrictions of a bound.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -107,8 +107,9 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     einsum operands as (tensor index, labels) pairs, the output labels,
     the number of products summed into each output cell and the cell
     count of the step's whole label space (step k appends tensor
-    len(scopes) + k).  The last tensor is the scalar sum.  It depends
-    only on the structure, so it is cached.
+    len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
+    batch axis.  The last tensor is the scalar sum.  It depends only on
+    the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -154,32 +155,23 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
             break  # the sum is this one scalar tensor, or 1 when there is none
         labels: dict[int, int] = {}
         operands = [
-            (i, tuple(labels.setdefault(x, len(labels)) for x in scope_of[i])) for i in bucket
+            (i, (..., *[labels.setdefault(x, len(labels)) for x in scope_of[i]])) for i in bucket
         ]
         while len(operands) > _MAX_OPERANDS:
             chunk = operands[:_MAX_OPERANDS]
             part = tuple(sorted({x for i, _ in chunk for x in scope_of[i]}))
             cells = math.prod(map(size_of, part))
             largest = max(largest, cells)
-            steps.append((tuple(chunk), tuple(labels[x] for x in part), 1, cells))
+            steps.append((tuple(chunk), (..., *[labels[x] for x in part]), 1, cells))
             scope_of.append(part)
             operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, steps[-1][1])]
         terms = 1 if v is None else sizes[v]
         cells = math.prod(map(size_of, labels))  # every label is in some operand
-        steps.append((tuple(operands), tuple(labels[x] for x in kept), terms, cells))
+        steps.append((tuple(operands), (..., *[labels[x] for x in kept]), terms, cells))
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
     return free, largest, tuple(steps)
-
-
-@lru_cache(maxsize=4096)
-def _batched_plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
-    """``_plan`` with each label tuple led by ``Ellipsis``, the batch axis."""
-    free, largest, steps = _plan(sizes, scopes)
-    return free, largest, tuple(
-        (tuple((i, (..., *l)) for i, l in o), (..., *k), t, c) for o, k, t, c in steps
-    )
 
 
 def _einsum(tensors, operands, out, optimize=False):
@@ -209,7 +201,8 @@ def contract(
     """Sum over every assignment of the variables (variable x ranges over
     sizes[x] values) of the product of the factor tables.
 
-    EXACT tables hold non-negative integers and the result is an int.
+    EXACT tables hold non-negative integers (float arrays whole numbers)
+    and the result is an int.
     The dtype (float64, int64 or Python ints) is chosen from a bound on
     every intermediate, so nothing rounds or overflows; ``maxima``, when
     given, holds each table's largest entry, which is otherwise read off
@@ -227,7 +220,8 @@ def contract(
     a list of B results: a table with one more axis than its variables
     holds one table per instance on that leading axis, any other table
     is shared.  ``maxima`` then holds maxima over the batch; LOG tables
-    and intermediates are shifted per instance.
+    and intermediates are shifted per instance.  An unbatched call is a
+    batch of one whose tables are all shared.
 
     The cost is the largest intermediate tensor of the planned
     elimination order.  It is checked against the budget before any
@@ -239,7 +233,7 @@ def contract(
         scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
     else:
         scopes = tuple(vars_ for vars_, _ in factors)
-    free, largest, steps = (_plan if batch is None else _batched_plan)(tuple(sizes), scopes)
+    free, largest, steps = _plan(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
 
@@ -260,15 +254,18 @@ def contract(
             dtype = np.int64
         else:
             dtype = object
-    if log or batch is not None:  # a table several factors share converts once
-        converted = {id(table): table for _, table in factors}
-        converted = {key: np.asarray(table, dtype=dtype) for key, table in converted.items()}
-        tensors = [converted[id(table)] for _, table in factors]
-    else:
-        tensors = [np.asarray(table, dtype=dtype) for _, table in factors]
-    stacked = [False] * len(factors)  # which tables carry the batch axis
-    if batch is not None:
-        stacked = [arr.ndim > len(vars_) for arr, (vars_, _) in zip(tensors, factors)]
+    converted, tensors = {}, []  # a table several factors share converts once
+    for _, table in factors:
+        arr = converted.get(id(table))
+        if arr is None:
+            arr = table
+            if dtype is object and isinstance(arr, np.ndarray) and arr.dtype.kind == "f":
+                arr = arr.astype(np.int64)  # so the cells hold Python ints, not floats
+            arr = converted[id(table)] = np.asarray(arr, dtype=dtype)
+        tensors.append(arr)
+    # which tables carry the batch axis
+    stacked = [batch is not None and t.ndim > len(v) for t, (v, _) in zip(tensors, factors)]
+    n_all = 1 if batch is None else batch
     if log:
         shifts = {}  # id(array) -> (its maximum, per instance when stacked; exp of the rest)
         for k, arr in enumerate(tensors):
@@ -291,30 +288,27 @@ def contract(
                 shape = tensors[k].shape[: stacked[k]] + tuple(sizes[x] for x in scope)
                 tensors[k] = tensors[k].reshape(shape)
 
-    if batch is None:
-        total, last = _run(steps, tensors, total, log, dtype, 1, False)
-        return total if log or last is None else total * int(last)
     out, chunk = [], budget // largest  # at least 1
-    for lo in range(0, batch, chunk):
-        n = min(chunk, batch - lo)
-        if n == batch:
+    for lo in range(0, n_all, chunk):
+        n = min(chunk, n_all - lo)
+        if n == n_all:
             part, shift = tensors, total
         else:
             part = [t[lo : lo + n] if b else t for t, b in zip(tensors, stacked)]
             shift = total[lo : lo + n] if np.ndim(total) else total
-        shift, last = _run(steps, part, shift, log, dtype, n, True)
+        shift, last = _run(steps, part, shift, log, dtype, n)
         if log:
             out += shift.tolist() if np.ndim(shift) else [shift] * n
         elif last is None or last.ndim == 0:  # every table was shared
             out += [total if last is None else total * int(last)] * n
         else:
             out += [total * int(x) for x in last.tolist()]
-    return out
+    return out[0] if batch is None else out
 
 
-def _run(steps, tensors, total, log, dtype, n, batched):
-    """Run a plan's steps on its tensors (n instances when batched); return
-    the LOG shift carried so far and the last tensor (None if none)."""
+def _run(steps, tensors, total, log, dtype, n):
+    """Run a plan's steps on its tensors (n instances); return the LOG
+    shift carried so far and the last tensor (None if none)."""
     blas = not log and dtype is np.float64
     for operands, out, terms, cells in steps:
         optimize = blas and cells * n >= _BLAS_MIN_CELLS and len(operands) > 1
@@ -330,7 +324,7 @@ def _run(steps, tensors, total, log, dtype, n, batched):
                 live = _einsum({i: tensors[i] > 0 for i, _ in operands}, operands, out)
                 if (live & (result < floor)).any():
                     raise LogRangeError()
-            if not batched or result.ndim < len(out):  # no batch axis
+            if result.ndim < len(out):  # no batch axis: one shift for every instance
                 top = float(result.max())
                 if top == 0.0:
                     return NEG_INF, None
@@ -344,6 +338,37 @@ def _run(steps, tensors, total, log, dtype, n, batched):
                 result = result / np.where(top == 0, 1.0, top).reshape(-1, *[1] * (result.ndim - 1))
         tensors.append(result)
     return total, tensors[-1] if tensors else None
+
+
+def _log_elimination(sizes: Sequence[int], factors, budget: int) -> float:
+    """``contract``'s LOG sum with every step in the log domain: a step adds
+    its operands' logs over its label space and log-sum-exps the eliminated
+    variable out, so no term underflows however far the logs spread.
+    Slower than ``contract``.  The cost is the largest step label space."""
+    if 0 in sizes:
+        return NEG_INF
+    free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
+    cost = max([cells for *_, cells in steps], default=1)
+    if cost > budget:
+        raise BudgetError(cost, budget)
+    tensors = [np.asarray(table, dtype=np.float64) for _, table in factors]
+    for operands, (_, *out), _, _ in steps:
+        space = sorted({x for _, (_, *labels) in operands for x in labels})
+        full = sum(  # each operand over the whole label space, axes in label order
+            np.expand_dims(
+                tensors[i].transpose(np.argsort(labels)),
+                [k for k, x in enumerate(space) if x not in labels],
+            )
+            for i, (_, *labels) in operands
+        )
+        gone = tuple(k for k, x in enumerate(space) if x not in out)
+        top = full.max(axis=gone, keepdims=True)
+        top = np.where(top == NEG_INF, 0.0, top)
+        with np.errstate(divide="ignore"):
+            full = np.log(np.exp(full - top).sum(axis=gone)) + top.squeeze(axis=gone)
+        kept = [x for x in space if x in out]
+        tensors.append(full.transpose([kept.index(x) for x in out]))
+    return math.log(free) + (float(tensors[-1]) if tensors else 0.0)
 
 
 def _int_tables(w: WeightSystem):
@@ -642,8 +667,10 @@ def cover_sums(
     c_v depends on x only through N(v) & A, so a sum is one contraction
     of A's list rows and one c_v table per v in B (an einsum of L(v)
     against those adjacency rows); pairs of one shape are one batch.  An
-    integer exponent gives exact values, any other LOG values (tables
-    exponent * log c_v).  The budget bounds every table and the plan.
+    integer exponent gives exact values.  Any other gives LOG values,
+    summed pair by pair in the log domain over the tables exponent * log
+    c_v (``_log_elimination``), since those tables can span more than
+    float64 holds.  The budget bounds every table and the plan.
     """
     exact = exponent.denominator == 1
     rows = list_indicators(h, lists)
@@ -673,14 +700,16 @@ def cover_sums(
                     counts = counts.astype(object)
                 counts = counts ** exponent.numerator
             factors.append((scope, counts))
-        if not exact:  # logs of the list rows, and exponent * log c_v
+        if exact:
+            sums = contract([h.n] * size, factors, budget, Backend.EXACT, maxima, len(members))
+        else:  # pair by pair in the log domain, each x(u) within L(u)
             with np.errstate(divide="ignore"):
-                factors = [
-                    (scope, np.log(table) * (1.0 if k < size else float(exponent)))
-                    for k, (scope, table) in enumerate(factors)
-                ]
-        backend = Backend.EXACT if exact else Backend.LOG  # LOG reads no maxima
-        sums = contract([h.n] * size, factors, budget, backend, maxima, len(members))
+                logs = [(sc, np.log(t) * float(exponent)) for sc, t in factors[size:]]
+            sums = []
+            for m, (_, a, _) in enumerate(members):
+                doms = [lists[u] for u in a]
+                tables = [(sc, t[m][np.ix_(*[doms[i] for i in sc])]) for sc, t in logs]
+                sums.append(_log_elimination([len(d) for d in doms], tables, budget))
         for (k, _, _), z in zip(members, sums):
             out[k] = NonNegValue.exact(z) if exact else NonNegValue.from_log(z)
     return out

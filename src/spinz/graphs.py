@@ -89,10 +89,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under the vertex map v -> perm[v]."""
-        return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edges))
-
     def to_text(self) -> str:
         lines = [f"p {self.n} {self.num_edges}"]
         lines.extend(f"e {u} {v}" for u, v in self.edges)
@@ -401,14 +397,3 @@ def connected_components(g: Graph) -> list[frozenset]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    """True when g is a complete bipartite graph (both classes nonempty)."""
-    try:
-        bp = bipartition(g)
-    except NotBipartiteError:
-        return False
-    if not bp.even or not bp.odd:
-        return False
-    return g.num_edges == len(bp.even) * len(bp.odd)

@@ -329,3 +329,41 @@ def with_list(lists, v, targets):
 
     rows = [targets if u == v else row for u, row in enumerate(lists.lists)]
     return ListAssignment(lists.n, rows)
+
+
+def relabel(g, perm):
+    """The image of the spinz Graph g under the vertex map v -> perm[v]."""
+    from spinz.graphs import Graph
+
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def is_complete_bipartite(g):
+    """True when the spinz Graph g is K_{p,q} with p, q >= 1: some split of
+    the vertices has every cross pair an edge and no edge inside a side."""
+    for bits in itertools.product((0, 1), repeat=g.n):
+        sides = [{v for v in range(g.n) if bits[v] == s} for s in (0, 1)]
+        cross = {(u, v) for u in sides[0] for v in sides[1]}
+        if all(sides) and {tuple(sorted(e)) for e in cross} == set(g.edges):
+            return True
+    return False
+
+
+def list_vertex_restriction_rhs(g, h, lists, cert):
+    """The thm4 right side for one class orientation, each factor by the
+    backtracker: over every degree-b vertex v, the list-homomorphism count
+    of K_{a,b} -> h under the lists around v, to the 1/a."""
+    from spinz.graphs import complete_bipartite
+    from spinz.values import NonNegValue, PowerProduct
+
+    # complete_bipartite(b, a) numbers its b vertices first, as lists_for_vertex does
+    kab = complete_bipartite(cert.b, cert.a)
+    return PowerProduct(
+        tuple(
+            (
+                NonNegValue.exact(backtrack_list_homs(kab, h, lists_for_vertex(lists, cert, v))),
+                Fraction(1, cert.a),
+            )
+            for v in sorted(cert.odd)
+        )
+    )

@@ -25,7 +25,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import independent_sets, ising_brute_log_z, ising_cycle_z
+from oracles import (
+    independent_sets,
+    is_complete_bipartite,
+    ising_brute_log_z,
+    ising_cycle_z,
+    list_vertex_restriction_rhs,
+)
 from spinz.blowup import concentration_experiment
 from spinz.bounds import (
     Verdict,
@@ -33,7 +39,6 @@ from spinz.bounds import (
     edge_restriction_bound,
     ising_free_energy_check,
     list_vertex_restriction_bound,
-    list_vertex_restriction_rhs,
     vertex_restriction_bound,
 )
 from spinz.cli import main as cli_main
@@ -50,7 +55,6 @@ from spinz.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
-    is_complete_bipartite,
     parse_graph,
 )
 from spinz.harness import (

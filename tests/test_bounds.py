@@ -9,6 +9,7 @@ from oracles import (
     cover_sum_by_enumeration,
     lists_for_edge,
     lists_for_vertex,
+    relabel,
     scale_vertex_weights,
     weighted_two_sided_hom_sum,
     with_list,
@@ -200,7 +201,7 @@ def test_thm3_rhs_invariant_under_relabeling():
     g = complete_bipartite(2, 3)
     w = sample_weights(g, 2, seed=21, cap=9)
     perm = [3, 0, 4, 1, 2]
-    g2 = g.relabel(perm)
+    g2 = relabel(g, perm)
     vertex = {
         (perm[v], i): w.vertex_weight(v, i).fraction
         for v in range(g.n)
@@ -633,6 +634,17 @@ def test_list_bounds_batch_factors_match_the_backtracker():
             for c in ([cert, cert.swapped()] if cert.a == cert.b else [cert])
         ]
         assert got in wants  # with a == b, the smaller orientation
+
+
+def test_cover_family_value_past_int64_is_exact():
+    g, h = complete_bipartite(3, 3), complete_graph(4)
+    bp = bipartition(g)
+    lists = ListAssignment.full(g, h)
+    fam = CoverFamilyPair(pairs=((frozenset(bp.even), frozenset(bp.odd)),) * 20, t1=20, t2=1)
+    want = cover_sum_by_enumeration(g, h, lists, bp.even, bp.odd, Fraction(20))
+    assert want > 2 ** 62
+    value = cover_family_value(g, h, lists, fam)
+    assert [factor.fraction for factor, _ in value.factors] == [want] * 20
 
 
 def test_cover_family_value_matches_enumeration():

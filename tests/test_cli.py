@@ -72,6 +72,20 @@ def test_backend_is_exact_or_log_and_only_where_weights_are_read(capsys, files):
     assert "--backend" in capsys.readouterr().err
 
 
+def test_threads_help_names_the_commands_that_use_it(capsys):
+    for argv, used in (
+        (["bound"], "conj1"),
+        (["compute"], "ignored"),
+        (["listhom"], "ignored"),
+        (["ising"], "ignored"),
+        (["blowup"], "worker threads"),
+    ):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert used in text[text.rindex("--threads THREADS") :].split(" --seed")[0]
+
+
 def test_compute_missing_file_exits_2(capsys, files):
     missing = files["tmp"] / "nope.weights"
     code = main(["compute", str(files["c4"]), str(missing)])

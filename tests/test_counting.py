@@ -13,6 +13,7 @@ from oracles import (
     brute_list_homs,
     c4_torus_independent_sets,
     count_extensions,
+    cover_sum_by_enumeration,
     independent_sets,
     ising_brute_log_z,
     ising_cycle_z,
@@ -674,6 +675,66 @@ def test_count_list_homs_c30_to_k3_is_fast():
         times.append(time.perf_counter() - start)
         assert count == 2 ** 30 + 2
     assert min(times) < 0.05
+
+
+def test_count_list_homs_past_int64_is_exact():
+    # 3^60 bounds the sum, so the contraction runs on Python ints
+    g, h = cycle_graph(60), complete_graph(3)
+    assert count_list_homs(g, h, ListAssignment.full(g, h)) == 2 ** 60 + 2
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(3, 3), cycle_graph(8)])
+@pytest.mark.parametrize("e", [20, 41])  # c_v^41 itself passes 2^63 at c_v = 3
+def test_cover_sums_past_int64_are_exact(g, e):
+    h = complete_graph(4)
+    even, odd = sorted(bipartition(g).even), sorted(bipartition(g).odd)
+    lists = ListAssignment(g.n, [range(4)] * (g.n - 1) + [[1, 3]])
+    pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd))]
+    for (a_set, b_set), z in zip(pairs, cover_sums(g, h, lists, pairs, Fraction(e))):
+        want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, Fraction(e))
+        assert want > 2 ** 62
+        assert z.fraction == want
+
+
+def test_log_cover_sums_past_the_float_range():
+    # e * log 3 is about 825 nats: the tables e * log c_v span more than
+    # float64 holds, which only a sum in the log domain survives
+    g, h, e = complete_bipartite(3, 3), complete_graph(4), Fraction(1501, 2)
+    even, odd = sorted(bipartition(g).even), sorted(bipartition(g).odd)
+    pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd[1:]))]
+    for rows in ([range(4)] * 6, [[0, 2]] + [range(4)] * 4 + [[1, 2, 3]], [[]] + [range(4)] * 5):
+        lists = ListAssignment(6, rows)
+        for (a_set, b_set), z in zip(pairs, cover_sums(g, h, lists, pairs, e)):
+            want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, e)
+            assert z.log() == want or z.log() == pytest.approx(want, rel=1e-12)
+    # on C_6 the plan needs 16 cells, the log-domain steps 64, as many as the maps on A
+    g, e = cycle_graph(6), Fraction(4001, 2)
+    lists, pair = ListAssignment.full(g, h), (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    want = cover_sum_by_enumeration(g, h, lists, *pair, e)
+    assert cover_sums(g, h, lists, [pair], e, budget=64)[0].log() == pytest.approx(want, rel=1e-12)
+    with pytest.raises(BudgetError, match="64 exceeds budget 63"):
+        cover_sums(g, h, lists, [pair], e, budget=63)
+
+
+def test_log_elimination_matches_contract():
+    from spinz.counting import _log_elimination
+
+    rng = np.random.default_rng(5)
+    star = [((0, k), rng.random((2, 3))) for k in range(1, 41)]  # a 40-operand bucket
+    cases = [([2] + [3] * 40, star + [((), np.array(0.5))])]
+    for n in range(1, 6):
+        sizes = [int(x) for x in rng.integers(1, 4, size=n)]
+        scopes = [(v,) for v in range(n)] + [(u, v) for u in range(n) for v in range(u + 1, n)]
+        scopes = [s for s in scopes if rng.random() < 0.7]
+        tables = [rng.random([sizes[x] for x in s]) * (rng.random([sizes[x] for x in s]) < 0.8)
+                  for s in scopes]
+        cases.append((sizes, list(zip(scopes, tables))))
+    for sizes, factors in cases:
+        with np.errstate(divide="ignore"):
+            logs = [(s, np.log(t)) for s, t in factors]
+        want = contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG)
+        got = _log_elimination(sizes, logs, DEFAULT_BUDGET)
+        assert got == want or got == pytest.approx(want, rel=1e-12)
 
 
 def test_cover_sums_budget_bounds_every_table():
