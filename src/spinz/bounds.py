@@ -34,14 +34,14 @@ from .counting import (
     count_list_homs,
     count_list_homs_batch,
     cover_sums,
+    edge_kab_partitions,
     independent_set_count,
     list_indicators,
     partition_function,
-    partition_kab,
     partition_kab_batch,
 )
 from .graphs import BiregularCert, Graph, GraphError, bipartition, certify_biregular
-from .util import parallel_map, sha256_text
+from .util import sha256_text
 from .values import (
     NEG_INF,
     Backend,
@@ -50,7 +50,7 @@ from .values import (
     compare_product,
     compare_value_vs_product,
 )
-from .weights import WeightSystem, _kab_layout, make_ising, restrict_to_edge, restrict_to_kab
+from .weights import WeightSystem, _kab_layout, make_ising, restrict_to_kab
 
 LOG_REL_TOL = 1e-9
 
@@ -279,7 +279,6 @@ def edge_restriction_bound(
     g: Graph,
     w: WeightSystem,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> BoundReport:
     """Conjectured bound for arbitrary graphs: the partition function is
     at most the product over edges uv of the K_{d(u),d(v)}-restricted
@@ -289,16 +288,11 @@ def edge_restriction_bound(
     """
     _require_min_degree(g)
     lhs = partition_function(g, w, budget)
-    edges = list(g.edges)
-    factors = parallel_map(
-        lambda e: partition_kab(restrict_to_edge(g, w, e[0], e[1]), budget),
-        edges,
-        threads,
-    )
+    factors = edge_kab_partitions(g, w, budget)
     rhs = PowerProduct(
         tuple(
             (z, Fraction(1, g.degree(u) * g.degree(v)))
-            for (u, v), z in zip(edges, factors)
+            for (u, v), z in zip(g.edges, factors)
         )
     )
     return finish_report("conj1", lhs, rhs, g.sha(), w.sha())

@@ -112,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", help="list file; defaults to full lists")
     p.add_argument("--families", help="cover family file (thm5)")
     _add_backend(p)
-    _add_common(p, "worker threads for the per-edge factors of conj1; the other bounds "
-                "run single-threaded and ignore it")
+    _add_common(p, _IGNORED_THREADS)
 
     p = sub.add_parser("listhom", help="count list homomorphisms")
     p.add_argument("graph")
@@ -175,7 +174,7 @@ def _cmd_bound(args) -> int:
         if name == "thm3":
             report = bounds_mod.vertex_restriction_bound(g, w, budget)
         else:
-            report = bounds_mod.edge_restriction_bound(g, w, budget, args.threads)
+            report = bounds_mod.edge_restriction_bound(g, w, budget)
     elif name in ("thm4", "conj2", "thm5"):
         if not args.target:
             raise CliError(f"bound {name} needs --target")

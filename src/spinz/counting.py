@@ -1,14 +1,15 @@
 """Exact evaluation of configuration weights, partition functions,
 list-homomorphism counts and covering-family sums.
 
-Partition functions are sums of products over a factor graph, and all
-of them but the uniform-table K_{a,b} count-vector DP run on one engine,
-``contract``: greedy variable elimination over ``np.einsum``, planned in
-full and checked against the budget before it contracts anything.  So
-do list-homomorphism counts (0/1 list rows, adjacency-matrix edge
-tables) and the covering-family sums of thm5, whose LOG form runs the
-same plan in the log domain.  One call can contract a batch of
-instances of one structure, such as the K_{a,b} restrictions of a bound.
+Partition functions are sums of products over a factor graph.  All but
+the exact K_{a,b} instances with one shared edge table (every conj1
+factor; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
+variable elimination over ``np.einsum``, planned in full and checked
+against the budget before it contracts anything.  So do list-homomorphism
+counts (0/1 list rows, adjacency-matrix edge tables) and the
+covering-family sums of thm5, whose LOG form runs the same plan in the
+log domain.  One call can contract a batch of instances of one structure,
+such as the K_{a,b} restrictions of a bound.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +35,7 @@ import numpy as np
 
 from .graphs import Bipartition, Graph
 from .values import NEG_INF, Backend, NonNegValue, ValueSum
-from .weights import KabInstance, WeightSystem, make_hardcore
+from .weights import KabInstance, WeightSystem, make_hardcore, restrict_to_edge, uniform_edge
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -444,79 +446,100 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
         return partition_brute(g, w, budget)
 
 
-def _kab_uniform_exact(inst: KabInstance, side_s: Sequence[int], side_t: Sequence[int]) -> Fraction:
-    """Exact K_{a,b} partition function exploiting one shared edge table.
-
-    The product factor of each side_t vertex depends on a side_s
-    assignment only through its spin-count vector, so assignments are
-    grouped by that vector: a DP accumulates the total vertex weight of
-    each group, and per-group factors use precomputed powers.
-    """
-    w = inst.weights
-    rows, tables, scale = _int_tables(w)
-    vw = [r for r, _, _ in rows]
-    m = w.m
-    table = tables[inst.graph.edges[0]][0]
-    ns = len(side_s)
-    pow_tab = [[[table[i][s] ** k for k in range(ns + 1)] for s in range(m)] for i in range(m)]
-
-    groups: dict[tuple[int, ...], int] = {(0,) * m: 1}
-    for v in side_s:
-        row = vw[v]
-        new: dict[tuple[int, ...], int] = {}
+def _count_vectors(side: Sequence[tuple], units: Sequence[int]) -> dict:
+    """{c: the sum over the side's assignments with c[i] vertices at spin i
+    of the product of their row entries}, c written as sum_i c[i] * units[i]."""
+    groups = {0: 1}
+    for row in side:
+        new: dict[int, int] = {}
         for counts, acc in groups.items():
-            for i in range(m):
-                if not row[i]:
-                    continue
-                bumped = list(counts)
-                bumped[i] += 1
-                key = tuple(bumped)
-                new[key] = new.get(key, 0) + acc * row[i]
+            for unit, x in zip(units, row):
+                if x:
+                    new[counts + unit] = new.get(counts + unit, 0) + acc * x
         groups = new
+    return groups
 
-    total = 0
-    for counts, acc in groups.items():
-        for t in side_t:
-            row = vw[t]
-            tot = 0
-            for i in range(m):
-                term = row[i]
-                if not term:
-                    continue
-                for s in range(m):
-                    if counts[s]:
-                        term *= pow_tab[i][s][counts[s]]
-                tot += term
-            acc *= tot
-            if not acc:
-                break
-        total += acc
-    return Fraction(total, scale)
+
+def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> list:
+    """Partition functions, times the product of every row and table
+    denominator, of K_{a,b} instances whose edges share one table.  An
+    item is (table, side_s, side_t) in cleared entries.  A side_t vertex
+    with row r contributes sum_i r[i] prod_j T[i][j]^c[j], which depends
+    on side_s only through its spin-count vector c, so the result is
+    sum_c DP(c) * prod_t (that factor), DP being ``_count_vectors`` over
+    side_s.  Memos keyed by object identity (a restriction shares its
+    parent's rows and table) serve every item of the call: the DP by
+    side_s, the product over side_t by (table, side_t, c).  An item costs
+    its number of count vectors, comb(|side_s| + m - 1, m - 1); all are
+    checked before any DP runs.
+    """
+    for table, side_s, _ in items:
+        cost = math.comb(len(side_s) + len(table) - 1, len(table) - 1)
+        if cost > budget:
+            raise BudgetError(cost, budget)
+    base = max([len(side_s) for _, side_s, _ in items], default=0) + 1
+    groups_of, sides_of, out = {}, {}, []
+    for table, side_s, side_t in items:
+        units = [base ** i for i in range(len(table))]
+        key = tuple(map(id, side_s))
+        groups = groups_of.get(key)
+        if groups is None:
+            groups = groups_of[key] = _count_vectors(side_s, units)
+        memo, total = sides_of.setdefault((id(table), *map(id, side_t)), {}), 0
+        for counts, acc in groups.items():
+            prod_t = memo.get(counts)
+            if prod_t is None:
+                powers = [counts // unit % base for unit in units]
+                products = [math.prod(map(pow, t_row, powers)) for t_row in table]
+                prod_t = math.prod(sum(map(operator.mul, row, products)) for row in side_t)
+                memo[counts] = prod_t
+            total += acc * prod_t
+        out.append(total)
+    return out
+
+
+def edge_kab_partitions(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> list:
+    """The partition function of ``restrict_to_edge(g, w, u, v)`` for every
+    edge uv of g.  EXACT: one ``uniform_kab_sums`` call over the stored
+    rows and table, with the DP over the smaller of N(u) and N(v), so one
+    DP serves every edge at a vertex.  LOG: ``partition_kab`` per edge."""
+    if w.backend is Backend.LOG or not g.edges:  # an edgeless g has no table to share
+        return [partition_kab(restrict_to_edge(g, w, u, v), budget) for u, v in g.edges]
+    rows, tables = w.cleared()
+    table, den, _ = tables[uniform_edge(w)]
+    sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]
+    dens = [math.prod(rows[x][1] for x in g.neighbors(v)) for v in range(g.n)]
+    ends = [(u, v) if len(sides[u]) <= len(sides[v]) else (v, u) for u, v in g.edges]
+    zs = uniform_kab_sums([(table, sides[s], sides[t]) for s, t in ends], budget)
+    scales = [dens[s] * dens[t] * den ** (len(sides[s]) * len(sides[t])) for s, t in ends]
+    return [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
 
 
 def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDGET) -> list:
     """Partition functions of labeled K_{a,b} instances of one (a, b),
     spin count and backend, each equal to ``partition_brute``.
 
-    An EXACT instance whose edges share one table, with at least two
-    vertices on the smaller side, runs the spin-count-vector DP, whose
-    cost (the number of count vectors, polynomial in min(a, b)) the
-    budget bounds.  The others are one batch of ``_partitions`` (largest
-    tensor m^min(a,b)) over the rows and tables the restrictions share
-    with their parent; a LOG batch that would underflow is redone one by
-    one through ``partition_function``.
+    The EXACT instances whose edges share one table run
+    ``uniform_kab_sums`` over their smaller side, whose cost (the number
+    of count vectors, polynomial in min(a, b)) the budget bounds.  The
+    others are one batch of ``_partitions`` (largest tensor m^min(a,b))
+    over the rows and tables the restrictions share with their parent; a
+    LOG batch that would underflow is redone one by one through
+    ``partition_function``.
     """
-    out, rest = [None] * len(insts), []
+    out, items, uniform, rest = [None] * len(insts), [], [], []
     for k, inst in enumerate(insts):
         w = inst.weights
-        side_s, side_t = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
-        if w.backend is Backend.EXACT and len(side_s) >= 2 and w.uniform_edge_table() is not None:
-            cost = math.comb(len(side_s) + w.m - 1, w.m - 1)
-            if cost > budget:
-                raise BudgetError(cost, budget)
-            out[k] = NonNegValue.exact(_kab_uniform_exact(inst, side_s, side_t))
+        if w.backend is Backend.EXACT and w.uniform_edge_table() is not None:
+            rows, tables, scale = _int_tables(w)
+            sides = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
+            table = tables[inst.graph.edges[0]][0]
+            items.append((table, *[[rows[x][0] for x in side] for side in sides]))
+            uniform.append((k, scale))
         else:
             rest.append(k)
+    for (k, scale), z in zip(uniform, uniform_kab_sums(items, budget)):
+        out[k] = NonNegValue.exact(Fraction(z, scale))
     if rest:
         g, ws = insts[rest[0]].graph, [insts[k].weights for k in rest]
         try:

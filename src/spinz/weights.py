@@ -421,6 +421,15 @@ def restrict_to_kab(
     return _induced(w, cert.a, cert.b, (*nbrs, *[v] * cert.a), edges)
 
 
+def uniform_edge(w: WeightSystem) -> tuple[int, int]:
+    """An edge whose stored table every edge of w shares.  Raises
+    WeightError when the tables differ: edge restrictions are undefined."""
+    if w.uniform_edge_table() is None:
+        raise WeightError("unsupported: per-edge weight tables differ, so the edge "
+                          "restriction onto the complete bipartite graph is ambiguous")
+    return next(iter(w.edges()))
+
+
 def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
     """Weights induced on K_{d(u),d(v)} by the edge uv.
 
@@ -432,12 +441,6 @@ def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:
     """
     if not g.has_edge(u, v):
         raise WeightError(f"({u},{v}) is not an edge of the graph")
-    table = w.uniform_edge_table()
-    if table is None:
-        raise WeightError(
-            "unsupported: per-edge weight tables differ, so the edge restriction "
-            "onto the complete bipartite graph is ambiguous"
-        )
-    a, b = g.degree(u), g.degree(v)
-    first = next(iter(w.edges()))  # the edge whose table uniform_edge_table returns
-    return _induced(w, a, b, (*g.neighbors(v), *g.neighbors(u)), [first] * b, table)
+    sources = [uniform_edge(w)] * g.degree(v)
+    rows = (*g.neighbors(v), *g.neighbors(u))
+    return _induced(w, g.degree(u), g.degree(v), rows, sources, w.uniform_edge_table())

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import spinz.counting as counting_mod
 from oracles import (
     backtrack_list_homs,
     cover_sum_by_enumeration,
@@ -29,7 +32,14 @@ from spinz.bounds import (
     list_vertex_restriction_bound,
     vertex_restriction_bound,
 )
-from spinz.counting import CoverFamilyPair, ListAssignment, count_list_homs
+from spinz.counting import (
+    BudgetError,
+    CoverFamilyPair,
+    ListAssignment,
+    count_list_homs,
+    partition_brute,
+    partition_kab,
+)
 from spinz.graphs import (
     Graph,
     GraphError,
@@ -49,7 +59,7 @@ from spinz.harness import (
     sample_weights,
 )
 from spinz.values import Backend, NonNegValue, PowerProduct, compare_product
-from spinz.weights import WeightSystem, _kab_layout, make_hardcore
+from spinz.weights import WeightSystem, _kab_layout, make_hardcore, restrict_to_edge
 
 
 def _cert(g):
@@ -441,6 +451,60 @@ def test_conj1_known_violation_is_reported_not_raised():
     assert r.lhs.fraction == 15
     assert r.rhs_log == pytest.approx(math.log(7) + 0.25 * math.log(11), rel=1e-12)
     assert 15 ** 4 > 7 ** 2 * 11 * 7 ** 2  # the cleared-exponent inequality
+
+
+# the 4-path's edges have degree pairs (1, 2), (2, 2) and (2, 1); the paw
+# (a triangle with a pendant) and the double star add more of each shape
+_CONJ1_GRAPHS = (
+    path_graph(4),
+    complete_bipartite(1, 1),
+    complete_bipartite(1, 3),
+    complete_graph(4),
+    Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),
+)
+
+
+@given(
+    st.sampled_from(_CONJ1_GRAPHS),
+    st.integers(1, 3),
+    st.integers(0, 10 ** 6),
+    st.booleans(),
+)
+def test_conj1_factors_equal_brute_force_of_each_edge_restriction(g, m, seed, allow_zero):
+    w = sample_weights(g, m, seed=seed, cap=9, allow_zero=allow_zero, style="uniform_edge")
+    r = edge_restriction_bound(g, w)
+    assert r.lhs.fraction == partition_brute(g, w).fraction
+    assert len(r.rhs.factors) == len(g.edges)
+    for (u, v), (z, e) in zip(g.edges, r.rhs.factors):
+        inst = restrict_to_edge(g, w, u, v)
+        assert z.fraction == partition_brute(inst.graph, inst.weights).fraction
+        assert e == Fraction(1, g.degree(u) * g.degree(v))
+
+
+def test_conj1_budget_is_the_largest_count_vector_space(monkeypatch):
+    # double star: the centre edge's neighbourhoods have 4 vertices each,
+    # so its DP has comb(4 + m - 1, m - 1) count vectors, while the left
+    # side and the leaf edges need only m cells
+    g = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+    for m, cost in ((2, 5), (3, 15)):
+        w = sample_weights(g, m, seed=m, cap=9, style="uniform_edge")
+        with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
+            edge_restriction_bound(g, w, budget=cost - 1)
+        assert len(edge_restriction_bound(g, w, budget=cost).rhs.factors) == 7
+        # a degree-1 end costs m, as the contraction it replaced did
+        star = complete_bipartite(1, 3)
+        inst = restrict_to_edge(star, sample_weights(star, m, seed=m, style="uniform_edge"), 0, 1)
+        with pytest.raises(BudgetError, match=f"cost {m} exceeds budget {m - 1}"):
+            partition_kab(inst, m - 1)
+        assert partition_kab(inst, m).fraction == partition_brute(inst.graph, inst.weights).fraction
+
+    def no_dp(*args):
+        raise AssertionError("a count-vector DP ran before every budget was checked")
+
+    monkeypatch.setattr(counting_mod, "_count_vectors", no_dp)
+    with pytest.raises(BudgetError):
+        edge_restriction_bound(g, sample_weights(g, 2, seed=1, style="uniform_edge"), budget=4)
 
 
 def test_conj2_k2_is_equality():

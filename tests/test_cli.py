@@ -74,7 +74,7 @@ def test_backend_is_exact_or_log_and_only_where_weights_are_read(capsys, files):
 
 def test_threads_help_names_the_commands_that_use_it(capsys):
     for argv, used in (
-        (["bound"], "conj1"),
+        (["bound"], "ignored"),
         (["compute"], "ignored"),
         (["listhom"], "ignored"),
         (["ising"], "ignored"),

@@ -569,7 +569,12 @@ def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
 # Batched contraction: K_{a,b} restrictions, list-hom counts, cover sums.
 
 _BIREGULAR = (
-    cycle_graph(6), complete_bipartite(2, 3), complete_bipartite(3, 3), hypercube_graph(3)
+    cycle_graph(6),
+    complete_bipartite(2, 3),
+    complete_bipartite(3, 3),
+    hypercube_graph(3),
+    complete_bipartite(1, 3),
+    complete_bipartite(1, 1),
 )
 
 

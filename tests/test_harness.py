@@ -281,14 +281,34 @@ def test_canonical_masks_by_byte_lookup_match_the_per_bit_reference():
 
     from oracles import canonical_masks_per_bit
     from spinz.graphs import is_connected
-    from spinz.harness import _canonical_masks_batch, _graph_from_mask
+    from spinz.harness import _graph_from_mask, _orbit_minima
 
     connected = {}
     for n in range(2, 7):
         masks = np.arange(1, 1 << (n * (n - 1) // 2), dtype=np.int64)
-        canon = _canonical_masks_batch(n, masks)
-        assert canon.dtype == np.int64
-        assert np.array_equal(canon, canonical_masks_per_bit(n, masks))
-        graphs = [_graph_from_mask(n, int(c)) for c in np.unique(canon)]
+        minima = _orbit_minima(n)
+        assert minima.dtype == np.int64
+        assert np.array_equal(minima, np.unique(canonical_masks_per_bit(n, masks)))
+        graphs = [_graph_from_mask(n, int(c)) for c in minima]
         connected[n] = sum(map(is_connected, graphs))
     assert connected == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+def test_seven_vertex_classes_match_the_graph_atlas():
+    import networkx as nx
+    import numpy as np
+
+    from oracles import canonical_masks_per_bit
+    from spinz.harness import _orbit_minima
+
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 7 and g.number_of_edges()]
+    index = {p: k for k, p in enumerate((i, j) for i in range(7) for j in range(i + 1, 7))}
+    masks = np.array([sum(1 << index[min(e), max(e)] for e in g.edges()) for g in atlas])
+    minima = _orbit_minima(7)
+    # the atlas lists each class once, so its canonical masks are the minima
+    assert len(atlas) == len(minima) == 1043
+    assert np.array_equal(np.unique(canonical_masks_per_bit(7, masks)), minima)
+    connected = [g for g in enumerate_graphs(7, "all", connected_only=True) if g.n == 7]
+    assert len(connected) == sum(map(nx.is_connected, atlas)) == 853  # OEIS A001349
+    bipartite = [g for g in enumerate_graphs(7, "bipartite") if g.n == 7]
+    assert len(bipartite) == sum(map(nx.is_bipartite, atlas))

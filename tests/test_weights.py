@@ -372,13 +372,10 @@ def test_kab_layout_is_shared_and_restrictions_are_unchanged():
 
 def test_threads_racing_on_a_fresh_system_agree():
     g = hypercube_graph(3)
-    style = "uniform_edge"  # a fresh system per run, whose threads race on its uniform table
-    reports = [
-        edge_restriction_bound(g, sample_weights(g, 3, seed=6, cap=9, style=style), threads=t)
-        for t in (1, 2)
-    ]
+    # conj1 and thm3 each evaluate their restrictions in one call and have no threads
+    w = [sample_weights(g, 3, seed=6, cap=9, style="uniform_edge") for _ in (1, 2)]
+    reports = [edge_restriction_bound(g, system) for system in w]
     assert reports[0].to_json_dict() == reports[1].to_json_dict()
-    # thm3 batches its restrictions in one call and has no threads
     reports = [vertex_restriction_bound(g, sample_weights(g, 3, seed=6, cap=9)) for _ in (1, 2)]
     assert reports[0].to_json_dict() == reports[1].to_json_dict()
 
