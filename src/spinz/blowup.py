@@ -13,8 +13,7 @@ edge, block pair) at its own counter offset under that key.  A block
 therefore has the same cells whether it is drawn alone or inside the
 full sample, so a trial that counts one configuration draws only the
 blocks that configuration reads.  Runs are bit-reproducible across
-platforms and thread counts, and trials are independent streams that
-parallelize freely.
+platforms, and each trial is an independent stream.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .counting import DEFAULT_BUDGET, SpinConfig, contract, weight_of
 from .graphs import Graph, GraphError, bipartition, certify_biregular
-from .util import derive_key128, derive_seed, parallel_map
+from .util import derive_key128, derive_seed
 from .values import Backend, log_of_fraction
 from .weights import WeightError, WeightSystem, _scaled
 
@@ -308,7 +307,6 @@ def concentration_experiment(
     C: int,
     trials: int,
     seed: int,
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> BlowupStats:
     """Sample `trials` subgraphs and compare the block-respecting
@@ -327,7 +325,7 @@ def concentration_experiment(
         sub = sample_subgraph(host, derive_seed("blowup-trial", seed, t), cfg)
         return count_block_homs(g, sub, host, cfg, budget)
 
-    samples = tuple(parallel_map(run_trial, range(trials), threads))
+    samples = tuple(run_trial(t) for t in range(trials))
     mu = Fraction(C) ** g.n * weight_of(g, scaled, cfg).fraction
     s1 = sum(samples)
     s2 = sum(x * x for x in samples)

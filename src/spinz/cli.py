@@ -9,7 +9,6 @@ error, 3 bound VIOLATED, 4 bound INCONCLUSIVE.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -69,23 +68,14 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["exact", "log"], default="exact",
                         help="numeric backend for the weights (default exact)")
 
 
-_IGNORED_THREADS = "accepted and ignored: the command runs single-threaded"
-
-
-def _add_common(parser: argparse.ArgumentParser, threads_help: str | None = None) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration budget (default 10^8)")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help=threads_help or "worker threads for independent subtasks")
+                        help="largest tensor, in cells, a computation may plan (default 10^8)")
     parser.add_argument("--seed", type=int, default=0, help="random seed where applicable")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -102,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("weights")
     _add_backend(p)
-    _add_common(p, _IGNORED_THREADS)
+    _add_common(p)
 
     p = sub.add_parser("bound", help="evaluate one named bound")
     p.add_argument("name", choices=list(bounds_mod.BOUND_NAMES))
@@ -112,18 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", help="list file; defaults to full lists")
     p.add_argument("--families", help="cover family file (thm5)")
     _add_backend(p)
-    _add_common(p, _IGNORED_THREADS)
+    _add_common(p)
 
     p = sub.add_parser("listhom", help="count list homomorphisms")
     p.add_argument("graph")
     p.add_argument("target")
     p.add_argument("--lists")
-    _add_common(p, _IGNORED_THREADS)
+    _add_common(p)
 
     p = sub.add_parser("ising", help="free-energy sandwich check at zero field")
     p.add_argument("graph")
     p.add_argument("--beta", type=float, required=True)
-    _add_common(p, _IGNORED_THREADS)
+    _add_common(p)
 
     p = sub.add_parser("blowup", help="block blow-up concentration experiment")
     p.add_argument("graph")
@@ -229,7 +219,7 @@ def _cmd_blowup(args) -> int:
     else:
         cfg = (1,) * g.n
     stats = concentration_experiment(
-        g, w, cfg, args.scale, args.trials, args.seed, args.threads, args.budget
+        g, w, cfg, args.scale, args.trials, args.seed, budget=args.budget
     )
     if args.samples_out:
         Path(args.samples_out).write_text(
@@ -241,7 +231,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = parse_campaign_config(_read_file(args.config, "config"))
-    report = run_campaign(cfg, threads=args.threads)
+    report = run_campaign(cfg)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK
 

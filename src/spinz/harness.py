@@ -45,7 +45,7 @@ from .graphs import (
     is_connected,
     parse_graph,
 )
-from .util import derive_seed, dump_json, parallel_map
+from .util import derive_seed, dump_json
 from .values import Backend
 from .weights import WeightSystem, make_hardcore, parse_weights
 
@@ -611,6 +611,10 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
     Per-instance errors are recorded, never fatal.  Conjecture violations
     do not abort anything: each one is persisted with its full instance
     files so it can be independently re-verified.
+
+    The campaign runs single-threaded; `threads` is accepted and ignored
+    only because the committed benchmark (``perfbench/workloads.py``)
+    still passes ``threads=1``.
     """
     start = time.monotonic()
     if cfg.source == "files":
@@ -631,11 +635,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
         graphs = list(enumerate_graphs(cfg.n_max, mode, connected_only=cfg.connected))
 
     work = [(gi, si) for gi in range(len(graphs)) for si in range(cfg.trials)]
-    outcomes = parallel_map(
-        lambda item: _evaluate_instance(cfg, graphs[item[0]], item[0], item[1]),
-        work,
-        threads,
-    )
+    outcomes = [_evaluate_instance(cfg, graphs[gi], gi, si) for gi, si in work]
 
     per_bound: dict[str, BoundAggregate] = {name: BoundAggregate() for name in cfg.bounds}
     for (gi, si), results in zip(work, outcomes):

@@ -1,14 +1,9 @@
-"""Small shared helpers: hashing, seed derivation, parallel mapping, JSON."""
+"""Small shared helpers: hashing, seed derivation, JSON."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def sha256_text(text: str) -> str:
@@ -34,22 +29,6 @@ def derive_key128(*parts) -> tuple[int, int]:
         int.from_bytes(digest[:8], "big"),
         int.from_bytes(digest[8:16], "big"),
     )
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int | None = 1) -> List[U]:
-    """Order-preserving map, optionally fanned out over a thread pool.
-
-    Results are always collected in input order, so output is independent
-    of scheduling; reports built from it are reproducible for any thread
-    count.
-    """
-    seq = list(items)
-    if threads is None:
-        threads = 1
-    if threads <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seq))
 
 
 def dump_json(doc) -> str:

@@ -109,7 +109,15 @@ class WeightSystem:
             table = tables[key]
             table[(i - 1) * m + j - 1] = table[(j - 1) * m + i - 1] = nonneg_rational(val)
         rows = tuple(_clear(row) for row in rows)
-        return cls(m, graph.n, Backend.EXACT, rows, {e: _clear(t, m) for e, t in tables.items()})
+        # A run of equal tables (every edge of a uniform system) is cleared
+        # once and shares its triple; comparing with the previous table
+        # keeps all-distinct systems at one cheap comparison per edge.
+        cleared, prev = {}, None
+        for e, t in tables.items():
+            if t != prev:
+                prev, triple = t, _clear(t, m)
+            cleared[e] = triple
+        return cls(m, graph.n, Backend.EXACT, rows, cleared)
 
     def _value(self, stored, *index) -> NonNegValue:
         entry, den, _ = stored if self.backend is Backend.EXACT else (stored, None, None)

@@ -322,7 +322,7 @@ def test_criterion_8_conjecture_campaign():
         trials=50,
         seed=88,
     )
-    report = run_campaign(cfg, threads=2)
+    report = run_campaign(cfg)
     conj1 = report.per_bound["conj1"]
     indconj = report.per_bound["indconj"]
 
@@ -409,11 +409,9 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     for argv in commands:
         code1, doc1 = _run_cli_canonical(capsys, argv)
         code2, doc2 = _run_cli_canonical(capsys, argv)
-        code3, doc3 = _run_cli_canonical(capsys, list(argv) + ["--threads", "1"])
-        assert code1 == code2 == code3
-        assert doc1 == doc2 == doc3
+        assert code1 == code2
+        assert doc1 == doc2
     print(
         f"ACCEPTANCE 9 determinism: PASS ({len(commands)} subcommands, "
-        f"byte-identical JSON excluding timing, repeated runs and "
-        f"--threads 1 vs default)"
+        f"byte-identical JSON excluding timing across repeated runs)"
     )

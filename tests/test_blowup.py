@@ -252,8 +252,8 @@ def test_experiment_mean_and_variance_bounds():
 def test_experiment_is_bit_reproducible():
     g = cycle_graph(4)
     w = uniform_half_weights(g)
-    s1 = concentration_experiment(g, w, (1, 2, 1, 2), 4, 50, seed=77, threads=1)
-    s2 = concentration_experiment(g, w, (1, 2, 1, 2), 4, 50, seed=77, threads=4)
+    s1 = concentration_experiment(g, w, (1, 2, 1, 2), 4, 50, seed=77)
+    s2 = concentration_experiment(g, w, (1, 2, 1, 2), 4, 50, seed=77)
     assert s1.samples == s2.samples
     assert s1.to_json_dict() == s2.to_json_dict()
 

@@ -72,18 +72,25 @@ def test_backend_is_exact_or_log_and_only_where_weights_are_read(capsys, files):
     assert "--backend" in capsys.readouterr().err
 
 
-def test_threads_help_names_the_commands_that_use_it(capsys):
-    for argv, used in (
-        (["bound"], "ignored"),
-        (["compute"], "ignored"),
-        (["listhom"], "ignored"),
-        (["ising"], "ignored"),
-        (["blowup"], "worker threads"),
-    ):
+def test_threads_flag_is_rejected_by_every_subcommand(capsys, files):
+    cfg = files["tmp"] / "campaign.cfg"
+    cfg.write_text("source = biregular\nn_max = 4\nbounds = thm3\ntrials = 1\n")
+    commands = [
+        ["compute", files["c4"], files["uniform"]],
+        ["bound", "ind", files["c6"]],
+        ["listhom", files["c6"], files["k3"]],
+        ["ising", files["c4"], "--beta", "0.5"],
+        ["blowup", files["c4"], files["half4"], "--scale", "2", "--trials", "2"],
+        ["search", cfg],
+    ]
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv] + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            main(argv + ["--help"])
-        text = " ".join(capsys.readouterr().out.split())
-        assert used in text[text.rindex("--threads THREADS") :].split(" --seed")[0]
+            main([argv[0], "--help"])
+        assert "--threads" not in capsys.readouterr().out
 
 
 def test_compute_missing_file_exits_2(capsys, files):
@@ -249,5 +256,3 @@ def test_every_subcommand_is_deterministic(capsys, files):
         code2, doc2 = _canonical(capsys, argv)
         assert code1 == code2 == 0
         assert doc1 == doc2
-        code3, doc3 = _canonical(capsys, list(argv) + ["--threads", "1"])
-        assert doc3 == doc1

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from spinz.graphs import (
     path_graph,
 )
 from spinz.harness import WEIGHT_STYLES, sample_weights
-from spinz.util import parallel_map
 from spinz.values import Backend, NonNegValue, log_of_fraction
 from spinz.weights import (
     WeightParseError,
@@ -319,6 +319,28 @@ def test_restrictions_and_bounds_never_clear(monkeypatch):
     assert calls == []
 
 
+def test_build_clears_each_run_of_equal_tables_once(monkeypatch):
+    g = path_graph(5)
+    values = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
+    edge = {(u, v, 1, 2): x for (u, v), x in zip(g.edges, values)}
+    calls = []
+    real = weights_mod._clear
+
+    def counting_clear(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights_mod, "_clear", counting_clear)
+    w = WeightSystem.build(g, 2, edge=edge)
+    assert len(calls) == g.n + 3  # every row, then one per run of equal tables
+    _, tables = w.cleared()
+    first, second, third, fourth = (tables[e] for e in g.edges)
+    assert second is first and fourth is not first and fourth == first
+    for (u, v), x in zip(g.edges, values):
+        assert w.edge_weight(v, u, 2, 1).fraction == x
+        assert w.edge_weight(u, v, 1, 1).fraction == 1
+
+
 def _uniform_by_value(w):
     """The uniform-table check by NonNegValue comparison over every edge."""
     tables = [w.edge_table(*e) for e in w.edges()]
@@ -379,18 +401,20 @@ def test_threads_racing_on_a_fresh_system_agree():
     reports = [vertex_restriction_bound(g, sample_weights(g, 3, seed=6, cap=9)) for _ in (1, 2)]
     assert reports[0].to_json_dict() == reports[1].to_json_dict()
 
-    def factors(w, threads):
-        edges = list(g.edges) * 4
-        return parallel_map(lambda e: partition_kab(restrict_to_edge(g, w, *e)).fraction, edges, threads)
+    def factor(w, e):
+        return partition_kab(restrict_to_edge(g, w, *e)).fraction
 
-    serial = factors(sample_weights(g, 2, seed=7, cap=9, style="uniform_edge"), 1)
+    edges = list(g.edges) * 4
+    w = sample_weights(g, 2, seed=7, cap=9, style="uniform_edge")
+    serial = [factor(w, e) for e in edges]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             # a fresh system, so the threads race to work out its uniform table
             w = sample_weights(g, 2, seed=7, cap=9, style="uniform_edge")
-            assert factors(w, 8) == serial
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(lambda e: factor(w, e), edges)) == serial
     finally:
         sys.setswitchinterval(old)
 
