@@ -35,7 +35,6 @@ from .counting import (
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
-    LogRangeError,
     count_list_homs,
     independent_set_count,
     parse_cover_family,

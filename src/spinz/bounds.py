@@ -21,7 +21,7 @@ Registered bound names (the CLI and campaign tokens):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -401,16 +401,7 @@ class FreeEnergyReport:
     in_bounds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "beta": self.beta,
-            "log_z": self.log_z,
-            "free_energy": self.free_energy,
-            "lower": self.lower,
-            "upper": self.upper,
-            "in_bounds": self.in_bounds,
-        }
+        return asdict(self)
 
 
 def ising_free_energy_check(g: Graph, beta: float, budget: int = DEFAULT_BUDGET) -> FreeEnergyReport:

@@ -7,9 +7,8 @@ factor; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
 variable elimination over ``np.einsum``, planned in full and checked
 against the budget before it contracts anything.  So do list-homomorphism
 counts (0/1 list rows, adjacency-matrix edge tables) and the
-covering-family sums of thm5, whose LOG form runs the same plan in the
-log domain.  One call can contract a batch of instances of one structure,
-such as the K_{a,b} restrictions of a bound.
+covering-family sums of thm5.  One call can contract a batch of
+instances of one structure, such as the K_{a,b} restrictions of a bound.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -17,8 +16,8 @@ an EXACT weight system stores (``WeightSystem.cleared``), shared with
 every K_{a,b} restriction taken from it, so no kernel converts a weight.
 Log-backend weights are the floats a LOG system stores, contracted
 max-shifted with the shifts carried in the log domain; a contraction
-that would lose terms to float64 underflow raises ``LogRangeError``
-instead.
+that would lose terms to float64 underflow runs its plan in the log
+domain instead (``_log_elimination``), so float range never stops one.
 """
 
 from __future__ import annotations
@@ -63,16 +62,6 @@ class BudgetError(ValueError):
         super().__init__(
             f"enumeration cost {cost} exceeds budget {budget}; "
             "raise --budget or shrink the instance"
-        )
-
-
-class LogRangeError(ValueError):
-    """A log-backend contraction would underflow float64 and lose terms."""
-
-    def __init__(self):
-        super().__init__(
-            "log-backend weights span more than float64 holds at one "
-            "elimination step (about 700 nats); direct enumeration is needed"
         )
 
 
@@ -215,8 +204,10 @@ def contract(
     it is zero; each table and each intermediate is divided by its
     maximum, so sums far outside the float range stay finite.  A
     nonzero entry that falls below the float64 range after that shift
-    would be lost, so it raises ``LogRangeError`` instead: every log
-    result is within float rounding of the exact sum.
+    would be lost, so the whole call then runs in the log domain
+    (``_log_elimination``), whose cost, the largest step label space,
+    is checked against the budget first: every log result is within
+    float rounding of the exact sum.
 
     With ``batch`` = B it sums B instances of one structure and returns
     a list of B results: a table with one more axis than its variables
@@ -280,7 +271,7 @@ def contract(
                 else:
                     arr = arr - top
                 if arr.min() < _LOG_TINY and (arr[arr < _LOG_TINY] > NEG_INF).any():
-                    raise LogRangeError()
+                    return _log_elimination(sizes, factors, budget, batch)
                 shifts[id(tensors[k])] = top, np.exp(arr)
             top, tensors[k] = shifts[id(tensors[k])]
             total = total + top
@@ -299,6 +290,8 @@ def contract(
             part = [t[lo : lo + n] if b else t for t, b in zip(tensors, stacked)]
             shift = total[lo : lo + n] if np.ndim(total) else total
         shift, last = _run(steps, part, shift, log, dtype, n)
+        if shift is None:  # a LOG step underflowed
+            return _log_elimination(sizes, factors, budget, batch)
         if log:
             out += shift.tolist() if np.ndim(shift) else [shift] * n
         elif last is None or last.ndim == 0:  # every table was shared
@@ -310,7 +303,8 @@ def contract(
 
 def _run(steps, tensors, total, log, dtype, n):
     """Run a plan's steps on its tensors (n instances); return the LOG
-    shift carried so far and the last tensor (None if none)."""
+    shift carried so far and the last tensor (None if none), or
+    (None, None) if a LOG step would lose a nonzero term to underflow."""
     blas = not log and dtype is np.float64
     for operands, out, terms, cells in steps:
         optimize = blas and cells * n >= _BLAS_MIN_CELLS and len(operands) > 1
@@ -325,7 +319,7 @@ def _run(steps, tensors, total, log, dtype, n):
             if result.min() < floor:
                 live = _einsum({i: tensors[i] > 0 for i, _ in operands}, operands, out)
                 if (live & (result < floor)).any():
-                    raise LogRangeError()
+                    return None, None
             if result.ndim < len(out):  # no batch axis: one shift for every instance
                 top = float(result.max())
                 if top == 0.0:
@@ -342,35 +336,42 @@ def _run(steps, tensors, total, log, dtype, n):
     return total, tensors[-1] if tensors else None
 
 
-def _log_elimination(sizes: Sequence[int], factors, budget: int) -> float:
+def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | None = None):
     """``contract``'s LOG sum with every step in the log domain: a step adds
     its operands' logs over its label space and log-sum-exps the eliminated
     variable out, so no term underflows however far the logs spread.
-    Slower than ``contract``.  The cost is the largest step label space."""
-    if 0 in sizes:
-        return NEG_INF
+    Tables are batched as in ``contract``.  Slower than ``contract``.  The
+    cost is the largest step label space, checked before any step runs; a
+    batch runs in chunks of budget // cost instances."""
     free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
     cost = max([cells for *_, cells in steps], default=1)
     if cost > budget:
         raise BudgetError(cost, budget)
     tensors = [np.asarray(table, dtype=np.float64) for _, table in factors]
-    for operands, (_, *out), _, _ in steps:
-        space = sorted({x for _, (_, *labels) in operands for x in labels})
-        full = sum(  # each operand over the whole label space, axes in label order
-            np.expand_dims(
-                tensors[i].transpose(np.argsort(labels)),
-                [k for k, x in enumerate(space) if x not in labels],
+    # every tensor leads with a batch axis, of length 1 when it is shared
+    tensors = [t if t.ndim > len(v) else t[None] for t, (v, _) in zip(tensors, factors)]
+    n_all, chunk, out = 1 if batch is None else batch, budget // cost, []
+    for lo in range(0, n_all, chunk):
+        part = [t[lo : lo + chunk] if len(t) > 1 else t for t in tensors]
+        for operands, (_, *out_labels), _, _ in steps:
+            space = sorted({x for _, (_, *labels) in operands for x in labels})
+            full = sum(  # each operand over the whole label space, axes in label order
+                np.expand_dims(
+                    part[i].transpose(0, *(np.argsort(labels) + 1)),
+                    [k + 1 for k, x in enumerate(space) if x not in labels],
+                )
+                for i, (_, *labels) in operands
             )
-            for i, (_, *labels) in operands
-        )
-        gone = tuple(k for k, x in enumerate(space) if x not in out)
-        top = full.max(axis=gone, keepdims=True)
-        top = np.where(top == NEG_INF, 0.0, top)
-        with np.errstate(divide="ignore"):
-            full = np.log(np.exp(full - top).sum(axis=gone)) + top.squeeze(axis=gone)
-        kept = [x for x in space if x in out]
-        tensors.append(full.transpose([kept.index(x) for x in out]))
-    return math.log(free) + (float(tensors[-1]) if tensors else 0.0)
+            gone = tuple(k + 1 for k, x in enumerate(space) if x not in out_labels)
+            top = full.max(axis=gone, keepdims=True)
+            top = np.where(top == NEG_INF, 0.0, top)
+            with np.errstate(divide="ignore"):
+                full = np.log(np.exp(full - top).sum(axis=gone)) + top.squeeze(axis=gone)
+            kept = [x for x in space if x in out_labels]
+            part.append(full.transpose(0, *[kept.index(x) + 1 for x in out_labels]))
+        last = part[-1] if part else np.zeros(1)
+        out += np.broadcast_to(math.log(free) + last, (min(chunk, n_all - lo),)).tolist()
+    return out[0] if batch is None else out
 
 
 def _int_tables(w: WeightSystem):
@@ -434,16 +435,10 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     Always equal to ``partition_brute``: exactly on the EXACT backend,
     up to float rounding on the LOG backend.  Both read the rows and
     tables the system stores, which a restriction shares with its parent.
-    LOG weights whose products leave the float64 range go to
-    ``partition_brute`` when the budget covers m^n, and raise
-    ``LogRangeError`` otherwise.
+    LOG weights whose products leave the float64 range are summed in the
+    log domain, where the budget bounds each step's label space.
     """
-    try:
-        return _partitions(g, [w], budget)[0]
-    except LogRangeError:
-        if w.m ** g.n > budget:
-            raise
-        return partition_brute(g, w, budget)
+    return _partitions(g, [w], budget)[0]
 
 
 def _count_vectors(side: Sequence[tuple], units: Sequence[int]) -> dict:
@@ -524,8 +519,7 @@ def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDG
     of count vectors, polynomial in min(a, b)) the budget bounds.  The
     others are one batch of ``_partitions`` (largest tensor m^min(a,b))
     over the rows and tables the restrictions share with their parent; a
-    LOG batch that would underflow is redone one by one through
-    ``partition_function``.
+    LOG batch that would underflow is summed in the log domain as a whole.
     """
     out, items, uniform, rest = [None] * len(insts), [], [], []
     for k, inst in enumerate(insts):
@@ -541,11 +535,7 @@ def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDG
     for (k, scale), z in zip(uniform, uniform_kab_sums(items, budget)):
         out[k] = NonNegValue.exact(Fraction(z, scale))
     if rest:
-        g, ws = insts[rest[0]].graph, [insts[k].weights for k in rest]
-        try:
-            zs = _partitions(g, ws, budget)
-        except LogRangeError:
-            zs = [partition_function(g, w, budget) for w in ws]
+        zs = _partitions(insts[rest[0]].graph, [insts[k].weights for k in rest], budget)
         for k, z in zip(rest, zs):
             out[k] = z
     return out
@@ -690,14 +680,16 @@ def cover_sums(
     c_v depends on x only through N(v) & A, so a sum is one contraction
     of A's list rows and one c_v table per v in B (an einsum of L(v)
     against those adjacency rows); pairs of one shape are one batch.  An
-    integer exponent gives exact values.  Any other gives LOG values,
-    summed pair by pair in the log domain over the tables exponent * log
-    c_v (``_log_elimination``), since those tables can span more than
+    integer exponent gives exact values.  Any other gives LOG values, a
+    LOG contraction of the logged rows and the tables exponent * log c_v,
+    which finishes in the log domain when those tables span more than
     float64 holds.  The budget bounds every table and the plan.
     """
     exact = exponent.denominator == 1
     rows = list_indicators(h, lists)
     adj = _adjacency(h)
+    with np.errstate(divide="ignore"):
+        a_rows = rows if exact else np.log(rows)
     shapes: dict[tuple, list] = {}
     for k, (a_set, b_set) in enumerate(pairs):
         a_sorted = sorted(a_set)
@@ -710,7 +702,7 @@ def cover_sums(
         for scope in scopes:
             if h.n ** len(scope) > budget:
                 raise BudgetError(h.n ** len(scope), budget)
-        factors = [((i,), rows[[a[i] for _, a, _ in members]]) for i in range(size)]
+        factors = [((i,), a_rows[[a[i] for _, a, _ in members]]) for i in range(size)]
         maxima = [1] * size
         for j, scope in enumerate(scopes):
             operands = [rows[[b[j] for _, _, b in members]], [..., 0]]
@@ -722,17 +714,12 @@ def cover_sums(
                 if maxima[-1] >= _INT64_LIMIT:
                     counts = counts.astype(object)
                 counts = counts ** exponent.numerator
+            else:
+                with np.errstate(divide="ignore"):
+                    counts = np.log(counts) * float(exponent)
             factors.append((scope, counts))
-        if exact:
-            sums = contract([h.n] * size, factors, budget, Backend.EXACT, maxima, len(members))
-        else:  # pair by pair in the log domain, each x(u) within L(u)
-            with np.errstate(divide="ignore"):
-                logs = [(sc, np.log(t) * float(exponent)) for sc, t in factors[size:]]
-            sums = []
-            for m, (_, a, _) in enumerate(members):
-                doms = [lists[u] for u in a]
-                tables = [(sc, t[m][np.ix_(*[doms[i] for i in sc])]) for sc, t in logs]
-                sums.append(_log_elimination([len(d) for d in doms], tables, budget))
+        backend = Backend.EXACT if exact else Backend.LOG
+        sums = contract([h.n] * size, factors, budget, backend, maxima, len(members))
         for (k, _, _), z in zip(members, sums):
             out[k] = NonNegValue.exact(z) if exact else NonNegValue.from_log(z)
     return out
@@ -783,22 +770,28 @@ def parse_cover_family(text: str) -> CoverFamilyPair:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "t":
-            if len(parts) != 3:
+        directive, *fields = line.split()
+        if directive not in ("t", "A", "B"):
+            raise ValueError(f"line {lineno}: unknown directive {directive!r}")
+        try:
+            ids = [int(p) for p in fields]
+        except ValueError:
+            raise ValueError(f"line {lineno}: {directive} takes integers") from None
+        if directive == "t":
+            if len(ids) != 2:
                 raise ValueError(f"line {lineno}: expected 't <t1> <t2>'")
-            t1, t2 = int(parts[1]), int(parts[2])
-        elif parts[0] == "A":
+            if t1 is not None:
+                raise ValueError(f"line {lineno}: duplicate 't' header")
+            t1, t2 = ids
+        elif directive == "A":
             if pending_a is not None:
                 raise ValueError(f"line {lineno}: A line without a matching B line")
-            pending_a = frozenset(int(p) for p in parts[1:])
-        elif parts[0] == "B":
+            pending_a = frozenset(ids)
+        else:
             if pending_a is None:
                 raise ValueError(f"line {lineno}: B line without a preceding A line")
-            pairs.append((pending_a, frozenset(int(p) for p in parts[1:])))
+            pairs.append((pending_a, frozenset(ids)))
             pending_a = None
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if t1 is None or t2 is None:
         raise ValueError("missing 't <t1> <t2>' header")
     if pending_a is not None:

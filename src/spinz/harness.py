@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -453,17 +453,7 @@ class BoundAggregate:
     min_witness: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "holds": self.holds,
-            "inconclusive": self.inconclusive,
-            "equalities": self.equalities,
-            "errors": self.errors,
-            "error_samples": self.error_samples,
-            "violations": self.violations,
-            "min_log_slack": self.min_log_slack,
-            "min_witness": self.min_witness,
-        }
+        return asdict(self)
 
 
 @dataclass

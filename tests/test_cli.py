@@ -176,6 +176,16 @@ def test_listhom_with_lists_file(capsys, files):
     assert 0 < doc["count"] < 66
 
 
+def test_ising_past_the_float_range(capsys, files):
+    # every edge table spans 800 nats at beta = 400
+    path = files["tmp"] / "c30.graph"
+    path.write_text(cycle_graph(30).to_text())
+    code, doc = run_cli(capsys, "ising", path, "--beta", "400")
+    assert code == 0
+    want = 30 * math.log(2 * math.cosh(400.0)) + math.log1p((-math.tanh(400.0)) ** 30)
+    assert doc["log_z"] == pytest.approx(want, rel=1e-12)
+
+
 def test_ising_report(capsys, files):
     code, doc = run_cli(capsys, "ising", files["c4"], "--beta", "1.0")
     assert code == 0

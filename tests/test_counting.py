@@ -25,7 +25,6 @@ from spinz.counting import (
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
-    LogRangeError,
     contract,
     count_list_homs,
     count_list_homs_batch,
@@ -52,7 +51,7 @@ from spinz.graphs import (
 )
 from spinz.harness import sample_weights
 from spinz.values import Backend
-from spinz.weights import WeightSystem, make_hardcore, make_ising, restrict_to_kab
+from spinz.weights import WeightSystem, make_hardcore, make_ising, restrict_to_edge, restrict_to_kab
 from spinz.graphs import certify_biregular
 
 
@@ -309,16 +308,45 @@ def test_log_backend_never_loses_terms_to_underflow():
     g = cycle_graph(3)
     w = make_ising(g, 400, 0)
     assert partition_function(g, w).log() == pytest.approx(400 + math.log(6), rel=1e-12)
-    with pytest.raises(LogRangeError):  # the plan fits, direct enumeration does not
+    with pytest.raises(BudgetError, match="8 exceeds budget 4"):  # the plan fits, no log-domain step
         partition_function(g, w, budget=4)
     # every table spans 400 nats, but both products of all four are e^-800
     tables = ([0.0, -400.0], [-400.0, 0.0], [-400.0, 0.0], [0.0, -400.0])
-    with pytest.raises(LogRangeError):
-        contract([2], [((0,), t) for t in tables], DEFAULT_BUDGET, Backend.LOG)
+    z = contract([2], [((0,), t) for t in tables], DEFAULT_BUDGET, Backend.LOG)
+    assert z == pytest.approx(-800 + math.log(2), rel=1e-12)
     # hard zeros are not underflow: no enumeration could run on C_4 x C_12
     g = _torus(4, 12)
     logz = partition_function(g, make_hardcore(g, 1).to_log(), budget=2 ** 12).log()
     assert logz == pytest.approx(math.log(c4_torus_independent_sets(12)), rel=1e-12)
+
+
+def test_underflowing_log_hypercube_needs_no_enumeration():
+    # Q_4 at beta = 400: the two proper colourings carry e^12800, every
+    # other configuration at least 800 nats less.  2^16 configurations
+    # exceed the budget, so no enumeration can have run.
+    g = hypercube_graph(4)
+    z = partition_function(g, make_ising(g, 400, 0), budget=2 ** 10)
+    assert z.log() == pytest.approx(12800 + math.log(2), rel=1e-12)
+
+
+def test_underflowing_log_cycle_matches_transfer_matrix():
+    k, beta = 30, 400.0
+    want = k * math.log(2 * math.cosh(beta)) + math.log1p((-math.tanh(beta)) ** k)
+    g = cycle_graph(k)
+    assert partition_function(g, make_ising(g, beta, 0)).log() == pytest.approx(want, rel=1e-12)
+
+
+def test_underflowing_log_kab_batch_matches_enumeration():
+    g = cycle_graph(8)
+    rows = [(0.3 * v, -0.3 * v) for v in range(g.n)]  # a field that differs at every vertex
+    w = WeightSystem(2, g.n, Backend.LOG, rows, make_ising(g, 400, 0).logs()[1])
+    insts = [restrict_to_edge(g, w, u, v) for u, v in g.edges]
+    assert {(inst.a, inst.b) for inst in insts} == {(2, 2)}
+    wants = [partition_brute(inst.graph, inst.weights).log() for inst in insts]
+    # a log-domain step spans 8 cells, so a budget of 16 runs two instances at a time
+    for budget in (DEFAULT_BUDGET, 16):
+        zs = partition_kab_batch(insts, budget)
+        assert [z.log() for z in zs] == pytest.approx(wants, rel=1e-12)
 
 
 def test_independent_set_count_matches_enumeration():
@@ -477,6 +505,21 @@ def test_cover_family_parse():
     assert fam.pairs[0] == (frozenset({0, 2}), frozenset({1}))
     with pytest.raises(ValueError, match="matching B"):
         parse_cover_family("t 1 1\nA 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t 2 x\nA 0\nB 1\n", "line 1: t takes integers"),
+        ("t 1 1\nA 0 x\nB 1\n", "line 2: A takes integers"),
+        ("t 1 1\nA 0\n# note\nB 1.5\n", "line 4: B takes integers"),
+        ("t 1 1\nA 0\nB 1\nt 2 2\n", "line 4: duplicate 't' header"),
+        ("t 1 1\nC 0\n", "line 2: unknown directive 'C'"),
+    ],
+)
+def test_parse_cover_family_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_cover_family(text)
 
 
 # Large exact float64 steps go through BLAS (einsum's optimize=True).
