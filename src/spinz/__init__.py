@@ -1,7 +1,7 @@
 """spinz: exact partition functions of weighted spin systems on graphs,
 complete-bipartite upper bounds, and a randomized blow-up lab."""
 
-from .values import Backend, NonNegValue, PowerProduct, compare_product, compare_value_vs_product
+from .values import Backend, NonNegValue, PowerProduct, compare_product
 from .graphs import (
     Bipartition,
     BiregularCert,
@@ -52,7 +52,6 @@ from .bounds import (
     cover_family_report,
     cover_family_value,
     edge_restriction_bound,
-    independent_set_bounds,
     independent_set_edge_bound,
     independent_set_regular_bound,
     ising_free_energy_check,

@@ -7,7 +7,8 @@ decided in rational arithmetic by clearing exponent denominators; a
 VIOLATED verdict is only ever produced on that path.  LOG-backend
 apparent violations are reported INCONCLUSIVE, never VIOLATED.
 
-Registered bound names (the CLI and campaign tokens):
+Registered bound names (the CLI and campaign tokens; ``BOUND_INPUTS``
+says what each reads and ``evaluate_bound`` evaluates any of them):
 
     thm3     per-vertex restriction bound for (a,b)-biregular weighted systems
     thm4     per-vertex restriction bound for list homomorphism counts
@@ -35,6 +36,7 @@ from .counting import (
     count_list_homs_batch,
     cover_sums,
     edge_kab_partitions,
+    edges_by_degree_pair,
     independent_set_count,
     list_indicators,
     partition_function,
@@ -48,13 +50,23 @@ from .values import (
     NonNegValue,
     PowerProduct,
     compare_product,
-    compare_value_vs_product,
 )
 from .weights import WeightSystem, _kab_layout, make_ising, restrict_to_kab
 
 LOG_REL_TOL = 1e-9
 
-BOUND_NAMES = ("thm3", "thm4", "thm5", "conj1", "conj2", "ind", "indconj")
+# What each bound reads besides the graph: a weight system, a target
+# graph with lists, or nothing.  ``evaluate_bound`` takes exactly these.
+BOUND_INPUTS = {
+    "thm3": "weights",
+    "thm4": "target",
+    "thm5": "target",
+    "conj1": "weights",
+    "conj2": "target",
+    "ind": None,
+    "indconj": None,
+}
+BOUND_NAMES = tuple(BOUND_INPUTS)
 
 
 class Verdict(str, Enum):
@@ -134,7 +146,7 @@ def finish_report(
     else:
         slack = rhs_log - lhs_log
     if backend is Backend.EXACT:
-        cmp = compare_value_vs_product(lhs, rhs)
+        cmp = compare_product(((lhs, Fraction(1)),), rhs.factors)
         if cmp == 0:
             slack = 0.0
         verdict = Verdict.HOLDS if cmp <= 0 else Verdict.VIOLATED
@@ -254,6 +266,20 @@ def cover_family_value(
     return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
 
 
+def neighbourhood_family(g: Graph) -> CoverFamilyPair:
+    """The neighbourhoods-and-singletons family of a biregular graph: the
+    A's are the neighbourhoods of the degree-b vertices, the B's those
+    vertices as singletons, t1 = a, t2 = 1."""
+    cert = _certify(g)
+    return CoverFamilyPair(
+        pairs=tuple(
+            (frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd)
+        ),
+        t1=cert.a,
+        t2=1,
+    )
+
+
 def cover_family_report(
     g: Graph,
     h: Graph,
@@ -275,6 +301,13 @@ def _require_min_degree(g: Graph) -> None:
             raise GraphError(f"vertex {v} is isolated; per-edge bounds need degree >= 1")
 
 
+def _per_edge_rhs(g: Graph, factors) -> PowerProduct:
+    """The product of the edges' factors (in edge order), the factor of
+    uv raised to 1/(d(u)d(v))."""
+    exponents = [Fraction(1, g.degree(u) * g.degree(v)) for u, v in g.edges]
+    return PowerProduct(tuple(zip(factors, exponents)))
+
+
 def edge_restriction_bound(
     g: Graph,
     w: WeightSystem,
@@ -288,13 +321,7 @@ def edge_restriction_bound(
     """
     _require_min_degree(g)
     lhs = partition_function(g, w, budget)
-    factors = edge_kab_partitions(g, w, budget)
-    rhs = PowerProduct(
-        tuple(
-            (z, Fraction(1, g.degree(u) * g.degree(v)))
-            for (u, v), z in zip(g.edges, factors)
-        )
-    )
+    rhs = _per_edge_rhs(g, edge_kab_partitions(g, w, budget))
     return finish_report("conj1", lhs, rhs, g.sha(), w.sha())
 
 
@@ -311,22 +338,14 @@ def list_edge_restriction_bound(
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    groups: dict[tuple[int, int], list] = {}
-    for u, v in g.edges:
-        groups.setdefault((g.degree(u), g.degree(v)), []).append((u, v))
     rows = list_indicators(h, lists)
     counts = {}
-    for (a, b), edges in groups.items():
+    for (a, b), edges in edges_by_degree_pair(g).items():
         # w-side vertex j of K_{d(u),d(v)} takes L(n_j(v)), z-side j L(n_j(u))
         kab, _, _ = _kab_layout(a, b)
         sources = np.array([(*g.neighbors(v), *g.neighbors(u)) for u, v in edges])
         counts.update(zip(edges, count_list_homs_batch(kab, h, rows[sources], budget)))
-    rhs = PowerProduct(
-        tuple(
-            (NonNegValue.exact(counts[u, v]), Fraction(1, g.degree(u) * g.degree(v)))
-            for u, v in g.edges
-        )
-    )
+    rhs = _per_edge_rhs(g, [NonNegValue.exact(counts[e]) for e in g.edges])
     return finish_report(
         "conj2", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )
@@ -363,26 +382,46 @@ def independent_set_edge_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundR
     |I(G)| <= prod_uv (2^d(u) + 2^d(v) - 1)^(1/(d(u)d(v)))."""
     _require_min_degree(g)
     lhs = NonNegValue.exact(independent_set_count(g, budget))
-    rhs = PowerProduct(
-        tuple(
-            (
-                NonNegValue.exact(kab_independent_sets(g.degree(u), g.degree(v))),
-                Fraction(1, g.degree(u) * g.degree(v)),
-            )
-            for u, v in g.edges
-        )
+    rhs = _per_edge_rhs(
+        g,
+        [NonNegValue.exact(kab_independent_sets(g.degree(u), g.degree(v))) for u, v in g.edges],
     )
     return finish_report("indconj", lhs, rhs, g.sha(), sha256_text("independent-sets"))
 
 
-def independent_set_bounds(g: Graph, budget: int = DEFAULT_BUDGET):
-    """Both independent-set bounds; the regular-bipartite one is None when
-    its precondition fails."""
-    try:
-        regular = independent_set_regular_bound(g, budget)
-    except GraphError:
-        regular = None
-    return regular, independent_set_edge_bound(g, budget)
+def evaluate_bound(
+    name: str,
+    g: Graph,
+    weights: WeightSystem | None = None,
+    target: Graph | None = None,
+    lists: ListAssignment | None = None,
+    family: CoverFamilyPair | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> BoundReport:
+    """Evaluate the named bound on g with the inputs ``BOUND_INPUTS``
+    says it reads; the others are ignored.  Lists default to full lists
+    and thm5's family to ``neighbourhood_family(g)``.  Raises ValueError
+    for an unknown name or a missing input."""
+    if name not in BOUND_INPUTS:
+        raise ValueError(f"unknown bound name {name!r}")
+    reads = BOUND_INPUTS[name]
+    # evaluators are looked up at call time, so a wrapped one is the one called
+    if reads is None:
+        fn = independent_set_regular_bound if name == "ind" else independent_set_edge_bound
+        return fn(g, budget)
+    if reads == "weights":
+        if weights is None:
+            raise ValueError(f"bound {name} needs weights")
+        fn = vertex_restriction_bound if name == "thm3" else edge_restriction_bound
+        return fn(g, weights, budget)
+    if target is None:
+        raise ValueError(f"bound {name} needs a target graph")
+    lists = ListAssignment.full(g, target) if lists is None else lists
+    if name == "thm5":
+        family = neighbourhood_family(g) if family is None else family
+        return cover_family_report(g, target, lists, family, budget)
+    fn = list_vertex_restriction_bound if name == "thm4" else list_edge_restriction_bound
+    return fn(g, target, lists, budget)
 
 
 @dataclass(frozen=True)

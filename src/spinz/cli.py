@@ -60,6 +60,10 @@ def _load_weights(path: str, g: Graph) -> WeightSystem:
     return parse_weights(_read_file(path, "weights"), g)
 
 
+def _load_lists(path: str | None, g: Graph, h: Graph) -> ListAssignment:
+    return parse_lists(_read_file(path, "lists"), g, h) if path else ListAssignment.full(g, h)
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = dump_json(doc)
     if out:
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="weight file (thm3, conj1)")
     p.add_argument("--target", help="target graph file (thm4, thm5, conj2)")
     p.add_argument("--lists", help="list file; defaults to full lists")
-    p.add_argument("--families", help="cover family file (thm5)")
+    p.add_argument("--families", help="cover family file (thm5; default the neighbourhood family)")
     _add_backend(p)
     _add_common(p)
 
@@ -153,40 +157,21 @@ def _cmd_compute(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = _load_graph(args.graph)
-    name = args.name
-    budget = args.budget
-    if name in ("thm3", "conj1"):
+    reads = bounds_mod.BOUND_INPUTS[args.name]
+    inputs = {}
+    if reads == "weights":
         if not args.weights:
-            raise CliError(f"bound {name} needs --weights")
+            raise CliError(f"bound {args.name} needs --weights")
         w = _load_weights(args.weights, g)
-        if args.backend == "log":
-            w = w.to_log()
-        if name == "thm3":
-            report = bounds_mod.vertex_restriction_bound(g, w, budget)
-        else:
-            report = bounds_mod.edge_restriction_bound(g, w, budget)
-    elif name in ("thm4", "conj2", "thm5"):
+        inputs["weights"] = w.to_log() if args.backend == "log" else w
+    elif reads == "target":
         if not args.target:
-            raise CliError(f"bound {name} needs --target")
-        h = _load_graph(args.target)
-        lists = (
-            parse_lists(_read_file(args.lists, "lists"), g, h)
-            if args.lists
-            else ListAssignment.full(g, h)
-        )
-        if name == "thm4":
-            report = bounds_mod.list_vertex_restriction_bound(g, h, lists, budget)
-        elif name == "conj2":
-            report = bounds_mod.list_edge_restriction_bound(g, h, lists, budget)
-        else:
-            if not args.families:
-                raise CliError("bound thm5 needs --families")
-            fam = parse_cover_family(_read_file(args.families, "families"))
-            report = bounds_mod.cover_family_report(g, h, lists, fam, budget)
-    elif name == "ind":
-        report = bounds_mod.independent_set_regular_bound(g, budget)
-    else:
-        report = bounds_mod.independent_set_edge_bound(g, budget)
+            raise CliError(f"bound {args.name} needs --target")
+        h = inputs["target"] = _load_graph(args.target)
+        inputs["lists"] = _load_lists(args.lists, g, h)
+        if args.families:
+            inputs["family"] = parse_cover_family(_read_file(args.families, "families"))
+    report = bounds_mod.evaluate_bound(args.name, g, budget=args.budget, **inputs)
     _emit(report.to_json_dict(), args.out)
     return _VERDICT_EXITS[report.verdict.value]
 
@@ -194,12 +179,7 @@ def _cmd_bound(args) -> int:
 def _cmd_listhom(args) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.target)
-    lists = (
-        parse_lists(_read_file(args.lists, "lists"), g, h)
-        if args.lists
-        else ListAssignment.full(g, h)
-    )
-    count = count_list_homs(g, h, lists, args.budget)
+    count = count_list_homs(g, h, _load_lists(args.lists, g, h), args.budget)
     _emit({"command": "listhom", "count": count}, args.out)
     return EXIT_OK
 

@@ -493,13 +493,26 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
     return out
 
 
+def edges_by_degree_pair(g: Graph) -> dict[tuple[int, int], list]:
+    """The edges uv of g grouped by (d(u), d(v)), each group in edge order."""
+    groups: dict[tuple[int, int], list] = {}
+    for u, v in g.edges:
+        groups.setdefault((g.degree(u), g.degree(v)), []).append((u, v))
+    return groups
+
+
 def edge_kab_partitions(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> list:
     """The partition function of ``restrict_to_edge(g, w, u, v)`` for every
     edge uv of g.  EXACT: one ``uniform_kab_sums`` call over the stored
     rows and table, with the DP over the smaller of N(u) and N(v), so one
-    DP serves every edge at a vertex.  LOG: ``partition_kab`` per edge."""
+    DP serves every edge at a vertex.  LOG: one ``partition_kab_batch`` per
+    degree pair (d(u), d(v))."""
     if w.backend is Backend.LOG or not g.edges:  # an edgeless g has no table to share
-        return [partition_kab(restrict_to_edge(g, w, u, v), budget) for u, v in g.edges]
+        zs = {}
+        for edges in edges_by_degree_pair(g).values():
+            insts = [restrict_to_edge(g, w, u, v) for u, v in edges]
+            zs.update(zip(edges, partition_kab_batch(insts, budget)))
+        return [zs[e] for e in g.edges]
     rows, tables = w.cleared()
     table, den, _ = tables[uniform_edge(w)]
     sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]

@@ -13,27 +13,21 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (
+    BOUND_INPUTS,
     BOUND_NAMES,
     BoundReport,
     Verdict,
-    edge_restriction_bound,
-    independent_set_edge_bound,
-    independent_set_regular_bound,
-    list_edge_restriction_bound,
-    list_vertex_restriction_bound,
-    cover_family_report,
-    vertex_restriction_bound,
+    evaluate_bound,
 )
 from .counting import (
     DEFAULT_BUDGET,
-    CoverFamilyPair,
     ListAssignment,
     parse_lists,
 )
@@ -41,7 +35,6 @@ from .graphs import (
     Graph,
     GraphError,
     bipartition,
-    certify_biregular,
     is_connected,
     parse_graph,
 )
@@ -367,9 +360,10 @@ def sample_list_assignment(g: Graph, h: Graph, seed: int) -> ListAssignment:
 class CampaignConfig:
     """Configuration of one bulk evaluation run.
 
-    Read from a key-value file (``key = value`` per line, # comments):
-    source (biregular|general|files), files (semicolon-separated paths),
-    n_max, a, b, max_degree, connected (true/false), m, cap, allow_zero,
+    Read from a key-value file (``key = value`` per line, each key once,
+    # comments on their own lines): source (biregular|general|bipartite|
+    files), files (semicolon-separated paths), n_max, a, b, max_degree,
+    connected and allow_zero (true/false, yes/no or 1/0, any case), m, cap,
     weights (general|uniform_edge|hardcore), bounds (comma-separated
     names), trials (samples per graph), seed, h_max, budget, out.
     """
@@ -404,31 +398,34 @@ class CampaignConfig:
             raise ValueError(f"unknown graph source {self.source!r}")
 
     def to_json_dict(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
-        return doc
+        return asdict(self)  # tuples render as JSON lists
+
+
+_CONFIG_INTS = {"n_max", "a", "b", "max_degree", "m", "cap", "trials", "seed", "h_max", "budget"}
+_CONFIG_BOOLS = {"connected", "allow_zero"}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_campaign_config(text: str) -> CampaignConfig:
-    raw: dict = {}
+    kwargs: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-    kwargs: dict = {}
-    ints = {"n_max", "a", "b", "max_degree", "m", "cap", "trials", "seed", "h_max", "budget"}
-    bools = {"connected", "allow_zero"}
-    for key, value in raw.items():
-        if key in ints:
-            kwargs[key] = int(value)
-        elif key in bools:
-            kwargs[key] = value.lower() in ("1", "true", "yes")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in kwargs:
+            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+        if key in _CONFIG_INTS:
+            try:
+                kwargs[key] = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} takes an integer, got {value!r}") from None
+        elif key in _CONFIG_BOOLS:
+            if value.lower() not in _BOOL_WORDS:
+                raise ValueError(f"line {lineno}: {key} takes true/false/yes/no/1/0, got {value!r}")
+            kwargs[key] = _BOOL_WORDS[value.lower()]
         elif key == "bounds":
             kwargs[key] = tuple(x.strip() for x in value.split(",") if x.strip())
         elif key == "files":
@@ -436,7 +433,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
         elif key in ("source", "weights", "out"):
             kwargs[key] = value
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
     return CampaignConfig(**kwargs)
 
 
@@ -486,8 +483,8 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-def _witness_payload(report: BoundReport, g: Graph, extras: dict) -> dict:
-    doc = {
+def _witness_payload(report: BoundReport, g: Graph, extras: dict, gi: int, si: int) -> dict:
+    return {
         "bound": report.bound,
         "verdict": report.verdict.value,
         "backend": report.backend.value,
@@ -495,68 +492,36 @@ def _witness_payload(report: BoundReport, g: Graph, extras: dict) -> dict:
         "lhs_log": report.lhs_log,
         "rhs_log": report.rhs_log,
         "graph": g.to_text(),
+        **extras,
+        "graph_index": gi,
+        "sample_index": si,
     }
-    doc.update(extras)
-    return doc
 
 
 def recheck_witness(payload: dict, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Re-evaluate a serialized witness instance standalone, exactly."""
     g = parse_graph(payload["graph"])
-    name = payload["bound"]
-    if name in ("thm3", "conj1"):
-        w = parse_weights(payload["weights"], g)
-        fn = vertex_restriction_bound if name == "thm3" else edge_restriction_bound
-        return fn(g, w, budget)
-    if name in ("thm4", "conj2", "thm5"):
-        h = parse_graph(payload["target"])
-        lists = parse_lists(payload["lists"], g, h)
-        if name == "thm4":
-            return list_vertex_restriction_bound(g, h, lists, budget)
-        if name == "conj2":
-            return list_edge_restriction_bound(g, h, lists, budget)
-        return cover_family_report(g, h, lists, _canonical_cover_family(g), budget)
-    if name == "ind":
-        return independent_set_regular_bound(g, budget)
-    if name == "indconj":
-        return independent_set_edge_bound(g, budget)
-    raise ValueError(f"unknown bound name {name!r}")
-
-
-def _canonical_cover_family(g: Graph) -> CoverFamilyPair:
-    """The neighborhoods-and-singletons family: A's are the closed-in
-    neighborhoods of degree-b vertices, B's the singletons, t1 = a, t2 = 1."""
-    cert = certify_biregular(g, bipartition(g))
-    return CoverFamilyPair(
-        pairs=tuple(
-            (frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd)
-        ),
-        t1=cert.a,
-        t2=1,
-    )
+    inputs = {}
+    if "weights" in payload:
+        inputs["weights"] = parse_weights(payload["weights"], g)
+    if "target" in payload:
+        h = inputs["target"] = parse_graph(payload["target"])
+        inputs["lists"] = parse_lists(payload["lists"], g, h)
+    return evaluate_bound(payload["bound"], g, budget=budget, **inputs)
 
 
 def _evaluate_instance(cfg: CampaignConfig, g: Graph, gi: int, si: int):
     """Evaluate every configured bound on one (graph, sample) work item.
 
-    Returns a list of (bound, outcome) where outcome is either a
-    (report, extras) pair or an error string; bounds with no sampled
-    component run only at sample index 0.
+    Yields (bound, outcome) where outcome is either a (report, extras)
+    pair, extras holding the sampled inputs the bound reads as text, or
+    an error string.  Bounds that read nothing sampled run only at
+    sample index 0.
     """
-    results = []
-
-    def attempt(name, thunk, extras):
-        try:
-            results.append((name, (thunk(), extras)))
-        except (GraphError, ValueError) as exc:
-            results.append((name, str(exc)))
-
-    weight_bounds = [n for n in cfg.bounds if n in ("thm3", "conj1")]
-    hom_bounds = [n for n in cfg.bounds if n in ("thm4", "conj2", "thm5")]
-    static_bounds = [n for n in cfg.bounds if n in ("ind", "indconj")]
-
-    if weight_bounds:
-        w = sample_weights(
+    reads = {BOUND_INPUTS[name] for name in cfg.bounds}
+    inputs, extras = {}, {None: {}}
+    if "weights" in reads:
+        w = inputs["weights"] = sample_weights(
             g,
             cfg.m,
             derive_seed(cfg.seed, "weights", gi, si),
@@ -564,35 +529,21 @@ def _evaluate_instance(cfg: CampaignConfig, g: Graph, gi: int, si: int):
             allow_zero=cfg.allow_zero,
             style=cfg.weights,
         )
-        extras = {"weights": w.to_text()}
-        for name in weight_bounds:
-            fn = vertex_restriction_bound if name == "thm3" else edge_restriction_bound
-            attempt(name, lambda fn=fn: fn(g, w, cfg.budget), extras)
-
-    if hom_bounds:
+        extras["weights"] = {"weights": w.to_text()}
+    if "target" in reads:
         h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
         lists = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
-        extras = {"target": h.to_text(), "lists": lists.to_text()}
-        for name in hom_bounds:
-            if name == "thm4":
-                thunk = lambda: list_vertex_restriction_bound(g, h, lists, cfg.budget)
-            elif name == "conj2":
-                thunk = lambda: list_edge_restriction_bound(g, h, lists, cfg.budget)
-            else:
-                thunk = lambda: cover_family_report(
-                    g, h, lists, _canonical_cover_family(g), cfg.budget
-                )
-            attempt(name, thunk, extras)
-
-    if si == 0:
-        for name in static_bounds:
-            fn = (
-                independent_set_regular_bound
-                if name == "ind"
-                else independent_set_edge_bound
-            )
-            attempt(name, lambda fn=fn: fn(g, cfg.budget), {})
-    return results
+        inputs.update(target=h, lists=lists)
+        extras["target"] = {"target": h.to_text(), "lists": lists.to_text()}
+    for name in cfg.bounds:
+        if BOUND_INPUTS[name] is None and si > 0:
+            continue
+        try:
+            report = evaluate_bound(name, g, budget=cfg.budget, **inputs)
+            outcome = report, extras[BOUND_INPUTS[name]]
+        except (GraphError, ValueError) as exc:
+            outcome = str(exc)
+        yield name, outcome
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
@@ -624,12 +575,9 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
         mode = "bipartite" if cfg.source == "bipartite" else "all"
         graphs = list(enumerate_graphs(cfg.n_max, mode, connected_only=cfg.connected))
 
-    work = [(gi, si) for gi in range(len(graphs)) for si in range(cfg.trials)]
-    outcomes = [_evaluate_instance(cfg, graphs[gi], gi, si) for gi, si in work]
-
     per_bound: dict[str, BoundAggregate] = {name: BoundAggregate() for name in cfg.bounds}
-    for (gi, si), results in zip(work, outcomes):
-        for name, outcome in results:
+    for gi, si in itertools.product(range(len(graphs)), range(cfg.trials)):
+        for name, outcome in _evaluate_instance(cfg, graphs[gi], gi, si):
             agg = per_bound[name]
             agg.instances += 1
             if isinstance(outcome, str):
@@ -640,9 +588,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
                     )
                 continue
             report, extras = outcome
-            payload = _witness_payload(report, graphs[gi], extras)
-            payload["graph_index"] = gi
-            payload["sample_index"] = si
+            payload = _witness_payload(report, graphs[gi], extras, gi, si)
             if report.verdict is Verdict.HOLDS:
                 agg.holds += 1
             elif report.verdict is Verdict.INCONCLUSIVE:
@@ -685,10 +631,6 @@ def _write_campaign_outputs(report: CampaignReport) -> None:
         for name, i, payload in violations:
             stem = f"{name}_{i:03d}"
             (vdir / f"{stem}.json").write_text(dump_json(payload))
-            (vdir / f"{stem}.graph").write_text(payload["graph"])
-            if "weights" in payload:
-                (vdir / f"{stem}.weights").write_text(payload["weights"])
-            if "target" in payload:
-                (vdir / f"{stem}.target").write_text(payload["target"])
-            if "lists" in payload:
-                (vdir / f"{stem}.lists").write_text(payload["lists"])
+            for kind in ("graph", "weights", "target", "lists"):
+                if kind in payload:
+                    (vdir / f"{stem}.{kind}").write_text(payload[kind])

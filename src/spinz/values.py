@@ -307,7 +307,3 @@ def compare_product(a_factors: Sequence[Factor], b_factors: Sequence[Factor]) ->
     if left > right:
         return 1
     return 0
-
-
-def compare_value_vs_product(lhs: NonNegValue, rhs: PowerProduct) -> int:
-    return compare_product(((lhs, Fraction(1)),), rhs.factors)

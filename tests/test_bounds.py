@@ -18,18 +18,21 @@ from oracles import (
     with_list,
 )
 from spinz.bounds import (
+    BOUND_INPUTS,
+    BOUND_NAMES,
     Verdict,
     cover_family_report,
     cover_family_value,
     edge_restriction_bound,
+    evaluate_bound,
     finish_report,
-    independent_set_bounds,
     independent_set_edge_bound,
     independent_set_regular_bound,
     ising_free_energy_check,
     kab_independent_sets,
     list_edge_restriction_bound,
     list_vertex_restriction_bound,
+    neighbourhood_family,
     vertex_restriction_bound,
 )
 from spinz.counting import (
@@ -507,6 +510,24 @@ def test_conj1_budget_is_the_largest_count_vector_space(monkeypatch):
         edge_restriction_bound(g, sample_weights(g, 2, seed=1, style="uniform_edge"), budget=4)
 
 
+def test_log_conj1_is_one_contraction_per_degree_pair(monkeypatch):
+    # degree pairs (2,2), (2,3) twice, (3,2) and (2,1): four batches for five edges
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    w = sample_weights(g, 3, seed=4, style="uniform_edge").to_log()
+    wants = [partition_kab(restrict_to_edge(g, w, u, v)).log() for u, v in g.edges]
+    calls = []
+    contract = counting_mod.contract
+
+    def spy(*args, **kwargs):
+        calls.append(args[4:6])  # (maxima, batch)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(counting_mod, "contract", spy)
+    factors = counting_mod.edge_kab_partitions(g, w)
+    assert [z.log() for z in factors] == pytest.approx(wants, rel=1e-12)
+    assert sorted(batch or 1 for _, batch in calls) == [1, 1, 1, 2]
+
+
 def test_conj2_k2_is_equality():
     g, h = complete_bipartite(1, 1), complete_graph(3)
     r = list_edge_restriction_bound(g, h)
@@ -576,11 +597,65 @@ def test_ind_equals_thm3_with_unit_hardcore():
 
 
 def test_independent_set_bounds_pair():
-    regular, edge = independent_set_bounds(complete_graph(3))
-    assert regular is None
-    assert edge.bound == "indconj"
-    regular, edge = independent_set_bounds(cycle_graph(6))
-    assert regular is not None and regular.bound == "ind"
+    # ind needs a regular bipartite graph; indconj takes any without isolated vertices
+    with pytest.raises(GraphError):
+        evaluate_bound("ind", complete_graph(3))
+    assert evaluate_bound("indconj", complete_graph(3)).bound == "indconj"
+    assert evaluate_bound("ind", cycle_graph(6)).bound == "ind"
+
+
+def test_evaluate_bound_matches_each_evaluator():
+    assert BOUND_NAMES == tuple(BOUND_INPUTS)
+    assert BOUND_NAMES == ("thm3", "thm4", "thm5", "conj1", "conj2", "ind", "indconj")
+    g = cycle_graph(6)
+    w = sample_weights(g, 3, seed=5, style="uniform_edge")
+    h = sample_target_graph(3, 2)
+    lists = sample_list_assignment(g, h, 3)
+    assert neighbourhood_family(g) == _neighborhood_family(g)[1]
+    direct = {
+        "thm3": vertex_restriction_bound(g, w),
+        "thm4": list_vertex_restriction_bound(g, h, lists),
+        "thm5": cover_family_report(g, h, lists, neighbourhood_family(g)),
+        "conj1": edge_restriction_bound(g, w),
+        "conj2": list_edge_restriction_bound(g, h, lists),
+        "ind": independent_set_regular_bound(g),
+        "indconj": independent_set_edge_bound(g),
+    }
+    assert tuple(direct) == BOUND_NAMES
+    for name, report in direct.items():
+        # every input is passed; each bound reads only its own
+        got = evaluate_bound(name, g, weights=w, target=h, lists=lists)
+        assert got.to_json_dict() == report.to_json_dict()
+    log_w = w.to_log()
+    for name, fn in (("thm3", vertex_restriction_bound), ("conj1", edge_restriction_bound)):
+        assert evaluate_bound(name, g, weights=log_w).to_json_dict() == fn(g, log_w).to_json_dict()
+    # lists default to full lists; an explicit family replaces the neighbourhood one
+    full = ListAssignment.full(g, h)
+    got = evaluate_bound("conj2", g, target=h)
+    assert got.to_json_dict() == list_edge_restriction_bound(g, h, full).to_json_dict()
+    bp = bipartition(g)
+    fam = CoverFamilyPair(pairs=((frozenset(bp.even), frozenset(bp.odd)),), t1=1, t2=1)
+    got = evaluate_bound("thm5", g, target=h, lists=lists, family=fam)
+    assert got.to_json_dict() == cover_family_report(g, h, lists, fam).to_json_dict()
+    assert got.rhs != direct["thm5"].rhs
+    with pytest.raises(GraphError):
+        evaluate_bound("thm5", complete_graph(3), target=h)  # no neighbourhood family
+
+
+@pytest.mark.parametrize(
+    "name, inputs, message",
+    [
+        ("thm6", {}, "unknown bound name 'thm6'"),
+        ("thm3", {}, "bound thm3 needs weights"),
+        ("conj1", {"target": complete_graph(3)}, "bound conj1 needs weights"),
+        ("thm4", {}, "bound thm4 needs a target graph"),
+        ("thm5", {"lists": ListAssignment(4, [[0]] * 4)}, "bound thm5 needs a target graph"),
+        ("conj2", {"weights": make_hardcore(cycle_graph(4), 1)}, "bound conj2 needs a target"),
+    ],
+)
+def test_evaluate_bound_rejects_unknown_names_and_missing_inputs(name, inputs, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate_bound(name, cycle_graph(4), **inputs)
 
 
 def test_kab_independent_sets_closed_form():

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from spinz.cli import main
-from spinz.graphs import complete_bipartite, cycle_graph, complete_graph
+from spinz.counting import ListAssignment
+from spinz.graphs import complete_bipartite, cycle_graph, complete_graph, parse_graph
+from spinz.harness import CampaignConfig, recheck_witness, run_campaign
 
 
 @pytest.fixture()
@@ -160,6 +162,46 @@ def test_bound_thm5_with_families(capsys, files):
     )
     assert code == 0
     assert doc["verdict"] == "HOLDS"
+    # that is C4's neighbourhood family, the default; a one-pair family differs
+    assert run_cli(capsys, "bound", "thm5", files["c4"], "--target", files["k3"]) == (code, doc)
+    fam.write_text("t 1 1\nA 0 2\nB 1 3\n")
+    code, other = run_cli(
+        capsys, "bound", "thm5", files["c4"], "--target", files["k3"], "--families", fam
+    )
+    assert code == 0
+    assert other["rhs_factors"] != doc["rhs_factors"]
+
+
+def test_thm5_witness_rechecks_from_its_files(capsys, files):
+    # campaigns evaluate thm5 with the neighbourhood family and write no
+    # families file, so --families defaults to that family
+    cfg = CampaignConfig(source="biregular", n_max=6, bounds=("thm5",), trials=3, seed=8)
+    payload = run_campaign(cfg).per_bound["thm5"].min_witness
+    g, h = parse_graph(payload["graph"]), parse_graph(payload["target"])
+    assert payload["lists"] != ListAssignment.full(g, h).to_text()
+    for kind in ("graph", "target", "lists"):
+        (files["tmp"] / f"w.{kind}").write_text(payload[kind])
+    code, doc = run_cli(
+        capsys, "bound", "thm5", files["tmp"] / "w.graph",
+        "--target", files["tmp"] / "w.target", "--lists", files["tmp"] / "w.lists",
+    )
+    assert code == 0
+    assert doc == recheck_witness(payload).to_json_dict()
+
+
+def test_bound_names_the_missing_input(capsys, files):
+    for name, flag in (("thm3", "--weights"), ("conj1", "--weights"), ("thm4", "--target"),
+                       ("thm5", "--target"), ("conj2", "--target")):
+        assert main(["bound", name, str(files["c4"])]) == 2
+        assert capsys.readouterr().err == f"error: bound {name} needs {flag}\n"
+
+
+def test_search_rejects_a_malformed_config(capsys, files):
+    cfg = files["tmp"] / "bad.cfg"
+    for text in ("connected = ture\n", "n_max = x\n", "seed = 1\nseed = 2\n"):
+        cfg.write_text(text)
+        assert main(["search", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: line ")
 
 
 def test_listhom_counts(capsys, files):

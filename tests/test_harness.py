@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from oracles import isomorphic_brute, relabel
-from spinz.bounds import Verdict
+from spinz.bounds import BOUND_NAMES, Verdict
 from spinz.graphs import (
     Graph,
     complete_bipartite,
@@ -180,6 +181,29 @@ def test_campaign_config_parsing():
         parse_campaign_config("bounds = nope\n")
 
 
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("connected = ture\n", "line 1: connected takes true/false/yes/no/1/0, got 'ture'"),
+        ("allow_zero = on\n", "line 1: allow_zero takes true/false/yes/no/1/0, got 'on'"),
+        ("seed = 1\nn_max = x\n", "line 2: n_max takes an integer, got 'x'"),
+        ("trials = 2.5\n", "line 1: trials takes an integer, got '2.5'"),
+        ("seed = 1\n# seed = 3\nseed = 2\n", "line 3: duplicate config key 'seed'"),
+        ("trials = 1\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
+        ("connected = YES\nallow_zero = 1\n", {"connected": True, "allow_zero": True}),
+        ("connected = False\nallow_zero = No\n", {"connected": False, "allow_zero": False}),
+        ("connected = 0\nallow_zero = TRUE\n", {"connected": False, "allow_zero": True}),
+    ],
+)
+def test_campaign_config_values_are_strict(text, expect):
+    if isinstance(expect, str):
+        with pytest.raises(ValueError, match=re.escape(expect)):
+            parse_campaign_config(text)
+    else:
+        cfg = parse_campaign_config(text)
+        assert {key: getattr(cfg, key) for key in expect} == expect
+
+
 def test_campaign_proved_bounds_regression_zero_violations():
     cfg = CampaignConfig(
         source="biregular",
@@ -240,6 +264,22 @@ def test_campaign_violations_are_recheckable(tmp_path):
     assert recheck_witness(payload).verdict is Verdict.VIOLATED
     assert (tmp_path / "run" / "report.json").exists()
     assert (tmp_path / "run" / "summary.txt").read_text().startswith("campaign")
+
+
+def test_campaign_witnesses_of_every_bound_recheck():
+    cfg = CampaignConfig(
+        source="biregular", n_max=6, connected=True, bounds=BOUND_NAMES,
+        weights="uniform_edge", allow_zero=True, trials=3, seed=4,
+    )
+    report = run_campaign(cfg)
+    for name in BOUND_NAMES:
+        agg = report.per_bound[name]
+        assert agg.holds > 0, name
+        for payload in [agg.min_witness, *agg.violations]:
+            again = recheck_witness(payload)
+            assert again.bound == name
+            assert again.verdict.value == payload["verdict"]
+            assert again.log_slack == payload["log_slack"]
 
 
 def test_campaign_static_bounds_run_once_per_graph():

@@ -12,7 +12,6 @@ from spinz.values import (
     PowerProduct,
     ValueSum,
     compare_product,
-    compare_value_vs_product,
     log_of_fraction,
     parse_rational,
 )
@@ -107,9 +106,10 @@ def _pp(*pairs):
 
 def test_compare_product_ties_and_orders():
     # 8 == (2^6)^(1/2) == 64^(1/2)
-    assert compare_value_vs_product(NonNegValue.exact(8), _pp((64, Fraction(1, 2)))) == 0
-    assert compare_value_vs_product(NonNegValue.exact(7), _pp((64, Fraction(1, 2)))) == -1
-    assert compare_value_vs_product(NonNegValue.exact(9), _pp((64, Fraction(1, 2)))) == 1
+    rhs = _pp((64, Fraction(1, 2))).factors
+    assert compare_product(_pp((8, 1)).factors, rhs) == 0
+    assert compare_product(_pp((7, 1)).factors, rhs) == -1
+    assert compare_product(_pp((9, 1)).factors, rhs) == 1
 
 
 def test_compare_product_near_tie_goes_exact():
