@@ -39,7 +39,6 @@ from .counting import (
     independent_set_count,
     parse_cover_family,
     parse_lists,
-    partition_brute,
     partition_function,
     partition_kab,
     weight_of,
@@ -64,7 +63,6 @@ from .blowup import (
     BlowupStats,
     build_blowup_host,
     concentration_experiment,
-    count_all_block_homs,
     count_block_homs,
     sample_subgraph,
     scale_edge_weights,
@@ -73,7 +71,6 @@ from .harness import (
     CampaignConfig,
     CampaignReport,
     canonical_form,
-    are_isomorphic,
     enumerate_graphs,
     parse_campaign_config,
     recheck_witness,

@@ -214,19 +214,6 @@ def count_block_homs(
     return contract(sizes, factors, budget)
 
 
-def count_all_block_homs(
-    g: Graph, sub: SampledSubgraph, host: BlowupHost, budget: int = DEFAULT_BUDGET
-) -> int:
-    """List-homomorphism count into the sampled subgraph with every vertex
-    allowed anywhere in its own host segment (the union of its blocks).
-    Needs a full sample, drawn without a configuration."""
-    if sub.cfg is not None:
-        raise ValueError("the sample holds only the blocks of one configuration")
-    sizes = [host.vertex_size[v] for v in range(g.n)]
-    factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
-    return contract(sizes, factors, budget)
-
-
 @dataclass(frozen=True)
 class BlowupStats:
     """Results of one concentration experiment at fixed configuration."""

@@ -25,6 +25,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .counting import (
     edges_by_degree_pair,
     independent_set_count,
     list_indicators,
+    list_weights,
     partition_function,
-    partition_kab_batch,
 )
 from .graphs import BiregularCert, Graph, GraphError, bipartition, certify_biregular
 from .util import sha256_text
@@ -51,7 +52,7 @@ from .values import (
     PowerProduct,
     compare_product,
 )
-from .weights import WeightSystem, _kab_layout, make_ising, restrict_to_kab
+from .weights import WeightSystem, _kab_layout, make_ising
 
 LOG_REL_TOL = 1e-9
 
@@ -167,21 +168,29 @@ def finish_report(
     )
 
 
+@lru_cache(maxsize=256)
 def _certify(g: Graph) -> BiregularCert:
+    """Once per graph (graphs hash by content); errors are not cached."""
     return certify_biregular(g, bipartition(g))
 
 
-def _per_vertex_rhs(cert: BiregularCert, factors_of) -> PowerProduct:
-    """The product over the odd class of one factor per vertex, each to
-    the 1/a; when a == b, the smaller of both orientations' products.
-    factors_of(certs) gives every orientation's factors, one batch."""
+@lru_cache(maxsize=256)
+def _neighbourhood_pairs(cert: BiregularCert) -> tuple:
+    """(N(v), {v}) for every degree-b vertex v, ascending."""
+    return tuple((frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd))
+
+
+def _per_vertex_rhs(g: Graph, cert: BiregularCert, rows, tables, backend, budget) -> PowerProduct:
+    """The product over the degree-b class of the K_{a,b} restriction
+    around each vertex v, each to the 1/a; when a == b, the smaller of
+    both orientations' products.  A restriction's a copies of v each
+    contribute the same factor, so each orientation is one ``cover_sums``
+    call over the pairs (N(v), {v}) with exponent a."""
     certs = [cert, cert.swapped()] if cert.a == cert.b else [cert]
-    values = factors_of(certs)
-    k = len(values) // len(certs)  # both odd classes have one size when a == b
-    products = [
-        PowerProduct(tuple((z, Fraction(1, c.a)) for z in values[i * k : (i + 1) * k]))
-        for i, c in enumerate(certs)
-    ]
+    products = []
+    for c in certs:
+        sums = cover_sums(g, rows, tables, _neighbourhood_pairs(c), Fraction(c.a), budget, backend)
+        products.append(PowerProduct(tuple((z, Fraction(1, c.a)) for z in sums)))
     p, q = products[0], products[-1]
     if p.backend is Backend.EXACT:
         return p if p is q or compare_product(p.factors, q.factors) <= 0 else q
@@ -198,31 +207,20 @@ def vertex_restriction_bound(
     functions, each raised to 1/a.
 
     When a == b both class orientations are certified upper bounds; the
-    smaller right side is reported.  All restrictions are one batch.
+    smaller right side is reported.  The budget bounds the left side's
+    plan and each factor's m^b table.
     """
     cert = _certify(g)
     lhs = partition_function(g, w, budget)
-    rhs = _per_vertex_rhs(
-        cert,
-        lambda certs: partition_kab_batch(
-            [restrict_to_kab(g, w, c, v) for c in certs for v in sorted(c.odd)], budget
-        ),
-    )
+    form = w.cleared() if w.backend is Backend.EXACT else w.logs()
+    rhs = _per_vertex_rhs(g, cert, *form, w.backend, budget)
     return finish_report("thm3", lhs, rhs, g.sha(), w.sha())
 
 
+@lru_cache(maxsize=64)
 def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
+    """Memoised, like ``count_list_homs``, for thm4, thm5 and conj2."""
     return sha256_text(h.to_text() + lists.to_text())
-
-
-def _vertex_list_counts(h: Graph, lists: ListAssignment, certs, budget: int) -> list:
-    """K_{a,b} list-homomorphism counts around every odd vertex v of each
-    orientation, in one batch: degree-a vertex k takes L(n_k(v)) and
-    every degree-b vertex L(v)."""
-    kab, _, _ = _kab_layout(certs[0].a, certs[0].b)
-    sources = [(*c.neighbor_order(v), *[v] * c.a) for c in certs for v in sorted(c.odd)]
-    rows = list_indicators(h, lists)[np.array(sources)]
-    return [NonNegValue.exact(k) for k in count_list_homs_batch(kab, h, rows, budget)]
 
 
 def list_vertex_restriction_bound(
@@ -239,7 +237,7 @@ def list_vertex_restriction_bound(
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    rhs = _per_vertex_rhs(cert, lambda certs: _vertex_list_counts(h, lists, certs, budget))
+    rhs = _per_vertex_rhs(g, cert, *list_weights(g, h, lists), Backend.EXACT, budget)
     return finish_report(
         "thm4", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )
@@ -261,8 +259,7 @@ def cover_family_value(
     (``cover_sums``), and pairs of one shape share a batch.
     """
     fam.validate(bipartition(g))
-    lists.validate_against(h)
-    sums = cover_sums(g, h, lists, fam.pairs, Fraction(fam.t1, fam.t2), budget)
+    sums = cover_sums(g, *list_weights(g, h, lists), fam.pairs, Fraction(fam.t1, fam.t2), budget)
     return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
 
 
@@ -271,13 +268,7 @@ def neighbourhood_family(g: Graph) -> CoverFamilyPair:
     A's are the neighbourhoods of the degree-b vertices, the B's those
     vertices as singletons, t1 = a, t2 = 1."""
     cert = _certify(g)
-    return CoverFamilyPair(
-        pairs=tuple(
-            (frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd)
-        ),
-        t1=cert.a,
-        t2=1,
-    )
+    return CoverFamilyPair(pairs=_neighbourhood_pairs(cert), t1=cert.a, t2=1)
 
 
 def cover_family_report(

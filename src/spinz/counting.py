@@ -6,9 +6,9 @@ the exact K_{a,b} instances with one shared edge table (every conj1
 factor; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
 variable elimination over ``np.einsum``, planned in full and checked
 against the budget before it contracts anything.  So do list-homomorphism
-counts (0/1 list rows, adjacency-matrix edge tables) and the
-covering-family sums of thm5.  One call can contract a batch of
-instances of one structure, such as the K_{a,b} restrictions of a bound.
+counts (0/1 list rows, adjacency-matrix edge tables).  One call can
+contract a batch of instances of one structure, such as the factors of
+one bound: the right sides of thm3, thm4 and thm5 are one ``cover_sums``.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -22,7 +22,6 @@ domain instead (``_log_elimination``), so float range never stops one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import Bipartition, Graph
-from .values import NEG_INF, Backend, NonNegValue, ValueSum
+from .values import NEG_INF, Backend, NonNegValue
 from .weights import KabInstance, WeightSystem, make_hardcore, restrict_to_edge, uniform_edge
 
 DEFAULT_BUDGET = 10 ** 8
@@ -55,6 +54,9 @@ _MAX_OPERANDS = 31
 # builds an intermediate larger than the step's largest operand or output,
 # so the budget still bounds memory.
 _BLAS_MIN_CELLS = 1 << 15
+# A sum over at most this many cells of at most this many tensors (a K_{a,b}
+# cover sum) is one einsum: cheaper than a step per variable.
+_FLAT_CELLS, _FLAT_OPERANDS = 1 << 8, 8
 
 
 class BudgetError(ValueError):
@@ -99,8 +101,9 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     the number of products summed into each output cell and the cell
     count of the step's whole label space (step k appends tensor
     len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
-    batch axis.  The last tensor is the scalar sum.  It depends only on
-    the structure, so it is cached.
+    batch axis.  The last tensor is the scalar sum.  A tiny structure
+    (``_FLAT_CELLS``) is one step over every tensor; ``largest`` stays the
+    elimination order's.  It depends only on the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -162,6 +165,11 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
+    space = math.prod(map(size_of, scoped))
+    if space <= _FLAT_CELLS and 1 < len(scopes) <= _FLAT_OPERANDS:
+        labels = {x: k for k, x in enumerate(sorted(scoped))}
+        operands = tuple((i, (..., *[labels[x] for x in scope])) for i, scope in enumerate(scopes))
+        steps = [(operands, (...,), space, space)]
     return free, largest, tuple(steps)
 
 
@@ -170,6 +178,12 @@ def _einsum(tensors, operands, out, optimize=False):
     for i, labels in operands:
         args += (tensors[i], labels)
     return np.einsum(*args, out, optimize=optimize)
+
+
+def _exact_dtype(bound: int):
+    """The narrowest of float64, int64 and Python ints that holds every
+    integer below ``bound`` exactly."""
+    return np.float64 if bound < _FLOAT_EXACT_LIMIT else np.int64 if bound < _INT64_LIMIT else object
 
 
 def _table_max(table) -> int:
@@ -241,12 +255,7 @@ def contract(
         bound = math.prod(sizes)
         for top in maxima:
             bound *= max(top, 1)
-        if bound < _FLOAT_EXACT_LIMIT:
-            dtype = np.float64
-        elif bound < _INT64_LIMIT:
-            dtype = np.int64
-        else:
-            dtype = object
+        dtype = _exact_dtype(bound)
     converted, tensors = {}, []  # a table several factors share converts once
     for _, table in factors:
         arr = converted.get(id(table))
@@ -382,19 +391,6 @@ def _int_tables(w: WeightSystem):
     return rows, tables, scale
 
 
-def partition_brute(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
-    """Sum of configuration weights over all m^n assignments, by direct
-    enumeration in lexicographic order: the reference every faster
-    kernel is tested against.  The budget bounds m^n."""
-    cost = w.m ** g.n
-    if cost > budget:
-        raise BudgetError(cost, budget)
-    total = ValueSum(w.backend)
-    for cfg in itertools.product(range(1, w.m + 1), repeat=g.n):
-        total.add(weight_of(g, w, cfg))
-    return total.total()
-
-
 def _partitions(g: Graph, ws: Sequence[WeightSystem], budget: int) -> list:
     """Partition functions of the systems ws over g, one factor per vertex
     and one per edge, in one ``contract`` call: a batch of stacked tables
@@ -432,9 +428,10 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     The budget bounds the largest intermediate tensor of the planned
     elimination order (m to the power of the widest elimination
     neighbourhood), not m^n, and is checked before any contraction.
-    Always equal to ``partition_brute``: exactly on the EXACT backend,
-    up to float rounding on the LOG backend.  Both read the rows and
-    tables the system stores, which a restriction shares with its parent.
+    Always equal to the sum of ``weight_of`` over all m^n configurations:
+    exactly on the EXACT backend, up to float rounding on the LOG backend.
+    It reads the rows and tables the system stores, which a restriction
+    shares with its parent.
     LOG weights whose products leave the float64 range are summed in the
     log domain, where the budget bounds each step's label space.
     """
@@ -525,7 +522,7 @@ def edge_kab_partitions(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET)
 
 def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDGET) -> list:
     """Partition functions of labeled K_{a,b} instances of one (a, b),
-    spin count and backend, each equal to ``partition_brute``.
+    spin count and backend, each equal to ``partition_function``.
 
     The EXACT instances whose edges share one table run
     ``uniform_kab_sums`` over their smaller side, whose cost (the number
@@ -670,72 +667,138 @@ def count_list_homs_batch(
     return contract([h.n] * g.n, factors, budget, maxima=[1] * len(factors), batch=len(rows))
 
 
+@lru_cache(maxsize=64)
 def count_list_homs(g: Graph, h: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> int:
     """Number of maps f with f(v) in L(v) mapping every edge of g onto an
-    edge of h: the one-assignment case of ``count_list_homs_batch``."""
+    edge of h: the one-assignment case of ``count_list_homs_batch``.
+    Memoised (arguments hash by content): thm4, thm5 and conj2 share it."""
     if lists.n != g.n:
         raise ValueError("list assignment length does not match the graph")
     return count_list_homs_batch(g, h, list_indicators(h, lists)[None], budget)[0]
 
 
+def list_weights(g: Graph, h: Graph, lists: ListAssignment):
+    """List homomorphisms of g into h as ``cover_sums`` weights: each
+    vertex row marks its list, every edge carries h's adjacency matrix."""
+    adj = (_adjacency(h).tolist(), 1, 1)
+    return [(row, 1, 1) for row in list_indicators(h, lists).tolist()], dict.fromkeys(g.edges, adj)
+
+
+@np.errstate(divide="ignore")  # log 0 = -inf, a zero weight's log
 def cover_sums(
     g: Graph,
-    h: Graph,
-    lists: ListAssignment,
+    rows,
+    tables,
     pairs: Sequence[tuple[frozenset, frozenset]],
     exponent: Fraction,
     budget: int = DEFAULT_BUDGET,
+    backend: Backend = Backend.EXACT,
 ) -> list:
-    """For each pair (A, B), the sum over the list-respecting maps x on A
-    of prod_{v in B} c_v(x)^exponent, where c_v(x) counts the y in L(v)
-    adjacent in h to x(u) for every neighbour u of v in A.
+    """For each pair (A, B) of vertex sets of g, the sum over the spin maps
+    x on A of prod_{u in A} r_u(x_u) * prod_{v in B} c_v(x) ** exponent,
+    where c_v(x) = sum_s r_v(s) prod_{u in N(v) & A} T_uv(x_u, s).
 
-    c_v depends on x only through N(v) & A, so a sum is one contraction
-    of A's list rows and one c_v table per v in B (an einsum of L(v)
-    against those adjacency rows); pairs of one shape are one batch.  An
-    integer exponent gives exact values.  Any other gives LOG values, a
-    LOG contraction of the logged rows and the tables exponent * log c_v,
-    which finishes in the log domain when those tables span more than
-    float64 holds.  The budget bounds every table and the plan.
+    rows[v] = r_v and tables[(u, v)] = T_uv (u < v, symmetric) are in a
+    weight system's stored form: EXACT (entries, denominator, maximum or
+    any upper bound) triples, LOG natural logs.  With (A, B) = (N(v), {v})
+    and exponent a the sum is the partition function of the K_{a,b}
+    restriction around v, whose a copies of v each contribute c_v.
+    Pairs of one shape are one batch: one einsum per B position builds
+    every pair's c_v tables (a log-sum-exp over s on LOG inputs), and one
+    ``contract`` call sums them.  EXACT inputs and an integer exponent
+    give exact values, the integer sums divided by prod_{u in A} den_u *
+    prod_{v in B} (den_v prod_u den_uv) ** exponent; c_v takes float64,
+    int64 or Python ints from the bound m * max r * (max T) ** |N(v) & A|,
+    c_v ** exponent from its largest entry.  Otherwise the values are
+    LOG.  The budget bounds the plan and every c_v table, m ** |N(v) & A|
+    cells (times m on LOG inputs, whose terms over s are held at once).
     """
-    exact = exponent.denominator == 1
-    rows = list_indicators(h, lists)
-    adj = _adjacency(h)
-    with np.errstate(divide="ignore"):
-        a_rows = rows if exact else np.log(rows)
+    exact = backend is Backend.EXACT
+    to_log = not exact or exponent.denominator != 1
+    m = len(rows[0][0] if exact else rows[0])
+    groups = _cover_layout(g, tuple(pairs))
+    width = max([len(scope) for _, scopes, *_ in groups for scope in scopes], default=0)
+    if m ** (width + (not exact)) > budget:
+        raise BudgetError(m ** (width + (not exact)), budget)
+    stored = [tables[e] for e in g.edges]
+    if exact:
+        rows, row_den, top_r = zip(*rows)
+        stored, edge_den, top_t = zip(*stored) if stored else ((), (), (1,))
+        top_r, top_t = max(top_r) or 1, max(top_t) or 1
+        scaled = any([d != 1 for d in row_den + edge_den])
+        dtype = _exact_dtype(m * top_r * top_t ** width)
+    else:
+        dtype, scaled = np.float64, False
+    # flat lists convert fastest; a table every edge shares converts once
+    vertex = np.array([x for r in rows for x in r], dtype).reshape(g.n, m)
+    shared = len(stored) > 1 and all([t is stored[0] for t in stored])
+    edge = np.array([x for t in stored[: 1 if shared else None] for r in t for x in r], dtype)
+    edge = np.repeat(edge.reshape(-1, m, m), len(stored) if shared else 1, axis=0)
+    power = float(exponent) if to_log else exponent.numerator
+
+    out = [None] * len(pairs)
+    for size, scopes, members, a_ids, b_ids in groups:
+        a_rows = vertex[a_ids]
+        factors = [((i,), a_rows[:, i]) for i in range(size)]
+        maxima = None if to_log else [top_r] * size
+        for scope, (v_ids, e_ids) in zip(scopes, b_ids):
+            r_v, t_uv, axes = vertex[v_ids], edge[e_ids], range(1, len(scope) + 1)
+            if exact:
+                operands = [r_v, [..., 0]]
+                for i in axes:
+                    operands += [t_uv[:, i - 1], [..., i, 0]]
+                counts = np.einsum(*operands, [..., *axes])
+                counts = counts.astype(np.int64) if dtype is np.float64 else counts
+                if to_log:
+                    counts = np.log(counts) * power
+                else:
+                    maxima.append(int(counts.max()) ** power)
+                    if maxima[-1] >= _INT64_LIMIT:
+                        counts = counts.astype(object)
+                    counts = counts ** power
+            else:
+                terms = np.expand_dims(r_v, tuple(axes))
+                for i in axes:
+                    terms = terms + np.expand_dims(t_uv[:, i - 1], tuple(j for j in axes if j != i))
+                counts = np.logaddexp.reduce(terms, axis=-1) * power
+            factors.append((scope, counts))
+        if to_log and exact:
+            factors[:size] = [(x, np.log(t)) for x, t in factors[:size]]
+        backend_out = Backend.LOG if to_log else Backend.EXACT
+        sums = contract([m] * size, factors, budget, backend_out, maxima, len(members))
+        for (k, a_set, b_edges), z in zip(members, sums):
+            if scaled:
+                a_scale = math.prod([row_den[u] for u in a_set])
+                c_scale = math.prod([row_den[v] * math.prod([edge_den[e] for e in es])
+                                     for v, es in b_edges])
+                z = (z - math.log(a_scale) - power * math.log(c_scale) if to_log
+                     else Fraction(z, a_scale * c_scale ** power))
+            out[k] = NonNegValue.from_log(z) if to_log else NonNegValue.exact(z)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _cover_layout(g: Graph, pairs: tuple) -> tuple:
+    """``cover_sums``'s pairs by shape (|A|, each v in B's scope in A):
+    per shape, per pair (index, A, (v, edge ids to N(v) & A) per v in B),
+    and the index arrays of A and of each B position's v and edges."""
+    edge_id = {e: k for k, e in enumerate(g.edges)}
     shapes: dict[tuple, list] = {}
     for k, (a_set, b_set) in enumerate(pairs):
         a_sorted = sorted(a_set)
         pos = {u: i for i, u in enumerate(a_sorted)}
         scoped = sorted((tuple(pos[u] for u in g.neighbors(v) if u in pos), v) for v in b_set)
+        b_edges = [(v, tuple(edge_id[min(u, v), max(u, v)] for u in g.neighbors(v) if u in pos))
+                   for _, v in scoped]
         key = (len(a_sorted), tuple(scope for scope, _ in scoped))
-        shapes.setdefault(key, []).append((k, a_sorted, [v for _, v in scoped]))
-    out = [None] * len(pairs)
+        shapes.setdefault(key, []).append((k, tuple(a_sorted), b_edges))
+    groups = []
     for (size, scopes), members in shapes.items():
-        for scope in scopes:
-            if h.n ** len(scope) > budget:
-                raise BudgetError(h.n ** len(scope), budget)
-        factors = [((i,), a_rows[[a[i] for _, a, _ in members]]) for i in range(size)]
-        maxima = [1] * size
-        for j, scope in enumerate(scopes):
-            operands = [rows[[b[j] for _, _, b in members]], [..., 0]]
-            for i in range(len(scope)):
-                operands += [adj, [0, i + 1]]
-            counts = np.einsum(*operands, [..., *range(1, len(scope) + 1)]).astype(np.int64)
-            if exact:
-                maxima.append(int(counts.max()) ** exponent.numerator)
-                if maxima[-1] >= _INT64_LIMIT:
-                    counts = counts.astype(object)
-                counts = counts ** exponent.numerator
-            else:
-                with np.errstate(divide="ignore"):
-                    counts = np.log(counts) * float(exponent)
-            factors.append((scope, counts))
-        backend = Backend.EXACT if exact else Backend.LOG
-        sums = contract([h.n] * size, factors, budget, backend, maxima, len(members))
-        for (k, _, _), z in zip(members, sums):
-            out[k] = NonNegValue.exact(z) if exact else NonNegValue.from_log(z)
-    return out
+        ids = lambda col, width: np.array(col, np.intp).reshape(len(members), width)
+        b_ids = [(ids([b[j][0] for *_, b in members], 1)[:, 0],
+                  ids([b[j][1] for *_, b in members], len(scope))) for j, scope in enumerate(scopes)]
+        groups.append((size, scopes, members, ids([a for _, a, _ in members], size), b_ids))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)

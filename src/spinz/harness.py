@@ -117,12 +117,6 @@ def canonical_form(g: Graph) -> tuple:
     return (n, best[0])
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return False
-    return canonical_form(g1) == canonical_form(g2)
-
-
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -163,43 +163,6 @@ class NonNegValue:
         return f"NonNegValue(log={self._log!r})"
 
 
-class ValueSum:
-    """Streaming sum of NonNegValues.
-
-    EXACT accumulates rationals.  LOG keeps a running maximum and the sum
-    of exponentials relative to it, so terms spanning hundreds of orders
-    of magnitude accumulate without overflow.
-    """
-
-    def __init__(self, backend: Backend):
-        self.backend = backend
-        self._frac = Fraction(0)
-        self._max = NEG_INF
-        self._acc = 0.0
-
-    def add(self, value: NonNegValue) -> None:
-        if value.backend is not self.backend:
-            raise TypeError("backend mismatch in sum")
-        if self.backend is Backend.EXACT:
-            self._frac += value.fraction
-            return
-        x = value.log()
-        if x == NEG_INF:
-            return
-        if x <= self._max:
-            self._acc += math.exp(x - self._max)
-        else:
-            self._acc = self._acc * math.exp(self._max - x) + 1.0
-            self._max = x
-
-    def total(self) -> NonNegValue:
-        if self.backend is Backend.EXACT:
-            return NonNegValue.exact(self._frac)
-        if self._max == NEG_INF or self._acc == 0.0:
-            return NonNegValue.from_log(NEG_INF)
-        return NonNegValue.from_log(self._max + math.log(self._acc))
-
-
 Factor = Tuple[NonNegValue, Fraction]
 
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive (raw Fractions, full enumeration,
+The oracles are deliberately naive (raw Fractions, full enumeration,
 no shared kernels with the package) so the tests check two independent
-routes to the same number.
+routes to the same number.  The last few helpers (``are_isomorphic``,
+``count_all_block_homs``) are test-only conveniences built on package
+kernels, kept here because no package code calls them.
 """
 
 from __future__ import annotations
@@ -273,15 +275,22 @@ def value_power(value, k):
 def scale_vertex_weights(w, v, c):
     """The EXACT system w with every spin weight at vertex v multiplied by
     the positive rational c, rebuilt from Fractions."""
-    from spinz.graphs import Graph
-    from spinz.weights import WeightSystem
-
     c = Fraction(c)
     if c <= 0:
         raise ValueError("scale must be positive")
+    entries, den, _ = w.cleared()[0][v]
+    return with_vertex_row(w, v, [Fraction(x, den) * c for x in entries])
+
+
+def with_vertex_row(w, v, row):
+    """The EXACT system w with vertex v's spin weights replaced by the
+    rationals in row, rebuilt from Fractions."""
+    from spinz.graphs import Graph
+    from spinz.weights import WeightSystem
+
     rows, tables = w.cleared()
     vertex = {
-        (u, i + 1): Fraction(x, den) * (c if u == v else 1)
+        (u, i + 1): Fraction(row[i]) if u == v else Fraction(x, den)
         for u, (entries, den, _) in enumerate(rows)
         for i, x in enumerate(entries)
     }
@@ -367,3 +376,81 @@ def list_vertex_restriction_rhs(g, h, lists, cert):
             for v in sorted(cert.odd)
         )
     )
+
+
+class ValueSum:
+    """Streaming sum of NonNegValues.
+
+    EXACT accumulates rationals.  LOG keeps a running maximum and the sum
+    of exponentials relative to it, so terms spanning hundreds of orders
+    of magnitude accumulate without overflow.
+    """
+
+    def __init__(self, backend):
+        self.backend = backend
+        self._frac = Fraction(0)
+        self._max = float("-inf")
+        self._acc = 0.0
+
+    def add(self, value) -> None:
+        from spinz.values import Backend
+
+        if value.backend is not self.backend:
+            raise TypeError("backend mismatch in sum")
+        if self.backend is Backend.EXACT:
+            self._frac += value.fraction
+            return
+        x = value.log()
+        if x == float("-inf"):
+            return
+        if x <= self._max:
+            self._acc += math.exp(x - self._max)
+        else:
+            self._acc = self._acc * math.exp(self._max - x) + 1.0
+            self._max = x
+
+    def total(self):
+        from spinz.values import Backend, NonNegValue
+
+        if self.backend is Backend.EXACT:
+            return NonNegValue.exact(self._frac)
+        if self._max == float("-inf") or self._acc == 0.0:
+            return NonNegValue.from_log(float("-inf"))
+        return NonNegValue.from_log(self._max + math.log(self._acc))
+
+
+def partition_brute(g, w, budget=10 ** 8):
+    """Sum of configuration weights over all m^n assignments, by direct
+    enumeration in lexicographic order: the reference every faster
+    kernel is tested against.  The budget bounds m^n."""
+    from spinz.counting import BudgetError, weight_of
+
+    cost = w.m ** g.n
+    if cost > budget:
+        raise BudgetError(cost, budget)
+    total = ValueSum(w.backend)
+    for cfg in itertools.product(range(1, w.m + 1), repeat=g.n):
+        total.add(weight_of(g, w, cfg))
+    return total.total()
+
+
+def are_isomorphic(g1, g2):
+    """Isomorphism of two spinz Graphs by their canonical forms."""
+    from spinz.harness import canonical_form
+
+    if g1.n != g2.n or g1.num_edges != g2.num_edges:
+        return False
+    return canonical_form(g1) == canonical_form(g2)
+
+
+def count_all_block_homs(g, sub, host, budget=10 ** 8):
+    """List-homomorphism count into the sampled subgraph with every vertex
+    allowed anywhere in its own host segment (the union of its blocks).
+    Needs a full sample, drawn without a configuration."""
+    from spinz.counting import contract
+
+    if sub.cfg is not None:
+        raise ValueError("the sample holds only the blocks of one configuration")
+    sizes = [host.vertex_size[v] for v in range(g.n)]
+    factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
+    return contract(sizes, factors, budget)

@@ -31,6 +31,7 @@ from oracles import (
     ising_brute_log_z,
     ising_cycle_z,
     list_vertex_restriction_rhs,
+    partition_brute,
 )
 from spinz.blowup import concentration_experiment
 from spinz.bounds import (
@@ -45,7 +46,6 @@ from spinz.cli import main as cli_main
 from spinz.counting import (
     CoverFamilyPair,
     ListAssignment,
-    partition_brute,
     partition_kab,
 )
 from spinz.graphs import (

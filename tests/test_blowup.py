@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import block_homs_brute
+from oracles import block_homs_brute, count_all_block_homs
 from spinz.blowup import (
     build_blowup_host,
     concentration_experiment,
-    count_all_block_homs,
     count_block_homs,
     sample_subgraph,
     scale_edge_weights,

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spinz.bounds as bounds_mod
 import spinz.counting as counting_mod
 from oracles import (
     backtrack_list_homs,
     cover_sum_by_enumeration,
     lists_for_edge,
     lists_for_vertex,
+    partition_brute,
     relabel,
     scale_vertex_weights,
     weighted_two_sided_hom_sum,
@@ -40,7 +42,6 @@ from spinz.counting import (
     CoverFamilyPair,
     ListAssignment,
     count_list_homs,
-    partition_brute,
     partition_kab,
 )
 from spinz.graphs import (
@@ -746,6 +747,37 @@ def test_report_json_schema():
         assert key in doc
     assert doc["lhs"] == {"num": "18", "den": "1"}
     assert all(f["exp_den"] == 2 for f in doc["rhs_factors"])
+
+
+# ----- one covering-sum kernel for thm3, thm4 and thm5 -----
+
+
+def test_per_vertex_bounds_make_one_cover_sum_per_orientation(monkeypatch):
+    calls = []
+    cover_sums = bounds_mod.cover_sums
+
+    def spy(*args):
+        calls.append(args)
+        return cover_sums(*args)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("thm3 built a K_{a,b} restriction")
+
+    monkeypatch.setattr(bounds_mod, "cover_sums", spy)
+    monkeypatch.setattr(counting_mod, "partition_kab_batch", unused)
+    monkeypatch.setattr("spinz.weights.restrict_to_kab", unused)
+    h = complete_graph(3)
+    for g, orientations in ((cycle_graph(6), 2), (complete_bipartite(2, 3), 1)):
+        w = sample_weights(g, 2, seed=g.n)
+        for evaluate, want in (
+            (lambda: vertex_restriction_bound(g, w), orientations),
+            (lambda: vertex_restriction_bound(g, w.to_log()), orientations),
+            (lambda: list_vertex_restriction_bound(g, h), orientations),
+            (lambda: evaluate_bound("thm5", g, target=h), 1),
+        ):
+            calls.clear()
+            evaluate()
+            assert len(calls) == want
 
 
 # ----- batched list-hom factors against the backtracker -----

@@ -112,6 +112,22 @@ def test_bound_thm3_holds(capsys, files):
     assert doc["log_slack"] >= 0
 
 
+def test_bound_thm3_and_thm4_are_tight_on_k33(capsys, files):
+    # K_{3,3} is its own restriction around every vertex: hard-core at
+    # lambda = 1 gives 15 = 15^(3/3), and hom(K_{3,3}, K_3) likewise
+    g = complete_bipartite(3, 3)
+    k33, hc = files["tmp"] / "k33.graph", files["tmp"] / "hc33.weights"
+    k33.write_text(g.to_text())
+    hc.write_text("m 2\n" + "".join(f"ew {u} {v} 1 1 0\n" for u, v in g.edges))
+    for argv in (("thm3", k33, "--weights", hc), ("thm4", k33, "--target", files["k3"])):
+        code, doc = run_cli(capsys, "bound", *argv)
+        assert code == 0
+        assert doc["verdict"] == "HOLDS"
+        assert doc["log_slack"] == 0.0
+        if argv[0] == "thm3":
+            assert doc["lhs"] == {"num": "15", "den": "1"}
+
+
 def test_bound_ind_c6_numbers(capsys, files):
     code, doc = run_cli(capsys, "bound", "ind", files["c6"])
     assert code == 0

@@ -5,20 +5,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinz.counting as counting_mod
 from oracles import (
     backtrack_list_homs,
     brute_list_homs,
+    brute_partition,
     c4_torus_independent_sets,
     count_extensions,
     cover_sum_by_enumeration,
     independent_sets,
     ising_brute_log_z,
     ising_cycle_z,
+    lists_for_vertex,
+    partition_brute,
     weighted_independent_set_sum,
     with_list,
+    with_vertex_row,
 )
 from spinz.counting import (
     DEFAULT_BUDGET,
@@ -30,10 +35,10 @@ from spinz.counting import (
     count_list_homs_batch,
     cover_sums,
     list_indicators,
+    list_weights,
     independent_set_count,
     parse_cover_family,
     parse_lists,
-    partition_brute,
     partition_function,
     partition_kab,
     partition_kab_batch,
@@ -49,9 +54,16 @@ from spinz.graphs import (
     hypercube_graph,
     path_graph,
 )
-from spinz.harness import sample_weights
+from spinz.harness import sample_list_assignment, sample_weights
 from spinz.values import Backend
-from spinz.weights import WeightSystem, make_hardcore, make_ising, restrict_to_edge, restrict_to_kab
+from spinz.weights import (
+    WeightSystem,
+    _kab_layout,
+    make_hardcore,
+    make_ising,
+    restrict_to_edge,
+    restrict_to_kab,
+)
 from spinz.graphs import certify_biregular
 
 
@@ -580,8 +592,6 @@ def test_blas_steps_count_all_ones_blocks_exactly(monkeypatch):
 
 
 def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
-    import spinz.counting as counting_mod
-
     rng = np.random.default_rng(5)
     g = cycle_graph(4)
     sizes = [60, 50, 60, 40]
@@ -718,6 +728,7 @@ def test_count_list_homs_c30_to_k3_is_fast():
     lists = ListAssignment.full(g, h)
     times = []
     for _ in range(3):
+        count_list_homs.cache_clear()  # time the count, not the memo
         start = time.perf_counter()
         count = count_list_homs(g, h, lists)
         times.append(time.perf_counter() - start)
@@ -738,7 +749,8 @@ def test_cover_sums_past_int64_are_exact(g, e):
     even, odd = sorted(bipartition(g).even), sorted(bipartition(g).odd)
     lists = ListAssignment(g.n, [range(4)] * (g.n - 1) + [[1, 3]])
     pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd))]
-    for (a_set, b_set), z in zip(pairs, cover_sums(g, h, lists, pairs, Fraction(e))):
+    sums = cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(e))
+    for (a_set, b_set), z in zip(pairs, sums):
         want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, Fraction(e))
         assert want > 2 ** 62
         assert z.fraction == want
@@ -752,16 +764,17 @@ def test_log_cover_sums_past_the_float_range():
     pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd[1:]))]
     for rows in ([range(4)] * 6, [[0, 2]] + [range(4)] * 4 + [[1, 2, 3]], [[]] + [range(4)] * 5):
         lists = ListAssignment(6, rows)
-        for (a_set, b_set), z in zip(pairs, cover_sums(g, h, lists, pairs, e)):
+        for (a_set, b_set), z in zip(pairs, cover_sums(g, *list_weights(g, h, lists), pairs, e)):
             want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, e)
             assert z.log() == want or z.log() == pytest.approx(want, rel=1e-12)
     # on C_6 the plan needs 16 cells, the log-domain steps 64, as many as the maps on A
     g, e = cycle_graph(6), Fraction(4001, 2)
     lists, pair = ListAssignment.full(g, h), (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
     want = cover_sum_by_enumeration(g, h, lists, *pair, e)
-    assert cover_sums(g, h, lists, [pair], e, budget=64)[0].log() == pytest.approx(want, rel=1e-12)
+    got = cover_sums(g, *list_weights(g, h, lists), [pair], e, budget=64)[0]
+    assert got.log() == pytest.approx(want, rel=1e-12)
     with pytest.raises(BudgetError, match="64 exceeds budget 63"):
-        cover_sums(g, h, lists, [pair], e, budget=63)
+        cover_sums(g, *list_weights(g, h, lists), [pair], e, budget=63)
 
 
 def test_log_elimination_matches_contract():
@@ -791,6 +804,132 @@ def test_cover_sums_budget_bounds_every_table():
     bp = bipartition(g)
     pairs = [(frozenset(bp.even), frozenset(bp.odd))]
     want = count_list_homs(g, h, lists)
-    assert cover_sums(g, h, lists, pairs, Fraction(1), budget=27)[0].fraction == want
+    got = cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(1), budget=27)[0]
+    assert got.fraction == want
     with pytest.raises(BudgetError, match="27 exceeds budget 26"):
-        cover_sums(g, h, lists, pairs, Fraction(1), budget=26)
+        cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(1), budget=26)
+
+
+# ----- cover_sums as the per-vertex K_{a,b} kernel of thm3 and thm4 -----
+
+_VERTEX_KERNEL_GRAPHS = (
+    cycle_graph(6),
+    complete_bipartite(2, 3),
+    complete_bipartite(3, 3),
+    hypercube_graph(3),
+)
+
+
+def _orientations(g):
+    cert = certify_biregular(g, bipartition(g))
+    return [cert, cert.swapped()] if cert.a == cert.b else [cert]
+
+
+def _around(cert):
+    """The pairs (N(v), {v}) over the degree-b class of one orientation."""
+    return [(frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VERTEX_KERNEL_GRAPHS),
+    st.integers(1, 3),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["general", "uniform_edge"]),
+    st.integers(-1, 7),
+)
+def test_vertex_kernel_equals_each_kab_restriction(g, m, seed, style, zero):
+    w = sample_weights(g, m, seed=seed, cap=9, allow_zero=seed % 2 == 1, style=style)
+    if zero >= 0:
+        w = with_vertex_row(w, zero % g.n, [0] * m)
+    log_rows, log_tables = w.to_log().logs()
+    for cert in _orientations(g):
+        pairs = _around(cert)
+        exact = cover_sums(g, *w.cleared(), pairs, Fraction(cert.a))
+        insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
+        assert [z.fraction for z in exact] == [z.fraction for z in partition_kab_batch(insts)]
+        for inst, z in zip(insts, exact):
+            if m ** inst.graph.n <= 243:
+                rows, tables = _tables(inst.weights, inst.graph)
+                assert z.fraction == brute_partition(inst.graph.n, inst.graph.edges, rows, tables)
+        logs = cover_sums(g, log_rows, log_tables, pairs, Fraction(cert.a), backend=Backend.LOG)
+        for z, want in zip(logs, exact):
+            assert z.log() == want.log() or z.log() == pytest.approx(want.log(), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VERTEX_KERNEL_GRAPHS),
+    st.integers(1, 4),
+    st.integers(0, 10 ** 6),
+    st.integers(-1, 7),
+)
+def test_list_kernel_equals_each_kab_list_count(g, m, seed, empty):
+    rng = random.Random(seed)
+    h = Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.7])
+    lists = sample_list_assignment(g, h, seed)
+    if empty >= 0:
+        lists = with_list(lists, empty % g.n, [])
+    for cert in _orientations(g):
+        got = cover_sums(g, *list_weights(g, h, lists), _around(cert), Fraction(cert.a))
+        # the K_{a,b} layout thm4 counted before: neighbours first, then a copies of v
+        kab, _, _ = _kab_layout(cert.a, cert.b)
+        sources = np.array([(*cert.neighbor_order(v), *[v] * cert.a) for v in sorted(cert.odd)])
+        before = count_list_homs_batch(kab, h, list_indicators(h, lists)[sources])
+        brute = [backtrack_list_homs(kab, h, lists_for_vertex(lists, cert, v)) for v in sorted(cert.odd)]
+        assert [z.fraction for z in got] == before == brute
+
+
+@pytest.mark.parametrize(
+    "low, high, path",
+    [
+        (20, 30, np.float64),  # 8 * c_v^3 < 2^53
+        (60, 70, np.int64),  # 2^53 <= 8 * c_v^3 < 2^62
+        (900, 1000, object),  # c_v^3 > 2^63
+        (1 << 21, 1 << 22, object),  # c_v itself > 2^63
+    ],
+)
+def test_vertex_kernel_is_exact_on_every_dtype_path(monkeypatch, low, high, path):
+    # K_{3,3} with 2 spins and unit rows: 2 * low^3 <= max c_v <= 2 * high^3,
+    # and the contraction's bound is 2^3 * (max c_v)^3
+    g = complete_bipartite(3, 3)
+    rng = random.Random(low)
+    edge = {(u, v, i, j): rng.randint(low, high) for u, v in g.edges for i in (1, 2) for j in (i, 2)}
+    w = WeightSystem.build(g, 2, edge=edge)
+    (cert,) = _orientations(g)[:1]
+    seen = []
+    contract = counting_mod.contract
+
+    def spy(sizes, factors, budget, backend, maxima, batch):
+        seen.append(counting_mod._exact_dtype(math.prod(sizes) * math.prod(maxima)))
+        return contract(sizes, factors, budget, backend, maxima, batch)
+
+    monkeypatch.setattr(counting_mod, "contract", spy)
+    got = cover_sums(g, *w.cleared(), _around(cert), Fraction(cert.a))
+    monkeypatch.undo()
+    assert seen == [path]
+    insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
+    assert [z.fraction for z in got] == [partition_brute(i.graph, i.weights).fraction for i in insts]
+    log_rows, log_tables = w.to_log().logs()
+    logs = cover_sums(g, log_rows, log_tables, _around(cert), Fraction(cert.a), backend=Backend.LOG)
+    assert [z.log() for z in logs] == pytest.approx([z.log() for z in got], rel=1e-12)
+
+
+def test_vertex_kernel_budget_is_the_c_v_table():
+    # each c_v table has m^b cells; on LOG inputs the m terms over s of
+    # every cell are held at once, m^(b+1); uniform tables cost the same
+    for g in (complete_bipartite(2, 3), hypercube_graph(3)):
+        (cert,) = _orientations(g)[:1]
+        pairs, a, b = _around(cert), Fraction(cert.a), cert.b
+        for m in (2, 3):
+            h = complete_graph(m)
+            cases = [
+                (sample_weights(g, m, seed=m).cleared(), Backend.EXACT, m ** b),
+                (sample_weights(g, m, seed=m, style="uniform_edge").cleared(), Backend.EXACT, m ** b),
+                (sample_weights(g, m, seed=m).to_log().logs(), Backend.LOG, m ** (b + 1)),
+                (list_weights(g, h, ListAssignment.full(g, h)), Backend.EXACT, m ** b),
+            ]
+            for (rows, tables), backend, cost in cases:
+                assert len(cover_sums(g, rows, tables, pairs, a, cost, backend)) == len(pairs)
+                with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
+                    cover_sums(g, rows, tables, pairs, a, cost - 1, backend)

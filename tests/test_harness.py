@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from oracles import isomorphic_brute, relabel
+from oracles import are_isomorphic, isomorphic_brute, relabel
 from spinz.bounds import BOUND_NAMES, Verdict
 from spinz.graphs import (
     Graph,
@@ -16,7 +16,6 @@ from spinz.graphs import (
 from spinz.harness import (
     CampaignConfig,
     EnumerationError,
-    are_isomorphic,
     canonical_form,
     draw_rational,
     enumerate_graphs,

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lse_pair, value_power, value_zero
+from oracles import lse_pair, value_power, value_zero, ValueSum
 from spinz.values import (
     Backend,
     NonNegValue,
     PowerProduct,
-    ValueSum,
     compare_product,
     log_of_fraction,
     parse_rational,

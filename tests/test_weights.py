@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinz.weights as weights_mod
-from oracles import clear_fractions, fraction_weight_tables, weights_file_text
+from oracles import clear_fractions, fraction_weight_tables, partition_brute, weights_file_text
 from spinz.bounds import edge_restriction_bound, vertex_restriction_bound
 from spinz.graphs import (
     Graph,
@@ -34,7 +34,7 @@ from spinz.weights import (
     restrict_to_kab,
 )
 from spinz.blowup import scale_edge_weights
-from spinz.counting import partition_brute, partition_function, partition_kab
+from spinz.counting import partition_function, partition_kab
 
 
 def test_build_defaults_to_one():
