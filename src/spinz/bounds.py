@@ -174,22 +174,21 @@ def _certify(g: Graph) -> BiregularCert:
     return certify_biregular(g, bipartition(g))
 
 
-@lru_cache(maxsize=256)
 def _neighbourhood_pairs(cert: BiregularCert) -> tuple:
     """(N(v), {v}) for every degree-b vertex v, ascending."""
     return tuple((frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd))
 
 
-def _per_vertex_rhs(g: Graph, cert: BiregularCert, rows, tables, backend, budget) -> PowerProduct:
+def _per_vertex_rhs(cert: BiregularCert, sums_of) -> PowerProduct:
     """The product over the degree-b class of the K_{a,b} restriction
     around each vertex v, each to the 1/a; when a == b, the smaller of
     both orientations' products.  A restriction's a copies of v each
-    contribute the same factor, so each orientation is one ``cover_sums``
-    call over the pairs (N(v), {v}) with exponent a."""
+    contribute the same factor, so each orientation is one covering sum,
+    sums_of(pairs, exponent), over the pairs (N(v), {v}) with exponent a."""
     certs = [cert, cert.swapped()] if cert.a == cert.b else [cert]
     products = []
     for c in certs:
-        sums = cover_sums(g, rows, tables, _neighbourhood_pairs(c), Fraction(c.a), budget, backend)
+        sums = sums_of(_neighbourhood_pairs(c), Fraction(c.a))
         products.append(PowerProduct(tuple((z, Fraction(1, c.a)) for z in sums)))
     p, q = products[0], products[-1]
     if p.backend is Backend.EXACT:
@@ -213,14 +212,20 @@ def vertex_restriction_bound(
     cert = _certify(g)
     lhs = partition_function(g, w, budget)
     form = w.cleared() if w.backend is Backend.EXACT else w.logs()
-    rhs = _per_vertex_rhs(g, cert, *form, w.backend, budget)
+    rhs = _per_vertex_rhs(cert, lambda pairs, e: cover_sums(g, *form, pairs, e, budget, w.backend))
     return finish_report("thm3", lhs, rhs, g.sha(), w.sha())
 
 
-@lru_cache(maxsize=64)
 def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
-    """Memoised, like ``count_list_homs``, for thm4, thm5 and conj2."""
     return sha256_text(h.to_text() + lists.to_text())
+
+
+@lru_cache(maxsize=64)
+def _list_cover_sums(g: Graph, h: Graph, lists: ListAssignment, pairs, exponent, budget) -> tuple:
+    """``cover_sums`` of the list homomorphisms of g into h.  Memoised
+    (arguments hash by content): thm4's first orientation and thm5 on
+    the neighbourhood family sum the same pairs."""
+    return tuple(cover_sums(g, *list_weights(g, h, lists), pairs, exponent, budget))
 
 
 def list_vertex_restriction_bound(
@@ -237,7 +242,7 @@ def list_vertex_restriction_bound(
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    rhs = _per_vertex_rhs(g, cert, *list_weights(g, h, lists), Backend.EXACT, budget)
+    rhs = _per_vertex_rhs(cert, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
     return finish_report(
         "thm4", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )
@@ -259,7 +264,7 @@ def cover_family_value(
     (``cover_sums``), and pairs of one shape share a batch.
     """
     fam.validate(bipartition(g))
-    sums = cover_sums(g, *list_weights(g, h, lists), fam.pairs, Fraction(fam.t1, fam.t2), budget)
+    sums = _list_cover_sums(g, h, lists, tuple(fam.pairs), Fraction(fam.t1, fam.t2), budget)
     return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
 
 

@@ -54,9 +54,6 @@ _MAX_OPERANDS = 31
 # builds an intermediate larger than the step's largest operand or output,
 # so the budget still bounds memory.
 _BLAS_MIN_CELLS = 1 << 15
-# A sum over at most this many cells of at most this many tensors (a K_{a,b}
-# cover sum) is one einsum: cheaper than a step per variable.
-_FLAT_CELLS, _FLAT_OPERANDS = 1 << 8, 8
 
 
 class BudgetError(ValueError):
@@ -101,9 +98,8 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     the number of products summed into each output cell and the cell
     count of the step's whole label space (step k appends tensor
     len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
-    batch axis.  The last tensor is the scalar sum.  A tiny structure
-    (``_FLAT_CELLS``) is one step over every tensor; ``largest`` stays the
-    elimination order's.  It depends only on the structure, so it is cached.
+    batch axis.  The last tensor is the scalar sum.  It depends only on
+    the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -165,11 +161,6 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
-    space = math.prod(map(size_of, scoped))
-    if space <= _FLAT_CELLS and 1 < len(scopes) <= _FLAT_OPERANDS:
-        labels = {x: k for k, x in enumerate(sorted(scoped))}
-        operands = tuple((i, (..., *[labels[x] for x in scope])) for i, scope in enumerate(scopes))
-        steps = [(operands, (...,), space, space)]
     return free, largest, tuple(steps)
 
 
@@ -711,15 +702,18 @@ def cover_sums(
     int64 or Python ints from the bound m * max r * (max T) ** |N(v) & A|,
     c_v ** exponent from its largest entry.  Otherwise the values are
     LOG.  The budget bounds the plan and every c_v table, m ** |N(v) & A|
-    cells (times m on LOG inputs, whose terms over s are held at once).
+    cells (times m on LOG inputs, whose terms over s are held at once):
+    each shape's pairs run in chunks of budget // (that cost), so every
+    batch of tables stays within the budget too.
     """
     exact = backend is Backend.EXACT
     to_log = not exact or exponent.denominator != 1
     m = len(rows[0][0] if exact else rows[0])
     groups = _cover_layout(g, tuple(pairs))
     width = max([len(scope) for _, scopes, *_ in groups for scope in scopes], default=0)
-    if m ** (width + (not exact)) > budget:
-        raise BudgetError(m ** (width + (not exact)), budget)
+    cost = m ** (width + (not exact))
+    if cost > budget:
+        raise BudgetError(cost, budget)
     stored = [tables[e] for e in g.edges]
     if exact:
         rows, row_den, top_r = zip(*rows)
@@ -736,44 +730,48 @@ def cover_sums(
     edge = np.repeat(edge.reshape(-1, m, m), len(stored) if shared else 1, axis=0)
     power = float(exponent) if to_log else exponent.numerator
 
-    out = [None] * len(pairs)
+    out, chunk = [None] * len(pairs), budget // cost  # pairs whose c_v tables fit the budget
     for size, scopes, members, a_ids, b_ids in groups:
-        a_rows = vertex[a_ids]
-        factors = [((i,), a_rows[:, i]) for i in range(size)]
-        maxima = None if to_log else [top_r] * size
-        for scope, (v_ids, e_ids) in zip(scopes, b_ids):
-            r_v, t_uv, axes = vertex[v_ids], edge[e_ids], range(1, len(scope) + 1)
-            if exact:
-                operands = [r_v, [..., 0]]
-                for i in axes:
-                    operands += [t_uv[:, i - 1], [..., i, 0]]
-                counts = np.einsum(*operands, [..., *axes])
-                counts = counts.astype(np.int64) if dtype is np.float64 else counts
-                if to_log:
-                    counts = np.log(counts) * power
+        for lo in range(0, len(members), chunk):
+            part = slice(lo, lo + chunk)
+            a_rows = vertex[a_ids[part]]
+            factors = [((i,), a_rows[:, i]) for i in range(size)]
+            maxima = None if to_log else [top_r] * size
+            for scope, (v_ids, e_ids) in zip(scopes, b_ids):
+                r_v, t_uv = vertex[v_ids[part]], edge[e_ids[part]]
+                axes = range(1, len(scope) + 1)
+                if exact:
+                    operands = [r_v, [..., 0]]
+                    for i in axes:
+                        operands += [t_uv[:, i - 1], [..., i, 0]]
+                    counts = np.einsum(*operands, [..., *axes])
+                    counts = counts.astype(np.int64) if dtype is np.float64 else counts
+                    if to_log:
+                        counts = np.log(counts) * power
+                    else:
+                        maxima.append(int(counts.max()) ** power)
+                        if maxima[-1] >= _INT64_LIMIT:
+                            counts = counts.astype(object)
+                        counts = counts ** power
                 else:
-                    maxima.append(int(counts.max()) ** power)
-                    if maxima[-1] >= _INT64_LIMIT:
-                        counts = counts.astype(object)
-                    counts = counts ** power
-            else:
-                terms = np.expand_dims(r_v, tuple(axes))
-                for i in axes:
-                    terms = terms + np.expand_dims(t_uv[:, i - 1], tuple(j for j in axes if j != i))
-                counts = np.logaddexp.reduce(terms, axis=-1) * power
-            factors.append((scope, counts))
-        if to_log and exact:
-            factors[:size] = [(x, np.log(t)) for x, t in factors[:size]]
-        backend_out = Backend.LOG if to_log else Backend.EXACT
-        sums = contract([m] * size, factors, budget, backend_out, maxima, len(members))
-        for (k, a_set, b_edges), z in zip(members, sums):
-            if scaled:
-                a_scale = math.prod([row_den[u] for u in a_set])
-                c_scale = math.prod([row_den[v] * math.prod([edge_den[e] for e in es])
-                                     for v, es in b_edges])
-                z = (z - math.log(a_scale) - power * math.log(c_scale) if to_log
-                     else Fraction(z, a_scale * c_scale ** power))
-            out[k] = NonNegValue.from_log(z) if to_log else NonNegValue.exact(z)
+                    terms = np.expand_dims(r_v, tuple(axes))
+                    for i in axes:
+                        others = tuple(j for j in axes if j != i)
+                        terms = terms + np.expand_dims(t_uv[:, i - 1], others)
+                    counts = np.logaddexp.reduce(terms, axis=-1) * power
+                factors.append((scope, counts))
+            if to_log and exact:
+                factors[:size] = [(x, np.log(t)) for x, t in factors[:size]]
+            backend_out = Backend.LOG if to_log else Backend.EXACT
+            sums = contract([m] * size, factors, budget, backend_out, maxima, len(a_rows))
+            for (k, a_set, b_edges), z in zip(members[part], sums):
+                if scaled:
+                    a_scale = math.prod([row_den[u] for u in a_set])
+                    c_scale = math.prod([row_den[v] * math.prod([edge_den[e] for e in es])
+                                         for v, es in b_edges])
+                    z = (z - math.log(a_scale) - power * math.log(c_scale) if to_log
+                         else Fraction(z, a_scale * c_scale ** power))
+                out[k] = NonNegValue.from_log(z) if to_log else NonNegValue.exact(z)
     return out
 
 

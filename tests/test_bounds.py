@@ -776,8 +776,14 @@ def test_per_vertex_bounds_make_one_cover_sum_per_orientation(monkeypatch):
             (lambda: evaluate_bound("thm5", g, target=h), 1),
         ):
             calls.clear()
+            bounds_mod._list_cover_sums.cache_clear()  # count the sums, not memo hits
             evaluate()
             assert len(calls) == want
+        # thm5 on the neighbourhood family reuses thm4's first orientation
+        list_vertex_restriction_bound(g, h)
+        calls.clear()
+        evaluate_bound("thm5", g, target=h)
+        assert calls == []
 
 
 # ----- batched list-hom factors against the backtracker -----

@@ -332,6 +332,16 @@ def test_log_backend_never_loses_terms_to_underflow():
     assert logz == pytest.approx(math.log(c4_torus_independent_sets(12)), rel=1e-12)
 
 
+def test_log_domain_steps_cost_their_own_label_space():
+    # C_4 at beta = 400 underflows, so its plan runs in the log domain;
+    # each step spans 2^3 cells of the 2^4 configurations
+    g = cycle_graph(4)
+    z = partition_function(g, make_ising(g, 400, 0), budget=8)
+    assert z.log() == pytest.approx(1600 + math.log(2), rel=1e-12)
+    with pytest.raises(BudgetError, match="8 exceeds budget 7"):
+        partition_function(g, make_ising(g, 400, 0), budget=7)
+
+
 def test_underflowing_log_hypercube_needs_no_enumeration():
     # Q_4 at beta = 400: the two proper colourings carry e^12800, every
     # other configuration at least 800 nats less.  2^16 configurations
@@ -933,3 +943,34 @@ def test_vertex_kernel_budget_is_the_c_v_table():
                 assert len(cover_sums(g, rows, tables, pairs, a, cost, backend)) == len(pairs)
                 with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
                     cover_sums(g, rows, tables, pairs, a, cost - 1, backend)
+
+
+def test_vertex_kernel_runs_in_chunks_within_the_budget(monkeypatch):
+    # Q_3's four pairs (N(v), {v}) share one shape; a budget of k c_v tables
+    # (m^3 cells, m^4 on LOG) sums them k at a time, to the same values
+    g, m = hypercube_graph(3), 2
+    (cert,) = _orientations(g)[:1]
+    pairs, a = _around(cert), Fraction(cert.a)
+    w = sample_weights(g, m, seed=5)
+    h = complete_graph(m + 1)
+    cases = [
+        (w.cleared(), Backend.EXACT, m ** 3),
+        (w.to_log().logs(), Backend.LOG, m ** 4),
+        (list_weights(g, h, ListAssignment.full(g, h)), Backend.EXACT, (m + 1) ** 3),
+    ]
+    contract = counting_mod.contract
+    for (rows, tables), backend, cost in cases:
+        value = (lambda z: z.log()) if backend is Backend.LOG else (lambda z: z.fraction)
+        want = [value(z) for z in cover_sums(g, rows, tables, pairs, a, DEFAULT_BUDGET, backend)]
+        for budget, batches in ((cost + 1, [1, 1, 1, 1]), (2 * cost, [2, 2]), (3 * cost, [3, 1])):
+            seen = []
+
+            def spy(*args):
+                seen.append(args[5])
+                return contract(*args)
+
+            monkeypatch.setattr(counting_mod, "contract", spy)
+            got = cover_sums(g, rows, tables, pairs, a, budget, backend)
+            monkeypatch.undo()
+            assert seen == batches
+            assert [value(z) for z in got] == want
