@@ -42,6 +42,7 @@ from .counting import (
     list_indicators,
     list_weights,
     partition_function,
+    _partitions,
 )
 from .graphs import BiregularCert, Graph, GraphError, bipartition, certify_biregular
 from .util import sha256_text
@@ -88,6 +89,7 @@ class BoundReport:
     log_slack: float
     graph_sha: str
     weights_sha: str
+    cmp: int | None = None  # EXACT: the exact sign of lhs - rhs (-1, 0, 1); not serialized
 
     @property
     def lhs_log(self) -> float:
@@ -133,7 +135,8 @@ def finish_report(
     """Compare lhs against rhs and package the verdict.
 
     EXACT: the comparison clears fractional exponents and runs in integer
-    arithmetic; an exact tie reports log_slack == 0.0 literally.  LOG:
+    arithmetic; its sign is the report's ``cmp``, and an exact tie reports
+    log_slack == 0.0 literally.  LOG:
     holds when lhs <= rhs * (1 + 1e-9); anything beyond that tolerance is
     INCONCLUSIVE because float evidence cannot certify a violation.
     """
@@ -146,6 +149,7 @@ def finish_report(
         slack = 0.0
     else:
         slack = rhs_log - lhs_log
+    cmp = None
     if backend is Backend.EXACT:
         cmp = compare_product(((lhs, Fraction(1)),), rhs.factors)
         if cmp == 0:
@@ -165,6 +169,7 @@ def finish_report(
         log_slack=slack,
         graph_sha=graph_sha,
         weights_sha=weights_sha,
+        cmp=cmp,
     )
 
 
@@ -207,13 +212,24 @@ def vertex_restriction_bound(
 
     When a == b both class orientations are certified upper bounds; the
     smaller right side is reported.  The budget bounds the left side's
-    plan and each factor's m^b table.
+    plan and each factor's m^b table.  The batch of one of
+    ``vertex_restriction_bounds``.
     """
+    return vertex_restriction_bounds(g, [w], budget)[0]
+
+
+def vertex_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
+    """``vertex_restriction_bound`` for each system of ws (one spin count
+    and backend), the left sides in one contraction."""
     cert = _certify(g)
-    lhs = partition_function(g, w, budget)
-    form = w.cleared() if w.backend is Backend.EXACT else w.logs()
-    rhs = _per_vertex_rhs(cert, lambda pairs, e: cover_sums(g, *form, pairs, e, budget, w.backend))
-    return finish_report("thm3", lhs, rhs, g.sha(), w.sha())
+    reports = []
+    for w, lhs in zip(ws, _partitions(g, ws, budget)):
+        form = w.cleared() if w.backend is Backend.EXACT else w.logs()
+        rhs = _per_vertex_rhs(
+            cert, lambda pairs, e: cover_sums(g, *form, pairs, e, budget, w.backend)
+        )
+        reports.append(finish_report("thm3", lhs, rhs, g.sha(), w.sha()))
+    return reports
 
 
 def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
@@ -263,9 +279,16 @@ def cover_family_value(
     inner sums are LOG values.  Each inner sum is one contraction
     (``cover_sums``), and pairs of one shape share a batch.
     """
-    fam.validate(bipartition(g))
+    _check_family(g, fam)
     sums = _list_cover_sums(g, h, lists, tuple(fam.pairs), Fraction(fam.t1, fam.t2), budget)
     return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
+
+
+@lru_cache(maxsize=256)
+def _check_family(g: Graph, fam: CoverFamilyPair) -> None:
+    """``fam.validate`` against the bipartition of g, once per (graph,
+    family); both hash by content, and errors are not cached."""
+    fam.validate(bipartition(g))
 
 
 def neighbourhood_family(g: Graph) -> CoverFamilyPair:
@@ -314,11 +337,22 @@ def edge_restriction_bound(
     partition function raised to 1/(d(u)d(v)).
 
     Requires a uniform edge-weight system (see ``restrict_to_edge``).
+    The batch of one of ``edge_restriction_bounds``.
     """
+    return edge_restriction_bounds(g, [w], budget)[0]
+
+
+def edge_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
+    """``edge_restriction_bound`` for each system of ws (one spin count
+    and backend): the left sides in one contraction, every system's
+    K_{d(u),d(v)} factors in one ``edge_kab_partitions`` call."""
     _require_min_degree(g)
-    lhs = partition_function(g, w, budget)
-    rhs = _per_edge_rhs(g, edge_kab_partitions(g, w, budget))
-    return finish_report("conj1", lhs, rhs, g.sha(), w.sha())
+    lhs = _partitions(g, ws, budget)
+    factors = edge_kab_partitions(g, ws, budget)
+    return [
+        finish_report("conj1", z, _per_edge_rhs(g, f), g.sha(), w.sha())
+        for w, z, f in zip(ws, lhs, factors)
+    ]
 
 
 def list_edge_restriction_bound(
@@ -397,27 +431,46 @@ def evaluate_bound(
     """Evaluate the named bound on g with the inputs ``BOUND_INPUTS``
     says it reads; the others are ignored.  Lists default to full lists
     and thm5's family to ``neighbourhood_family(g)``.  Raises ValueError
-    for an unknown name or a missing input."""
+    for an unknown name or a missing input.  The batch of one of
+    ``evaluate_trials``."""
+    inputs = {"weights": weights, "target": target, "lists": lists, "family": family}
+    return evaluate_trials(name, g, [inputs], budget)[0]
+
+
+def evaluate_trials(name: str, g: Graph, trials, budget: int = DEFAULT_BUDGET) -> list:
+    """``evaluate_bound`` of the named bound on g once per trial, a trial
+    being a dict of its keyword inputs (missing keys are None).  The
+    weight systems of the trials (one spin count and backend) run as one
+    batch; a bound that reads nothing is evaluated once for all of them.
+    An error in any trial is raised for the whole call."""
     if name not in BOUND_INPUTS:
         raise ValueError(f"unknown bound name {name!r}")
     reads = BOUND_INPUTS[name]
+    if not trials:
+        return []
     # evaluators are looked up at call time, so a wrapped one is the one called
     if reads is None:
         fn = independent_set_regular_bound if name == "ind" else independent_set_edge_bound
-        return fn(g, budget)
+        return [fn(g, budget)] * len(trials)
     if reads == "weights":
-        if weights is None:
+        ws = [trial.get("weights") for trial in trials]
+        if None in ws:
             raise ValueError(f"bound {name} needs weights")
-        fn = vertex_restriction_bound if name == "thm3" else edge_restriction_bound
-        return fn(g, weights, budget)
-    if target is None:
-        raise ValueError(f"bound {name} needs a target graph")
-    lists = ListAssignment.full(g, target) if lists is None else lists
-    if name == "thm5":
-        family = neighbourhood_family(g) if family is None else family
-        return cover_family_report(g, target, lists, family, budget)
-    fn = list_vertex_restriction_bound if name == "thm4" else list_edge_restriction_bound
-    return fn(g, target, lists, budget)
+        fn = vertex_restriction_bounds if name == "thm3" else edge_restriction_bounds
+        return fn(g, ws, budget)
+    reports = []
+    for trial in trials:
+        target, lists, family = (trial.get(key) for key in ("target", "lists", "family"))
+        if target is None:
+            raise ValueError(f"bound {name} needs a target graph")
+        lists = ListAssignment.full(g, target) if lists is None else lists
+        if name == "thm5":
+            family = neighbourhood_family(g) if family is None else family
+            reports.append(cover_family_report(g, target, lists, family, budget))
+        else:
+            fn = list_vertex_restriction_bound if name == "thm4" else list_edge_restriction_bound
+            reports.append(fn(g, target, lists, budget))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -447,23 +447,24 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
     """Partition functions, times the product of every row and table
     denominator, of K_{a,b} instances whose edges share one table.  An
     item is (table, side_s, side_t) in cleared entries.  A side_t vertex
-    with row r contributes sum_i r[i] prod_j T[i][j]^c[j], which depends
-    on side_s only through its spin-count vector c, so the result is
-    sum_c DP(c) * prod_t (that factor), DP being ``_count_vectors`` over
-    side_s.  Memos keyed by object identity (a restriction shares its
+    with row r contributes f_r(c) = sum_i r[i] prod_j T[i][j]^c[j], which
+    depends on side_s only through its spin-count vector c, so the result
+    is sum_c DP(c) * prod_{r in side_t} f_r(c), DP being ``_count_vectors``
+    over side_s.  Memos keyed by object identity (a restriction shares its
     parent's rows and table) serve every item of the call: the DP by
-    side_s, the product over side_t by (table, side_t, c).  An item costs
-    its number of count vectors, comb(|side_s| + m - 1, m - 1); all are
-    checked before any DP runs.
+    side_s, the T-power products prod_j T[i][j]^c[j] by (table, c), and
+    f_r(c) by (table, c, r), so a row in several side_t is summed once
+    per c.  An item costs its number of count vectors,
+    comb(|side_s| + m - 1, m - 1); all are checked before any DP runs.
     """
     for table, side_s, _ in items:
         cost = math.comb(len(side_s) + len(table) - 1, len(table) - 1)
         if cost > budget:
             raise BudgetError(cost, budget)
     base = max([len(side_s) for _, side_s, _ in items], default=0) + 1
-    groups_of, sides_of, out = {}, {}, []
+    units = [base ** i for i in range(max([len(table) for table, _, _ in items], default=0))]
+    groups_of, sides_of, factors_of, out = {}, {}, {}, []
     for table, side_s, side_t in items:
-        units = [base ** i for i in range(len(table))]
         key = tuple(map(id, side_s))
         groups = groups_of.get(key)
         if groups is None:
@@ -472,9 +473,18 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
         for counts, acc in groups.items():
             prod_t = memo.get(counts)
             if prod_t is None:
-                powers = [counts // unit % base for unit in units]
-                products = [math.prod(map(pow, t_row, powers)) for t_row in table]
-                prod_t = math.prod(sum(map(operator.mul, row, products)) for row in side_t)
+                memos = factors_of.get((id(table), counts))
+                if memos is None:
+                    powers = [counts // unit % base for unit in units]
+                    products = [math.prod(map(pow, t_row, powers)) for t_row in table]
+                    memos = factors_of[id(table), counts] = products, {}
+                products, f_of = memos  # f_of: id(r) -> f_r(c)
+                prod_t = 1
+                for row in side_t:
+                    f = f_of.get(id(row))
+                    if f is None:
+                        f = f_of[id(row)] = sum(map(operator.mul, row, products))
+                    prod_t *= f
                 memo[counts] = prod_t
             total += acc * prod_t
         out.append(total)
@@ -489,26 +499,32 @@ def edges_by_degree_pair(g: Graph) -> dict[tuple[int, int], list]:
     return groups
 
 
-def edge_kab_partitions(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> list:
-    """The partition function of ``restrict_to_edge(g, w, u, v)`` for every
-    edge uv of g.  EXACT: one ``uniform_kab_sums`` call over the stored
-    rows and table, with the DP over the smaller of N(u) and N(v), so one
-    DP serves every edge at a vertex.  LOG: one ``partition_kab_batch`` per
-    degree pair (d(u), d(v))."""
-    if w.backend is Backend.LOG or not g.edges:  # an edgeless g has no table to share
+def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFAULT_BUDGET) -> list:
+    """For each system w of ws (one backend), the partition function of
+    ``restrict_to_edge(g, w, u, v)`` for every edge uv of g.  EXACT: one
+    ``uniform_kab_sums`` call over every system's stored rows and table,
+    with the DP over the smaller of N(u) and N(v), so one DP serves every
+    edge at a vertex.  LOG: one ``partition_kab_batch`` per degree pair
+    (d(u), d(v)) over every system."""
+    if not ws or ws[0].backend is Backend.LOG or not g.edges:  # an edgeless g shares no table
         zs = {}
         for edges in edges_by_degree_pair(g).values():
-            insts = [restrict_to_edge(g, w, u, v) for u, v in edges]
-            zs.update(zip(edges, partition_kab_batch(insts, budget)))
-        return [zs[e] for e in g.edges]
-    rows, tables = w.cleared()
-    table, den, _ = tables[uniform_edge(w)]
-    sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]
-    dens = [math.prod(rows[x][1] for x in g.neighbors(v)) for v in range(g.n)]
-    ends = [(u, v) if len(sides[u]) <= len(sides[v]) else (v, u) for u, v in g.edges]
-    zs = uniform_kab_sums([(table, sides[s], sides[t]) for s, t in ends], budget)
-    scales = [dens[s] * dens[t] * den ** (len(sides[s]) * len(sides[t])) for s, t in ends]
-    return [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
+            keys = [(k, e) for k in range(len(ws)) for e in edges]
+            insts = [restrict_to_edge(g, ws[k], *e) for k, e in keys]
+            zs.update(zip(keys, partition_kab_batch(insts, budget)))
+        return [[zs[k, e] for e in g.edges] for k in range(len(ws))]
+    ends = [(u, v) if g.degree(u) <= g.degree(v) else (v, u) for u, v in g.edges]
+    items, scales = [], []
+    for w in ws:
+        rows, tables = w.cleared()
+        table, den, _ = tables[uniform_edge(w)]
+        sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]
+        dens = [math.prod(rows[x][1] for x in g.neighbors(v)) for v in range(g.n)]
+        items += [(table, sides[s], sides[t]) for s, t in ends]
+        scales += [dens[s] * dens[t] * den ** (len(sides[s]) * len(sides[t])) for s, t in ends]
+    zs = uniform_kab_sums(items, budget)
+    values = [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
+    return [values[k : k + len(ends)] for k in range(0, len(values), len(ends))]
 
 
 def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDGET) -> list:
@@ -559,7 +575,7 @@ def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 class ListAssignment:
     """Per-vertex allowed-target sets for list homomorphism counting."""
 
-    __slots__ = ("n", "lists")
+    __slots__ = ("n", "lists", "_valid_for")
 
     def __init__(self, n: int, lists: Mapping[int, Iterable[int]] | Sequence[Iterable[int]]):
         rows: list[tuple[int, ...]] = []
@@ -574,6 +590,7 @@ class ListAssignment:
             rows = [tuple(sorted(set(row))) for row in lists]
         self.n = n
         self.lists = tuple(rows)
+        self._valid_for = None  # the target count validate_against last accepted
 
     @classmethod
     def full(cls, g: Graph, h: Graph) -> "ListAssignment":
@@ -583,10 +600,15 @@ class ListAssignment:
         return self.lists[v]
 
     def validate_against(self, h: Graph) -> None:
+        """Raise ValueError for the first target outside V(h).  The lists
+        are scanned once per target count, however many kernels check."""
+        if self._valid_for == h.n:
+            return
         for v, row in enumerate(self.lists):
             for y in row:
                 if not (0 <= y < h.n):
                     raise ValueError(f"list of vertex {v} mentions unknown target {y}")
+        self._valid_for = h.n
 
     def to_text(self) -> str:
         lines = []

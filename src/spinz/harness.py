@@ -11,10 +11,10 @@ full instance so it can be re-checked independently).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .bounds import (
     BoundReport,
     Verdict,
     evaluate_bound,
+    evaluate_trials,
 )
 from .counting import (
     DEFAULT_BUDGET,
@@ -40,9 +41,9 @@ from .graphs import (
 )
 from .util import derive_seed, dump_json
 from .values import Backend
-from .weights import WeightSystem, make_hardcore, parse_weights
+from .weights import WeightError, WeightSystem, _cleared, parse_weights
 
-ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 12}
+ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 10}
 
 
 class EnumerationError(ValueError):
@@ -246,7 +247,8 @@ def enumerate_graphs(
     their class over the n! vertex permutations: n = 7 takes about 0.5 s
     and 130 MB, and n = 8 would hold 2^28 masks against 8! permutations,
     so the ceilings, checked before anything is yielded, are {all: 7,
-    bipartite: 7, biregular: 12}; ``biregular`` up to 12 takes 25 minutes.
+    bipartite: 7, biregular: 10}; ``biregular`` up to 10 takes about 15 s
+    (n = 12 took 25 minutes).
     """
     if n_max < 0:
         raise EnumerationError(f"n_max must be >= 0, got {n_max}")
@@ -272,12 +274,20 @@ def draw_rational(rng: random.Random, cap: int) -> tuple[int, int]:
     return rng.randint(1, cap), rng.randint(1, cap)
 
 
-def _draw_value(rng: random.Random, cap: int, allow_zero: bool) -> Fraction:
+def _draw_value(rng: random.Random, cap: int, allow_zero: bool) -> tuple[int, int]:
+    """One weight as an integer pair (p, q) for p/q: ``draw_rational``,
+    then (0, 1) with probability 1/8 when zeros are allowed."""
     p, q = draw_rational(rng, cap)
-    value = Fraction(p, q)
     if allow_zero and rng.random() < 0.125:
-        value = Fraction(0)
-    return value
+        return 0, 1
+    return p, q
+
+
+def _cleared_pairs(pairs, m: int | None = None):
+    """The cleared (entries, denominator, maximum) triple of the rationals
+    p/q given as integer pairs, as ``WeightSystem.build`` stores them."""
+    den = math.lcm(*(q for _, q in pairs))
+    return _cleared([p * (den // q) for p, q in pairs], den, m)
 
 
 WEIGHT_STYLES = ("general", "uniform_edge", "hardcore")
@@ -297,33 +307,34 @@ def sample_weights(
     ``uniform_edge`` draws one edge table shared by all edges (the shape
     the per-edge restriction bounds require); ``hardcore`` draws only
     per-vertex activities into the two-spin hard-constraint system.
+    Draws are integer pairs cleared straight into the stored form, equal
+    to ``WeightSystem.build`` (or ``make_hardcore``) of the drawn values.
     """
     if style not in WEIGHT_STYLES:
         raise ValueError(f"unknown weight style {style!r}")
     rng = random.Random(seed)
     if style == "hardcore":
-        lam = {v: _draw_value(rng, cap, allow_zero) for v in g.vertices()}
-        return make_hardcore(g, lam)
-    vertex = {}
-    for v in g.vertices():
-        for i in range(1, m + 1):
-            vertex[(v, i)] = _draw_value(rng, cap, allow_zero)
-    edge = {}
+        m = 2
+        draws = [[_draw_value(rng, cap, allow_zero), (1, 1)] for _ in range(g.n)]
+        rows = tuple(map(_cleared_pairs, draws))
+        table = _cleared_pairs([(0, 1), (1, 1), (1, 1), (1, 1)], m)
+        return WeightSystem(m, g.n, Backend.EXACT, rows, dict.fromkeys(g.edges, table))
+    if m < 1:
+        raise WeightError(f"spin count must be >= 1, got {m}")
+    rows = tuple(
+        _cleared_pairs([_draw_value(rng, cap, allow_zero) for _ in range(m)]) for _ in range(g.n)
+    )
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+
+    def draw_table():
+        drawn = {ij: _draw_value(rng, cap, allow_zero) for ij in upper}
+        return _cleared_pairs([drawn[min(i, j), max(i, j)] for i in range(m) for j in range(m)], m)
+
     if style == "uniform_edge":
-        table = {
-            (i, j): _draw_value(rng, cap, allow_zero)
-            for i in range(1, m + 1)
-            for j in range(i, m + 1)
-        }
-        for u, v in g.edges:
-            for (i, j), val in table.items():
-                edge[(u, v, i, j)] = val
+        tables = dict.fromkeys(g.edges, draw_table())
     else:
-        for u, v in g.edges:
-            for i in range(1, m + 1):
-                for j in range(i, m + 1):
-                    edge[(u, v, i, j)] = _draw_value(rng, cap, allow_zero)
-    return WeightSystem.build(g, m, vertex, edge)
+        tables = {e: draw_table() for e in g.edges}
+    return WeightSystem(m, g.n, Backend.EXACT, rows, tables)
 
 
 def sample_target_graph(h_max: int, seed: int) -> Graph:
@@ -446,6 +457,31 @@ class BoundAggregate:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def add(self, gi: int, si: int, outcome, payload) -> None:
+        """Count the instance (gi, si): outcome is its report or error
+        string, and payload() builds its witness, called only for a
+        report that is kept (a violation or a new minimum slack)."""
+        self.instances += 1
+        if isinstance(outcome, str):
+            self.errors += 1
+            if len(self.error_samples) < 5:
+                self.error_samples.append({"graph_index": gi, "sample_index": si, "error": outcome})
+            return
+        kept = None
+        if outcome.verdict is Verdict.HOLDS:
+            self.holds += 1
+        elif outcome.verdict is Verdict.INCONCLUSIVE:
+            self.inconclusive += 1
+        else:
+            kept = payload()
+            self.violations.append(kept)
+        if outcome.cmp == 0:
+            self.equalities += 1
+        slack = outcome.log_slack
+        if slack != float("inf") and (self.min_log_slack is None or slack < self.min_log_slack):
+            self.min_log_slack = slack
+            self.min_witness = payload() if kept is None else kept
+
 
 @dataclass
 class CampaignReport:
@@ -477,7 +513,16 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-def _witness_payload(report: BoundReport, g: Graph, extras: dict, gi: int, si: int) -> dict:
+def _witness_payload(report: BoundReport, g: Graph, trial: dict, gi: int, si: int) -> dict:
+    """The report with its instance as text: the graph and the sampled
+    inputs (``trial``) that the bound reads."""
+    reads = BOUND_INPUTS[report.bound]
+    if reads == "weights":
+        extras = {"weights": trial["weights"].to_text()}
+    elif reads == "target":
+        extras = {"target": trial["target"].to_text(), "lists": trial["lists"].to_text()}
+    else:
+        extras = {}
     return {
         "bound": report.bound,
         "verdict": report.verdict.value,
@@ -504,40 +549,42 @@ def recheck_witness(payload: dict, budget: int = DEFAULT_BUDGET) -> BoundReport:
     return evaluate_bound(payload["bound"], g, budget=budget, **inputs)
 
 
-def _evaluate_instance(cfg: CampaignConfig, g: Graph, gi: int, si: int):
-    """Evaluate every configured bound on one (graph, sample) work item.
+def _evaluate_graph(cfg: CampaignConfig, g: Graph, gi: int):
+    """Evaluate every configured bound on every sample of graph gi.
 
-    Yields (bound, outcome) where outcome is either a (report, extras)
-    pair, extras holding the sampled inputs the bound reads as text, or
-    an error string.  Bounds that read nothing sampled run only at
-    sample index 0.
+    Samples the inputs of all trials first, then runs each bound over
+    all of them in one ``evaluate_trials`` batch, and yields (bound, si,
+    outcome, trial) in sample order, where outcome is a report or an
+    error string and trial holds the sampled inputs.  A batch that
+    raises is run again one trial at a time, so each error stays with
+    its own sample.  Bounds that read nothing sampled run only at sample
+    index 0.
     """
     reads = {BOUND_INPUTS[name] for name in cfg.bounds}
-    inputs, extras = {}, {None: {}}
-    if "weights" in reads:
-        w = inputs["weights"] = sample_weights(
-            g,
-            cfg.m,
-            derive_seed(cfg.seed, "weights", gi, si),
-            cap=cfg.cap,
-            allow_zero=cfg.allow_zero,
-            style=cfg.weights,
-        )
-        extras["weights"] = {"weights": w.to_text()}
-    if "target" in reads:
-        h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
-        lists = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
-        inputs.update(target=h, lists=lists)
-        extras["target"] = {"target": h.to_text(), "lists": lists.to_text()}
+    trials = []
+    for si in range(cfg.trials):
+        trial = {}
+        if "weights" in reads:
+            seed = derive_seed(cfg.seed, "weights", gi, si)
+            trial["weights"] = sample_weights(g, cfg.m, seed, cfg.cap, cfg.allow_zero, cfg.weights)
+        if "target" in reads:
+            h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
+            trial["target"] = h
+            trial["lists"] = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
+        trials.append(trial)
     for name in cfg.bounds:
-        if BOUND_INPUTS[name] is None and si > 0:
-            continue
+        batch = trials if BOUND_INPUTS[name] else trials[:1]
         try:
-            report = evaluate_bound(name, g, budget=cfg.budget, **inputs)
-            outcome = report, extras[BOUND_INPUTS[name]]
-        except (GraphError, ValueError) as exc:
-            outcome = str(exc)
-        yield name, outcome
+            outcomes = evaluate_trials(name, g, batch, cfg.budget)
+        except (GraphError, ValueError):
+            outcomes = []
+            for trial in batch:
+                try:
+                    outcomes.append(evaluate_bound(name, g, budget=cfg.budget, **trial))
+                except (GraphError, ValueError) as exc:
+                    outcomes.append(str(exc))
+        for si, (outcome, trial) in enumerate(zip(outcomes, batch)):
+            yield name, si, outcome, trial
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
@@ -570,33 +617,11 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
         graphs = list(enumerate_graphs(cfg.n_max, mode, connected_only=cfg.connected))
 
     per_bound: dict[str, BoundAggregate] = {name: BoundAggregate() for name in cfg.bounds}
-    for gi, si in itertools.product(range(len(graphs)), range(cfg.trials)):
-        for name, outcome in _evaluate_instance(cfg, graphs[gi], gi, si):
-            agg = per_bound[name]
-            agg.instances += 1
-            if isinstance(outcome, str):
-                agg.errors += 1
-                if len(agg.error_samples) < 5:
-                    agg.error_samples.append(
-                        {"graph_index": gi, "sample_index": si, "error": outcome}
-                    )
-                continue
-            report, extras = outcome
-            payload = _witness_payload(report, graphs[gi], extras, gi, si)
-            if report.verdict is Verdict.HOLDS:
-                agg.holds += 1
-            elif report.verdict is Verdict.INCONCLUSIVE:
-                agg.inconclusive += 1
-            else:
-                agg.violations.append(payload)
-            if report.backend is Backend.EXACT and report.log_slack == 0.0:
-                agg.equalities += 1
-            slack = report.log_slack
-            if slack != float("inf") and (
-                agg.min_log_slack is None or slack < agg.min_log_slack
-            ):
-                agg.min_log_slack = slack
-                agg.min_witness = payload
+    for gi, g in enumerate(graphs):
+        for name, si, outcome, trial in _evaluate_graph(cfg, g, gi):
+            per_bound[name].add(
+                gi, si, outcome, lambda: _witness_payload(outcome, g, trial, gi, si)
+            )
 
     report = CampaignReport(
         config=cfg,

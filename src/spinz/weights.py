@@ -216,10 +216,16 @@ class WeightSystem:
         for v, (entries, den, _) in enumerate(self._rows):
             for i, x in enumerate(entries, start=1):
                 lines.append(f"vw {v} {i} {_format(x, den)}")
-        for (u, w), (entries, den, _) in sorted(self._tables.items()):
-            for i in range(self.m):
-                for j in range(i, self.m):
-                    lines.append(f"ew {u} {w} {i + 1} {j + 1} {_format(entries[i][j], den)}")
+        upper = [(i, j) for i in range(self.m) for j in range(i, self.m)]
+        fields_of = {}  # id(stored table) -> its "i j value" fields; shared tables format once
+        for (u, w), stored in sorted(self._tables.items()):
+            fields = fields_of.get(id(stored))
+            if fields is None:
+                entries, den, _ = stored
+                fields = fields_of[id(stored)] = [
+                    f"{i + 1} {j + 1} {_format(entries[i][j], den)}" for i, j in upper
+                ]
+            lines += [f"ew {u} {w} {f}" for f in fields]
         return "\n".join(lines) + "\n"
 
     def sha(self) -> str:

@@ -454,3 +454,30 @@ def count_all_block_homs(g, sub, host, budget=10 ** 8):
     sizes = [host.vertex_size[v] for v in range(g.n)]
     factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
     return contract(sizes, factors, budget)
+
+
+def fraction_sample_weights(g, m, seed, cap=16, allow_zero=False, style="general"):
+    """The Fraction reference for ``harness.sample_weights``: the same
+    draws, each made a Fraction, put together by ``WeightSystem.build``."""
+    import random
+
+    from spinz.weights import WeightSystem, make_hardcore
+
+    rng = random.Random(seed)
+
+    def draw():
+        value = Fraction(rng.randint(1, cap), rng.randint(1, cap))
+        if allow_zero and rng.random() < 0.125:
+            value = Fraction(0)
+        return value
+
+    if style == "hardcore":
+        return make_hardcore(g, {v: draw() for v in g.vertices()})
+    vertex = {(v, i): draw() for v in g.vertices() for i in range(1, m + 1)}
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    if style == "uniform_edge":
+        table = {ij: draw() for ij in pairs}
+        edge = {(u, v, i, j): table[i, j] for u, v in g.edges for i, j in pairs}
+    else:
+        edge = {(u, v, i, j): draw() for u, v in g.edges for i, j in pairs}
+    return WeightSystem.build(g, m, vertex, edge)

@@ -524,7 +524,7 @@ def test_log_conj1_is_one_contraction_per_degree_pair(monkeypatch):
         return contract(*args, **kwargs)
 
     monkeypatch.setattr(counting_mod, "contract", spy)
-    factors = counting_mod.edge_kab_partitions(g, w)
+    (factors,) = counting_mod.edge_kab_partitions(g, [w])
     assert [z.log() for z in factors] == pytest.approx(wants, rel=1e-12)
     assert sorted(batch or 1 for _, batch in calls) == [1, 1, 1, 2]
 
@@ -847,3 +847,73 @@ def test_cover_family_value_matches_enumeration():
                 assert factor.is_zero
             else:
                 assert factor.log() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _family(pairs, t1=2, t2=1):
+    return CoverFamilyPair(tuple((frozenset(a), frozenset(b)) for a, b in pairs), t1, t2)
+
+
+def test_list_and_family_checks_keep_their_messages():
+    c6, k3 = cycle_graph(6), complete_graph(3)
+    bad = ListAssignment(6, [[0], [0, 1], [5], [0], [1], [2]])
+    negative = ListAssignment(6, [[0], [-1], [0], [0], [1], [2]])
+    short = ListAssignment(5, [[0]] * 5)
+    triangle = [({0, 2}, {1}), ({2, 4}, {3}), ({0, 4}, {5})]
+    cases = [
+        (lambda: evaluate_bound("thm4", c6, target=k3, lists=bad), "list of vertex 2 mentions unknown target 5"),
+        (lambda: evaluate_bound("thm4", c6, target=k3, lists=negative), "list of vertex 1 mentions unknown target -1"),
+        (lambda: evaluate_bound("thm4", c6, target=k3, lists=short), "list assignment length does not match the graph"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, lists=bad), "list of vertex 2 mentions unknown target 5"),
+        (lambda: evaluate_bound("conj2", c6, target=k3, lists=bad), "list of vertex 2 mentions unknown target 5"),
+        (lambda: evaluate_bound("conj2", c6, target=k3, lists=short), "list assignment length does not match the graph"),
+        (lambda: count_list_homs(c6, k3, bad), "list of vertex 2 mentions unknown target 5"),
+        (lambda: count_list_homs(c6, k3, short), "list assignment length does not match the graph"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({1, 3}, {0})])),
+         "pair 0: vertex 1 is not in the even class"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({0, 2}, {2})])),
+         "pair 0: vertex 2 is not in the odd class"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family(triangle, t1=3)),
+         "vertex 0 is covered by 2 A-sets, fewer than t1=3"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family(triangle, t2=2)),
+         "vertex 1 is covered by 1 B-sets, fewer than t2=2"),
+        (lambda: evaluate_bound("thm5", k3, target=k3), "not bipartite: odd closed walk 1-0-2-1"),
+        (lambda: evaluate_bound("thm5", k3, target=k3, family=_family([({0}, {1})])),
+         "not bipartite: odd closed walk 1-0-2-1"),
+        (lambda: evaluate_bound("thm4", path_graph(4), target=k3),
+         "not biregular: vertices 0 (degree 1) and 2 (degree 2) share a class"),
+    ]
+    for _ in range(2):  # a failed check is not remembered
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
+def test_lists_checked_for_one_target_size_are_checked_again_for_another():
+    lists = ListAssignment(4, [[0, 2], [1], [2], [0]])
+    lists.validate_against(complete_graph(3))
+    with pytest.raises(ValueError, match="list of vertex 0 mentions unknown target 2"):
+        lists.validate_against(complete_graph(2))
+    assert evaluate_bound("thm4", cycle_graph(4), target=complete_graph(3), lists=lists).verdict is Verdict.HOLDS
+
+
+def test_batched_weight_bounds_equal_their_batches_of_one():
+    evaluators = {
+        "thm3": (bounds_mod.vertex_restriction_bounds, vertex_restriction_bound),
+        "conj1": (bounds_mod.edge_restriction_bounds, edge_restriction_bound),
+    }
+    cases = [
+        (cycle_graph(6), "general", ("thm3",)),
+        (complete_bipartite(2, 3), "uniform_edge", ("thm3", "conj1")),
+        (Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]), "uniform_edge", ("conj1",)),
+    ]
+    for g, style, names in cases:
+        ws = [sample_weights(g, 2, seed=s, cap=7, allow_zero=s % 2 == 1, style=style) for s in range(4)]
+        logs = [w.to_log() for w in ws]
+        for name in names:
+            batch, single = evaluators[name]
+            assert [r.to_json_dict() for r in batch(g, ws)] == [single(g, w).to_json_dict() for w in ws]
+            for got, want in zip(batch(g, logs), [single(g, w) for w in logs]):
+                assert got.verdict is want.verdict
+                assert got.lhs_log == pytest.approx(want.lhs_log, rel=1e-12, abs=1e-12)
+                assert got.rhs_log == pytest.approx(want.rhs_log, rel=1e-12, abs=1e-12)

@@ -1,10 +1,11 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from oracles import are_isomorphic, isomorphic_brute, relabel
-from spinz.bounds import BOUND_NAMES, Verdict
+from oracles import are_isomorphic, fraction_sample_weights, isomorphic_brute, relabel
+from spinz.bounds import BOUND_INPUTS, BOUND_NAMES, Verdict, evaluate_bound, evaluate_trials
 from spinz.graphs import (
     Graph,
     complete_bipartite,
@@ -14,8 +15,11 @@ from spinz.graphs import (
     path_graph,
 )
 from spinz.harness import (
+    WEIGHT_STYLES,
+    BoundAggregate,
     CampaignConfig,
     EnumerationError,
+    _evaluate_graph,
     canonical_form,
     draw_rational,
     enumerate_graphs,
@@ -26,6 +30,8 @@ from spinz.harness import (
     sample_target_graph,
     sample_weights,
 )
+from spinz.util import derive_seed
+from spinz.weights import WeightError, make_hardcore, uniform_edge
 import random
 
 
@@ -118,6 +124,12 @@ def test_enumerate_ceiling_is_checked_before_the_first_graph():
         graphs = enumerate_graphs(8, mode)
         with pytest.raises(EnumerationError, match=f"n_max 8 exceeds the {mode} ceiling 7"):
             next(graphs)
+
+
+def test_biregular_ceiling_is_ten_and_checked_before_the_first_graph():
+    graphs = enumerate_graphs(11, "biregular", connected_only=True)
+    with pytest.raises(EnumerationError, match="n_max 11 exceeds the biregular ceiling 10"):
+        next(graphs)
 
 
 def test_enumerate_deterministic_order():
@@ -337,3 +349,148 @@ def test_seven_vertex_classes_match_the_graph_atlas():
     assert len(connected) == sum(map(nx.is_connected, atlas)) == 853  # OEIS A001349
     bipartite = [g for g in enumerate_graphs(7, "bipartite") if g.n == 7]
     assert len(bipartite) == sum(map(nx.is_bipartite, atlas))
+
+
+def _uniform_edge_or_error(w):
+    try:
+        return uniform_edge(w)
+    except WeightError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+def test_sample_weights_equals_the_fraction_sampler(style):
+    graphs = [cycle_graph(5), complete_graph(4), path_graph(2), Graph(3, []), complete_bipartite(2, 3)]
+    for seed in range(240):
+        g, m, allow_zero = graphs[seed % 5], 1 + seed % 3, seed % 4 == 1
+        cap = (1, 2, 9, 16)[seed % 4]
+        got = sample_weights(g, m, seed, cap=cap, allow_zero=allow_zero, style=style)
+        want = fraction_sample_weights(g, m, seed, cap=cap, allow_zero=allow_zero, style=style)
+        assert got.m == want.m
+        assert got.cleared() == want.cleared()
+        assert got.to_text() == want.to_text()
+        assert got.uniform_edge_table() == want.uniform_edge_table()
+        assert _uniform_edge_or_error(got) == _uniform_edge_or_error(want)
+
+
+def _campaign_by_lone_evaluations(cfg):
+    """run_campaign's report.json dict (runtime aside), built by calling
+    evaluate_bound on each (graph, sample) in turn."""
+    if cfg.source == "biregular":
+        graphs = list(enumerate_graphs(cfg.n_max, "biregular", cfg.connected, cfg.a, cfg.b, cfg.max_degree))
+    else:
+        mode = "bipartite" if cfg.source == "bipartite" else "all"
+        graphs = list(enumerate_graphs(cfg.n_max, mode, connected_only=cfg.connected))
+    keys = ("instances", "holds", "inconclusive", "equalities", "errors")
+    bounds = {
+        name: {**dict.fromkeys(keys, 0), "error_samples": [], "violations": [],
+               "min_log_slack": None, "min_witness": None}
+        for name in cfg.bounds
+    }
+    for gi, g in enumerate(graphs):
+        for si in range(cfg.trials):
+            w = sample_weights(g, cfg.m, derive_seed(cfg.seed, "weights", gi, si), cap=cfg.cap,
+                               allow_zero=cfg.allow_zero, style=cfg.weights)
+            h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
+            lists = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
+            for name in cfg.bounds:
+                reads = BOUND_INPUTS[name]
+                if reads is None and si > 0:
+                    continue
+                agg = bounds[name]
+                agg["instances"] += 1
+                try:
+                    r = evaluate_bound(name, g, weights=w, target=h, lists=lists, budget=cfg.budget)
+                except ValueError as exc:  # GraphError is one too
+                    agg["errors"] += 1
+                    if len(agg["error_samples"]) < 5:
+                        agg["error_samples"].append({"graph_index": gi, "sample_index": si, "error": str(exc)})
+                    continue
+                extras = {"weights": {"weights": w.to_text()},
+                          "target": {"target": h.to_text(), "lists": lists.to_text()}, None: {}}[reads]
+                payload = {"bound": name, "verdict": r.verdict.value, "backend": r.backend.value,
+                           "log_slack": r.log_slack, "lhs_log": r.lhs_log, "rhs_log": r.rhs_log,
+                           "graph": g.to_text(), **extras, "graph_index": gi, "sample_index": si}
+                if r.verdict is Verdict.HOLDS:
+                    agg["holds"] += 1
+                elif r.verdict is Verdict.INCONCLUSIVE:
+                    agg["inconclusive"] += 1
+                else:
+                    agg["violations"].append(payload)
+                agg["equalities"] += r.cmp == 0
+                if r.log_slack != float("inf") and (
+                    agg["min_log_slack"] is None or r.log_slack < agg["min_log_slack"]
+                ):
+                    agg["min_log_slack"], agg["min_witness"] = r.log_slack, payload
+    return {"config": cfg.to_json_dict(), "graphs": len(graphs), "bounds": bounds}
+
+
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_campaign_equals_a_loop_over_evaluate_bound(style, m):
+    configs = [
+        CampaignConfig(source="biregular", n_max=5, bounds=BOUND_NAMES, weights=style, m=m,
+                       cap=4, allow_zero=m != 2, trials=3, seed=10 * m),
+        CampaignConfig(source="general", n_max=4, bounds=("conj1", "thm3", "conj2", "indconj"),
+                       weights=style, m=m, cap=3 + m, allow_zero=m == 2, trials=3, seed=m,
+                       budget=(10 ** 8, 4, 8)[m - 1]),
+    ]
+    for cfg in configs:
+        doc = run_campaign(cfg).to_json_dict()
+        doc.pop("runtime_seconds")
+        assert doc == _campaign_by_lone_evaluations(cfg)
+
+
+def _lone(name, g, trial, budget):
+    try:
+        return evaluate_bound(name, g, budget=budget, **trial).to_json_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_a_failing_batch_gives_each_trial_its_lone_outcome():
+    # budget 3 is below conj1's and thm3's plans on most graphs; cap 1 with
+    # zeros gives per-edge tables that differ in some trials only
+    configs = [
+        CampaignConfig(source="general", n_max=4, bounds=("conj1", "thm3"), weights="uniform_edge",
+                       m=3, trials=4, seed=1, budget=3),
+        CampaignConfig(source="general", n_max=4, bounds=("conj1",), weights="general", m=1, cap=1,
+                       allow_zero=True, trials=6, seed=3),
+    ]
+    seen = set()
+    for cfg in configs:
+        for gi, g in enumerate(enumerate_graphs(cfg.n_max, "all", connected_only=True)):
+            outcomes = list(_evaluate_graph(cfg, g, gi))
+            assert [(name, si) for name, si, *_ in outcomes] == [
+                (name, si) for name in cfg.bounds for si in range(cfg.trials)
+            ]
+            for name, si, outcome, trial in outcomes:
+                got = outcome if isinstance(outcome, str) else outcome.to_json_dict()
+                assert got == _lone(name, g, trial, cfg.budget)
+                seen.add(got.split(";")[0] if isinstance(got, str) else "report")
+            trials = [trial for *_, trial in outcomes[: cfg.trials]]
+            lone = [_lone("conj1", g, trial, cfg.budget) for trial in trials]
+            if any(isinstance(x, str) for x in lone):
+                with pytest.raises(ValueError):
+                    evaluate_trials("conj1", g, trials, cfg.budget)
+    assert "report" in seen
+    assert any(x.startswith("enumeration cost") for x in seen)
+    assert any("per-edge weight tables differ" in x for x in seen)
+
+
+P4_NEAR_TIE = Fraction(1080616349161203, 10 ** 15)  # within 1e-15 of the conj1 threshold
+
+
+def test_equalities_count_exact_ties_not_zero_slack():
+    g = path_graph(4)
+    weights = make_hardcore(g, {0: P4_NEAR_TIE, 1: 1, 2: 1, 3: P4_NEAR_TIE})
+    near = evaluate_bound("conj1", g, weights=weights)
+    assert near.verdict is Verdict.VIOLATED and near.log_slack == 0.0  # the float slack rounds to 0
+    assert "cmp" not in near.to_json_dict()
+    agg = BoundAggregate()
+    agg.add(0, 0, near, lambda: {"sample": 0})
+    assert (agg.equalities, len(agg.violations), agg.min_witness) == (0, 1, {"sample": 0})
+    c4 = cycle_graph(4)  # K_{2,2} is its own edge restriction: an exact tie
+    tie = evaluate_bound("conj1", c4, weights=make_hardcore(c4, 1))
+    agg.add(1, 0, tie, lambda: {"sample": 1})
+    assert (agg.instances, agg.holds, agg.equalities, len(agg.violations)) == (2, 1, 1, 1)

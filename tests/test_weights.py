@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spinz.weights as weights_mod
-from oracles import clear_fractions, fraction_weight_tables, partition_brute, weights_file_text
+from oracles import (
+    clear_fractions,
+    fraction_sample_weights,
+    fraction_weight_tables,
+    partition_brute,
+    weights_file_text,
+)
 from spinz.bounds import edge_restriction_bound, vertex_restriction_bound
 from spinz.graphs import (
     Graph,
@@ -453,7 +459,8 @@ def test_text_is_serialised_once_and_serves_the_sha():
 
 
 def _sampled_with_inputs(monkeypatch, g, m, seed, allow_zero, style):
-    """sample_weights' system and the vertex and edge maps it was built from."""
+    """sample_weights' system and the vertex and edge maps of the same
+    draws, as the Fraction sampler passes them to ``WeightSystem.build``."""
     seen = []
     real = WeightSystem.build.__func__
 
@@ -463,9 +470,9 @@ def _sampled_with_inputs(monkeypatch, g, m, seed, allow_zero, style):
 
     with monkeypatch.context() as patch:
         patch.setattr(WeightSystem, "build", classmethod(spy))
-        w = sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style)
+        fraction_sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style)
     (vertex, edge), = seen
-    return w, vertex, edge
+    return sample_weights(g, m, seed, cap=9, allow_zero=allow_zero, style=style), vertex, edge
 
 
 def test_stored_form_matches_the_per_entry_fraction_reference(monkeypatch):
