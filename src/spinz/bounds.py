@@ -221,14 +221,14 @@ def vertex_restriction_bound(
 def vertex_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     """``vertex_restriction_bound`` for each system of ws (one spin count
     and backend), the left sides in one contraction."""
-    cert = _certify(g)
+    cert, sha = _certify(g), g.sha()
     reports = []
     for w, lhs in zip(ws, _partitions(g, ws, budget)):
         form = w.cleared() if w.backend is Backend.EXACT else w.logs()
         rhs = _per_vertex_rhs(
             cert, lambda pairs, e: cover_sums(g, *form, pairs, e, budget, w.backend)
         )
-        reports.append(finish_report("thm3", lhs, rhs, g.sha(), w.sha()))
+        reports.append(finish_report("thm3", lhs, rhs, sha, w.sha()))
     return reports
 
 
@@ -323,8 +323,12 @@ def _require_min_degree(g: Graph) -> None:
 def _per_edge_rhs(g: Graph, factors) -> PowerProduct:
     """The product of the edges' factors (in edge order), the factor of
     uv raised to 1/(d(u)d(v))."""
-    exponents = [Fraction(1, g.degree(u) * g.degree(v)) for u, v in g.edges]
-    return PowerProduct(tuple(zip(factors, exponents)))
+    return PowerProduct(tuple(zip(factors, _edge_exponents(g))))
+
+
+@lru_cache(maxsize=256)
+def _edge_exponents(g: Graph) -> tuple:
+    return tuple(Fraction(1, g.degree(u) * g.degree(v)) for u, v in g.edges)
 
 
 def edge_restriction_bound(
@@ -349,8 +353,9 @@ def edge_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     _require_min_degree(g)
     lhs = _partitions(g, ws, budget)
     factors = edge_kab_partitions(g, ws, budget)
+    sha = g.sha()
     return [
-        finish_report("conj1", z, _per_edge_rhs(g, f), g.sha(), w.sha())
+        finish_report("conj1", z, _per_edge_rhs(g, f), sha, w.sha())
         for w, z, f in zip(ws, lhs, factors)
     ]
 

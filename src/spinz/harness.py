@@ -11,7 +11,6 @@ full instance so it can be re-checked independently).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -40,8 +39,7 @@ from .graphs import (
     parse_graph,
 )
 from .util import derive_seed, dump_json
-from .values import Backend
-from .weights import WeightError, WeightSystem, _cleared, parse_weights
+from .weights import WeightSystem, hardcore_from_pairs, parse_weights
 
 ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 10}
 
@@ -283,13 +281,6 @@ def _draw_value(rng: random.Random, cap: int, allow_zero: bool) -> tuple[int, in
     return p, q
 
 
-def _cleared_pairs(pairs, m: int | None = None):
-    """The cleared (entries, denominator, maximum) triple of the rationals
-    p/q given as integer pairs, as ``WeightSystem.build`` stores them."""
-    den = math.lcm(*(q for _, q in pairs))
-    return _cleared([p * (den // q) for p, q in pairs], den, m)
-
-
 WEIGHT_STYLES = ("general", "uniform_edge", "hardcore")
 
 
@@ -307,34 +298,26 @@ def sample_weights(
     ``uniform_edge`` draws one edge table shared by all edges (the shape
     the per-edge restriction bounds require); ``hardcore`` draws only
     per-vertex activities into the two-spin hard-constraint system.
-    Draws are integer pairs cleared straight into the stored form, equal
-    to ``WeightSystem.build`` (or ``make_hardcore``) of the drawn values.
+    Draws are integer pairs, stored through ``WeightSystem.from_pairs``
+    (``hardcore_from_pairs``) without building a ``Fraction``.
     """
     if style not in WEIGHT_STYLES:
         raise ValueError(f"unknown weight style {style!r}")
     rng = random.Random(seed)
     if style == "hardcore":
-        m = 2
-        draws = [[_draw_value(rng, cap, allow_zero), (1, 1)] for _ in range(g.n)]
-        rows = tuple(map(_cleared_pairs, draws))
-        table = _cleared_pairs([(0, 1), (1, 1), (1, 1), (1, 1)], m)
-        return WeightSystem(m, g.n, Backend.EXACT, rows, dict.fromkeys(g.edges, table))
-    if m < 1:
-        raise WeightError(f"spin count must be >= 1, got {m}")
-    rows = tuple(
-        _cleared_pairs([_draw_value(rng, cap, allow_zero) for _ in range(m)]) for _ in range(g.n)
-    )
+        return hardcore_from_pairs(g, [_draw_value(rng, cap, allow_zero) for _ in range(g.n)])
+    rows = [[_draw_value(rng, cap, allow_zero) for _ in range(m)] for _ in range(g.n)]
     upper = [(i, j) for i in range(m) for j in range(i, m)]
 
     def draw_table():
         drawn = {ij: _draw_value(rng, cap, allow_zero) for ij in upper}
-        return _cleared_pairs([drawn[min(i, j), max(i, j)] for i in range(m) for j in range(m)], m)
+        return [drawn[min(i, j), max(i, j)] for i in range(m) for j in range(m)]
 
     if style == "uniform_edge":
         tables = dict.fromkeys(g.edges, draw_table())
     else:
         tables = {e: draw_table() for e in g.edges}
-    return WeightSystem(m, g.n, Backend.EXACT, rows, tables)
+    return WeightSystem.from_pairs(g.n, m, rows, tables)
 
 
 def sample_target_graph(h_max: int, seed: int) -> Graph:
@@ -549,42 +532,51 @@ def recheck_witness(payload: dict, budget: int = DEFAULT_BUDGET) -> BoundReport:
     return evaluate_bound(payload["bound"], g, budget=budget, **inputs)
 
 
+# Trials of one graph sampled and evaluated together: a campaign holds at
+# most this many trials' inputs (and batch memos) at once, however many
+# trials it runs.
+_TRIAL_CHUNK = 32
+
+
 def _evaluate_graph(cfg: CampaignConfig, g: Graph, gi: int):
     """Evaluate every configured bound on every sample of graph gi.
 
-    Samples the inputs of all trials first, then runs each bound over
-    all of them in one ``evaluate_trials`` batch, and yields (bound, si,
-    outcome, trial) in sample order, where outcome is a report or an
-    error string and trial holds the sampled inputs.  A batch that
-    raises is run again one trial at a time, so each error stays with
-    its own sample.  Bounds that read nothing sampled run only at sample
-    index 0.
+    Samples the inputs of up to ``_TRIAL_CHUNK`` trials, then runs each
+    bound over all of them in one ``evaluate_trials`` batch, and yields
+    (bound, si, outcome, trial), each bound's in sample order, where
+    outcome is a report or an error string and trial holds the sampled
+    inputs.  A batch that raises is run again one trial at a time, so
+    each error stays with its own sample.  Bounds that read nothing
+    sampled run only at sample index 0.
     """
     reads = {BOUND_INPUTS[name] for name in cfg.bounds}
-    trials = []
-    for si in range(cfg.trials):
-        trial = {}
-        if "weights" in reads:
-            seed = derive_seed(cfg.seed, "weights", gi, si)
-            trial["weights"] = sample_weights(g, cfg.m, seed, cfg.cap, cfg.allow_zero, cfg.weights)
-        if "target" in reads:
-            h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
-            trial["target"] = h
-            trial["lists"] = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
-        trials.append(trial)
-    for name in cfg.bounds:
-        batch = trials if BOUND_INPUTS[name] else trials[:1]
-        try:
-            outcomes = evaluate_trials(name, g, batch, cfg.budget)
-        except (GraphError, ValueError):
-            outcomes = []
-            for trial in batch:
-                try:
-                    outcomes.append(evaluate_bound(name, g, budget=cfg.budget, **trial))
-                except (GraphError, ValueError) as exc:
-                    outcomes.append(str(exc))
-        for si, (outcome, trial) in enumerate(zip(outcomes, batch)):
-            yield name, si, outcome, trial
+    for first in range(0, cfg.trials, _TRIAL_CHUNK):
+        trials = []
+        for si in range(first, min(first + _TRIAL_CHUNK, cfg.trials)):
+            trial = {}
+            if "weights" in reads:
+                seed = derive_seed(cfg.seed, "weights", gi, si)
+                trial["weights"] = sample_weights(g, cfg.m, seed, cfg.cap, cfg.allow_zero, cfg.weights)
+            if "target" in reads:
+                h = sample_target_graph(cfg.h_max, derive_seed(cfg.seed, "target", gi, si))
+                trial["target"] = h
+                trial["lists"] = sample_list_assignment(g, h, derive_seed(cfg.seed, "lists", gi, si))
+            trials.append(trial)
+        for name in cfg.bounds:
+            if BOUND_INPUTS[name] is None and first > 0:
+                continue
+            batch = trials if BOUND_INPUTS[name] else trials[:1]
+            try:
+                outcomes = evaluate_trials(name, g, batch, cfg.budget)
+            except (GraphError, ValueError):
+                outcomes = []
+                for trial in batch:
+                    try:
+                        outcomes.append(evaluate_bound(name, g, budget=cfg.budget, **trial))
+                    except (GraphError, ValueError) as exc:
+                        outcomes.append(str(exc))
+            for si, (outcome, trial) in enumerate(zip(outcomes, batch), start=first):
+                yield name, si, outcome, trial
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:

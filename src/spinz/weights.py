@@ -92,14 +92,14 @@ class WeightSystem:
         """
         if m < 1:
             raise WeightError(f"spin count must be >= 1, got {m}")
-        rows = [[1] * m for _ in range(graph.n)]
+        rows = [[(1, 1)] * m for _ in range(graph.n)]
         for (v, i), val in (vertex or {}).items():
             if not (0 <= v < graph.n):
                 raise WeightError(f"vertex {v} out of range")
             if not (1 <= i <= m):
                 raise WeightError(f"spin {i} out of range 1..{m}")
-            rows[v][i - 1] = nonneg_rational(val)
-        tables = {e: [1] * (m * m) for e in graph.edges}  # row-major
+            rows[v][i - 1] = _pair(val)
+        tables = {e: [(1, 1)] * (m * m) for e in graph.edges}  # row-major
         for (u, v, i, j), val in (edge or {}).items():
             key = (u, v) if u < v else (v, u)
             if key not in tables:
@@ -107,8 +107,19 @@ class WeightSystem:
             if not (1 <= i <= j <= m):
                 raise WeightError(f"spin pair ({i},{j}) must satisfy 1 <= i <= j <= {m}")
             table = tables[key]
-            table[(i - 1) * m + j - 1] = table[(j - 1) * m + i - 1] = nonneg_rational(val)
-        rows = tuple(_clear(row) for row in rows)
+            table[(i - 1) * m + j - 1] = table[(j - 1) * m + i - 1] = _pair(val)
+        return cls.from_pairs(graph.n, m, rows, tables)
+
+    @classmethod
+    def from_pairs(cls, n: int, m: int, rows, tables) -> "WeightSystem":
+        """An EXACT system from weights given as integer pairs (p, q) for
+        p/q, p >= 0 < q: rows[v] holds vertex v's m weights, tables[(u,
+        v)] (u < v) the edge's symmetric m x m table in row-major order.
+        The pairs are not checked (``build`` checks its inputs, then
+        stores through here), only m is.
+        """
+        if m < 1:
+            raise WeightError(f"spin count must be >= 1, got {m}")
         # A run of equal tables (every edge of a uniform system) is cleared
         # once and shares its triple; comparing with the previous table
         # keeps all-distinct systems at one cheap comparison per edge.
@@ -117,7 +128,7 @@ class WeightSystem:
             if t != prev:
                 prev, triple = t, _clear(t, m)
             cleared[e] = triple
-        return cls(m, graph.n, Backend.EXACT, rows, cleared)
+        return cls(m, n, Backend.EXACT, tuple(_clear(row) for row in rows), cleared)
 
     def _value(self, stored, *index) -> NonNegValue:
         entry, den, _ = stored if self.backend is Backend.EXACT else (stored, None, None)
@@ -161,15 +172,11 @@ class WeightSystem:
         return self._rows, self._tables
 
     def uniform_edge_table(self) -> Table | None:
-        """The shared m x m table if every edge carries the same one.
-
-        Worked out once per system by comparing the stored tables, which
-        are equal exactly when the weights are.
-        """
+        """The shared m x m table if every edge carries the same one
+        (``_shared_edge``), worked out once per system."""
         if self._uniform is _UNKNOWN:
-            tables = list(self._tables.values())
-            same = bool(tables) and all(t == tables[0] for t in tables)
-            self._uniform = self.edge_table(*next(iter(self._tables))) if same else None
+            e = _shared_edge(self)
+            self._uniform = None if e is None else self.edge_table(*e)
         return self._uniform
 
     def to_log(self) -> "WeightSystem":
@@ -254,10 +261,16 @@ def _cleared(nums: Sequence[int], den: int, m: int | None = None):
     return entries, den // g, top
 
 
-def _clear(values, m: int | None = None):
-    """Cleared triple of a flat list of rationals (ints or Fractions)."""
-    den = math.lcm(*(x.denominator for x in values))
-    return _cleared([x.numerator * (den // x.denominator) for x in values], den, m)
+def _clear(pairs, m: int | None = None):
+    """Cleared triple of a flat list of rationals p/q given as (p, q)."""
+    den = math.lcm(*(q for _, q in pairs))
+    return _cleared([p * (den // q) for p, q in pairs], den, m)
+
+
+def _pair(value: RationalLike) -> tuple[int, int]:
+    """A non-negative rational input as its reduced (p, q)."""
+    value = nonneg_rational(value)
+    return value.numerator, value.denominator
 
 
 def _scaled(stored, c: Fraction, m: int):
@@ -350,9 +363,15 @@ def make_hardcore(g: Graph, lam: Mapping[int, RationalLike] | RationalLike) -> W
     missing = [v for v in g.vertices() if v not in lam]
     if missing:
         raise WeightError(f"activity missing for vertices {missing}")
-    vertex = {(v, 1): lam[v] for v in g.vertices()}
-    edge = {(u, v, 1, 1): 0 for u, v in g.edges}
-    return WeightSystem.build(g, 2, vertex, edge)
+    return hardcore_from_pairs(g, [_pair(lam[v]) for v in g.vertices()])
+
+
+def hardcore_from_pairs(g: Graph, activities: Sequence[tuple[int, int]]) -> WeightSystem:
+    """``make_hardcore`` with vertex v's activity given as the integer
+    pair (p, q) for p/q, p >= 0 < q, in activities[v]."""
+    table = [(0, 1), (1, 1), (1, 1), (1, 1)]  # spin 1 next to spin 1 weighs 0
+    rows = [[lam, (1, 1)] for lam in activities]
+    return WeightSystem.from_pairs(g.n, 2, rows, dict.fromkeys(g.edges, table))
 
 
 def make_ising(g: Graph, beta: float, h: float) -> WeightSystem:
@@ -435,13 +454,23 @@ def restrict_to_kab(
     return _induced(w, cert.a, cert.b, (*nbrs, *[v] * cert.a), edges)
 
 
+def _shared_edge(w: WeightSystem) -> tuple[int, int] | None:
+    """The first edge of w if every edge's stored table equals its table
+    (stored tables are equal exactly when the weights are), else None;
+    None too when w has no edges."""
+    items = iter(w._tables.items())
+    e, first = next(items, (None, None))
+    return None if e is None or any(t != first for _, t in items) else e
+
+
 def uniform_edge(w: WeightSystem) -> tuple[int, int]:
     """An edge whose stored table every edge of w shares.  Raises
     WeightError when the tables differ: edge restrictions are undefined."""
-    if w.uniform_edge_table() is None:
+    e = _shared_edge(w)
+    if e is None:
         raise WeightError("unsupported: per-edge weight tables differ, so the edge "
                           "restriction onto the complete bipartite graph is ambiguous")
-    return next(iter(w.edges()))
+    return e
 
 
 def restrict_to_edge(g: Graph, w: WeightSystem, u: int, v: int) -> KabInstance:

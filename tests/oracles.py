@@ -461,7 +461,7 @@ def fraction_sample_weights(g, m, seed, cap=16, allow_zero=False, style="general
     draws, each made a Fraction, put together by ``WeightSystem.build``."""
     import random
 
-    from spinz.weights import WeightSystem, make_hardcore
+    from spinz.weights import WeightSystem
 
     rng = random.Random(seed)
 
@@ -471,8 +471,9 @@ def fraction_sample_weights(g, m, seed, cap=16, allow_zero=False, style="general
             value = Fraction(0)
         return value
 
-    if style == "hardcore":
-        return make_hardcore(g, {v: draw() for v in g.vertices()})
+    if style == "hardcore":  # make_hardcore's system: spin 1 is in the set, 1-1 edges weigh 0
+        vertex = {(v, 1): draw() for v in g.vertices()}
+        return WeightSystem.build(g, 2, vertex, {(u, v, 1, 1): 0 for u, v in g.edges})
     vertex = {(v, i): draw() for v in g.vertices() for i in range(1, m + 1)}
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
     if style == "uniform_edge":

@@ -441,6 +441,29 @@ def test_campaign_equals_a_loop_over_evaluate_bound(style, m):
         assert doc == _campaign_by_lone_evaluations(cfg)
 
 
+def test_campaign_in_trial_chunks_keeps_its_report(monkeypatch):
+    import spinz.bounds as bounds_mod
+    import spinz.harness as harness_mod
+
+    cfg = CampaignConfig(source="general", n_max=4, bounds=("conj1", "ind", "thm4", "thm3"),
+                         weights="uniform_edge", m=2, cap=3, allow_zero=True, trials=5, seed=6)
+    want = _campaign_by_lone_evaluations(cfg)
+    sizes = []
+    real = bounds_mod.evaluate_trials
+
+    def spy(name, g, trials, budget):
+        sizes.append(len(trials))
+        return real(name, g, trials, budget)
+
+    monkeypatch.setattr(harness_mod, "_TRIAL_CHUNK", 2)
+    monkeypatch.setattr(harness_mod, "evaluate_trials", spy)
+    doc = run_campaign(cfg).to_json_dict()
+    doc.pop("runtime_seconds")
+    assert doc == want
+    assert max(sizes) == 2 and sizes.count(1) > 0  # chunks of 2, 2 and 1; ind once per graph
+    assert sum(sizes) == doc["graphs"] * (3 * cfg.trials + 1)
+
+
 def _lone(name, g, trial, budget):
     try:
         return evaluate_bound(name, g, budget=budget, **trial).to_json_dict()

@@ -30,6 +30,7 @@ from spinz.graphs import (
 from spinz.harness import WEIGHT_STYLES, sample_weights
 from spinz.values import Backend, NonNegValue, log_of_fraction
 from spinz.weights import (
+    WeightError,
     WeightParseError,
     WeightSystem,
     _kab_layout,
@@ -323,6 +324,34 @@ def test_restrictions_and_bounds_never_clear(monkeypatch):
         vertex_restriction_bound(g, w)
         restrict_to_kab(g, w, cert, sorted(cert.odd)[0])
     assert calls == []
+
+
+def test_from_pairs_stores_what_build_stores():
+    g = path_graph(3)
+    # unreduced pairs, a zero and a shared table object
+    rows = [[(2, 4), (0, 5)], [(6, 3), (3, 9)], [(1, 1), (10, 4)]]
+    table = [(2, 6), (4, 8), (4, 8), (0, 7)]
+    w = WeightSystem.from_pairs(g.n, 2, rows, dict.fromkeys(g.edges, table))
+    vertex = {(v, i + 1): Fraction(*pq) for v, row in enumerate(rows) for i, pq in enumerate(row)}
+    edge = {(u, v, i, j): Fraction(*table[(i - 1) * 2 + j - 1]) for u, v in g.edges for i, j in ((1, 1), (1, 2), (2, 2))}
+    want = WeightSystem.build(g, 2, vertex, edge)
+    assert w.cleared() == want.cleared() and w.to_text() == want.to_text()
+    _, tables = w.cleared()
+    assert tables[(0, 1)] is tables[(1, 2)]
+    with pytest.raises(WeightError, match="spin count must be >= 1, got 0"):
+        WeightSystem.from_pairs(g.n, 0, [[] for _ in range(g.n)], {})
+
+
+def test_hardcore_from_pairs_is_make_hardcore():
+    g = cycle_graph(5)
+    lam = {v: Fraction(v, 3) for v in g.vertices()}
+    w = weights_mod.hardcore_from_pairs(g, [(v, 3) for v in g.vertices()])
+    want = make_hardcore(g, lam)
+    assert w.cleared() == want.cleared() and w.to_text() == want.to_text()
+    reference = WeightSystem.build(g, 2, {(v, 1): x for v, x in lam.items()}, {(u, v, 1, 1): 0 for u, v in g.edges})
+    assert w.to_text() == reference.to_text()
+    with pytest.raises(ValueError, match="negative value not allowed"):
+        make_hardcore(g, -1)
 
 
 def test_build_clears_each_run_of_equal_tables_once(monkeypatch):
