@@ -42,9 +42,10 @@ from .counting import (
     list_indicators,
     list_weights,
     partition_function,
+    weight_arrays,
     _partitions,
 )
-from .graphs import BiregularCert, Graph, GraphError, bipartition, certify_biregular
+from .graphs import Graph, GraphError, bipartition, certify_biregular
 from .util import sha256_text
 from .values import (
     NEG_INF,
@@ -56,6 +57,7 @@ from .values import (
 from .weights import WeightSystem, _kab_layout, make_ising
 
 LOG_REL_TOL = 1e-9
+_ONE = Fraction(1)
 
 # What each bound reads besides the graph: a weight system, a target
 # graph with lists, or nothing.  ``evaluate_bound`` takes exactly these.
@@ -151,7 +153,7 @@ def finish_report(
         slack = rhs_log - lhs_log
     cmp = None
     if backend is Backend.EXACT:
-        cmp = compare_product(((lhs, Fraction(1)),), rhs.factors)
+        cmp = compare_product(((lhs, _ONE),), rhs.factors, (lhs_log, rhs_log))
         if cmp == 0:
             slack = 0.0
         verdict = Verdict.HOLDS if cmp <= 0 else Verdict.VIOLATED
@@ -174,31 +176,40 @@ def finish_report(
 
 
 @lru_cache(maxsize=256)
-def _certify(g: Graph) -> BiregularCert:
-    """Once per graph (graphs hash by content); errors are not cached."""
-    return certify_biregular(g, bipartition(g))
+def _orientations(g: Graph) -> tuple:
+    """Per class orientation of g's biregularity certificate (both when
+    a == b): its pairs (N(v), {v}) over the degree-b vertices v,
+    ascending, the exponent a and the factor exponent 1/a.  Once per
+    graph (graphs hash by content); errors are not cached."""
+    cert = certify_biregular(g, bipartition(g))
+    certs = (cert, cert.swapped()) if cert.a == cert.b else (cert,)
+    return tuple(
+        (
+            tuple((frozenset(c.neighbor_order(v)), frozenset({v})) for v in sorted(c.odd)),
+            Fraction(c.a),
+            Fraction(1, c.a),
+        )
+        for c in certs
+    )
 
 
-def _neighbourhood_pairs(cert: BiregularCert) -> tuple:
-    """(N(v), {v}) for every degree-b vertex v, ascending."""
-    return tuple((frozenset(cert.neighbor_order(v)), frozenset({v})) for v in sorted(cert.odd))
-
-
-def _per_vertex_rhs(cert: BiregularCert, sums_of) -> PowerProduct:
+def _per_vertex_rhs(g: Graph, sums_of) -> PowerProduct:
     """The product over the degree-b class of the K_{a,b} restriction
     around each vertex v, each to the 1/a; when a == b, the smaller of
     both orientations' products.  A restriction's a copies of v each
     contribute the same factor, so each orientation is one covering sum,
     sums_of(pairs, exponent), over the pairs (N(v), {v}) with exponent a."""
-    certs = [cert, cert.swapped()] if cert.a == cert.b else [cert]
-    products = []
-    for c in certs:
-        sums = sums_of(_neighbourhood_pairs(c), Fraction(c.a))
-        products.append(PowerProduct(tuple((z, Fraction(1, c.a)) for z in sums)))
+    products = [
+        PowerProduct(tuple((z, inverse) for z in sums_of(pairs, a)))
+        for pairs, a, inverse in _orientations(g)
+    ]
     p, q = products[0], products[-1]
+    if p is q:
+        return p
+    logs = p.log(), q.log()
     if p.backend is Backend.EXACT:
-        return p if p is q or compare_product(p.factors, q.factors) <= 0 else q
-    return p if p is q or p.log() <= q.log() else q
+        return p if compare_product(p.factors, q.factors, logs) <= 0 else q
+    return p if logs[0] <= logs[1] else q
 
 
 def vertex_restriction_bound(
@@ -220,14 +231,14 @@ def vertex_restriction_bound(
 
 def vertex_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     """``vertex_restriction_bound`` for each system of ws (one spin count
-    and backend), the left sides in one contraction."""
-    cert, sha = _certify(g), g.sha()
+    and backend), the left sides in one contraction.  Each system's
+    arrays are converted once for its left side and right sides."""
+    _orientations(g)  # a graph that is not biregular fails before any contraction
+    sha = g.sha()
+    arrays = [weight_arrays(g, w) for w in ws]
     reports = []
-    for w, lhs in zip(ws, _partitions(g, ws, budget)):
-        form = w.cleared() if w.backend is Backend.EXACT else w.logs()
-        rhs = _per_vertex_rhs(
-            cert, lambda pairs, e: cover_sums(g, *form, pairs, e, budget, w.backend)
-        )
+    for w, a, lhs in zip(ws, arrays, _partitions(g, arrays, budget)):
+        rhs = _per_vertex_rhs(g, lambda pairs, e: cover_sums(g, a, pairs, e, budget))
         reports.append(finish_report("thm3", lhs, rhs, sha, w.sha()))
     return reports
 
@@ -241,7 +252,7 @@ def _list_cover_sums(g: Graph, h: Graph, lists: ListAssignment, pairs, exponent,
     """``cover_sums`` of the list homomorphisms of g into h.  Memoised
     (arguments hash by content): thm4's first orientation and thm5 on
     the neighbourhood family sum the same pairs."""
-    return tuple(cover_sums(g, *list_weights(g, h, lists), pairs, exponent, budget))
+    return tuple(cover_sums(g, list_weights(g, h, lists), pairs, exponent, budget))
 
 
 def list_vertex_restriction_bound(
@@ -253,12 +264,12 @@ def list_vertex_restriction_bound(
     """Bound the list-homomorphism count of an (a,b)-biregular graph by
     the product over the degree-b class of K_{a,b} list-homomorphism
     counts, each raised to 1/a.  Always exact integer arithmetic."""
-    cert = _certify(g)
+    _orientations(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    rhs = _per_vertex_rhs(cert, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
+    rhs = _per_vertex_rhs(g, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
     return finish_report(
         "thm4", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )
@@ -281,7 +292,8 @@ def cover_family_value(
     """
     _check_family(g, fam)
     sums = _list_cover_sums(g, h, lists, tuple(fam.pairs), Fraction(fam.t1, fam.t2), budget)
-    return PowerProduct(tuple((f, Fraction(1, fam.t1)) for f in sums))
+    inverse = Fraction(1, fam.t1)
+    return PowerProduct(tuple((f, inverse) for f in sums))
 
 
 @lru_cache(maxsize=256)
@@ -295,8 +307,8 @@ def neighbourhood_family(g: Graph) -> CoverFamilyPair:
     """The neighbourhoods-and-singletons family of a biregular graph: the
     A's are the neighbourhoods of the degree-b vertices, the B's those
     vertices as singletons, t1 = a, t2 = 1."""
-    cert = _certify(g)
-    return CoverFamilyPair(pairs=_neighbourhood_pairs(cert), t1=cert.a, t2=1)
+    pairs, a, _ = _orientations(g)[0]
+    return CoverFamilyPair(pairs=pairs, t1=a.numerator, t2=1)
 
 
 def cover_family_report(
@@ -351,7 +363,7 @@ def edge_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     and backend): the left sides in one contraction, every system's
     K_{d(u),d(v)} factors in one ``edge_kab_partitions`` call."""
     _require_min_degree(g)
-    lhs = _partitions(g, ws, budget)
+    lhs = _partitions(g, [weight_arrays(g, w) for w in ws], budget)
     factors = edge_kab_partitions(g, ws, budget)
     sha = g.sha()
     return [

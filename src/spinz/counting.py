@@ -13,7 +13,9 @@ Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
 an EXACT weight system stores (``WeightSystem.cleared``), shared with
-every K_{a,b} restriction taken from it, so no kernel converts a weight.
+every K_{a,b} restriction taken from it; a bound call turns a system's
+rows and tables into arrays once per dtype (``WeightArrays``) for its
+left side and every right side.
 Log-backend weights are the floats a LOG system stores, contracted
 max-shifted with the shifts carried in the log domain; a contraction
 that would lose terms to float64 underflow runs its plan in the log
@@ -177,6 +179,12 @@ def _exact_dtype(bound: int):
     return np.float64 if bound < _FLOAT_EXACT_LIMIT else np.int64 if bound < _INT64_LIMIT else object
 
 
+def _contract_dtype(sizes: Sequence[int], maxima: Sequence[int]):
+    """The dtype of an EXACT ``contract`` over these variable sizes and
+    table maxima: it holds every partial product and partial sum."""
+    return _exact_dtype(math.prod(sizes) * math.prod([top if top > 1 else 1 for top in maxima]))
+
+
 def _table_max(table) -> int:
     """Largest entry of an integer array or nested sequence of integers."""
     if isinstance(table, np.ndarray):
@@ -243,10 +251,7 @@ def contract(
         total = free
         if maxima is None:
             maxima = [_table_max(table) for _, table in factors]
-        bound = math.prod(sizes)
-        for top in maxima:
-            bound *= max(top, 1)
-        dtype = _exact_dtype(bound)
+        dtype = _contract_dtype(sizes, maxima)
     converted, tensors = {}, []  # a table several factors share converts once
     for _, table in factors:
         arr = converted.get(id(table))
@@ -382,34 +387,95 @@ def _int_tables(w: WeightSystem):
     return rows, tables, scale
 
 
-def _partitions(g: Graph, ws: Sequence[WeightSystem], budget: int) -> list:
-    """Partition functions of the systems ws over g, one factor per vertex
+class WeightArrays:
+    """A weight system's rows and tables over g as the arrays the kernels
+    read: the vertex rows (n x m) and one m x m table per edge, in
+    ``g.edges`` order, converted once per dtype on first use.  One bound
+    call builds it (``weight_arrays``, ``list_weights``) and shares it
+    between its left side and every right side; it is not kept on the
+    weight system.
+
+    EXACT arrays hold the stored integers, and ``row_den``/``edge_den``
+    and ``row_top``/``edge_top`` each row's and table's denominator and
+    maximum (or an upper bound); ``top_r``/``top_t`` are the largest
+    maxima (at least 1) and ``scaled`` says whether any denominator is
+    not 1.  LOG arrays hold natural logs.  ``shared`` says whether every
+    edge (of at least two) carries one stored table.
+    """
+
+    __slots__ = ("backend", "m", "row_den", "edge_den", "row_top", "edge_top", "top_r", "top_t",
+                 "scaled", "shared", "_stored", "_arrays")
+
+    def __init__(self, backend, m, stored, den=None, top=None, arrays=None):
+        self.backend = backend
+        self.m = m
+        self._stored = stored  # (row entries, table entries) to convert, or None
+        self._arrays = arrays or {}
+        tables = stored[1] if stored else ()
+        self.shared = len(tables) > 1 and all([t is tables[0] for t in tables])
+        self.row_den, self.edge_den = den or ((), ())
+        self.row_top, self.edge_top = top or ((), ())
+        self.top_r = max(self.row_top, default=1) or 1
+        self.top_t = max(self.edge_top, default=1) or 1
+        self.scaled = any([d != 1 for d in self.row_den]) or any([d != 1 for d in self.edge_den])
+
+    def arrays(self, dtype) -> tuple:
+        """(vertex rows, edge tables) in dtype; a table every edge shares
+        converts once."""
+        got = self._arrays.get(dtype)
+        if got is None:
+            rows, tables = self._stored
+            m = self.m
+            vertex = np.array([x for r in rows for x in r], dtype).reshape(len(rows), m)
+            edge = np.array([x for t in tables[: 1 if self.shared else None] for r in t for x in r], dtype)
+            edge = edge.reshape(-1, m, m)
+            if self.shared:
+                edge = edge.repeat(len(tables), axis=0)
+            got = self._arrays[dtype] = vertex, edge
+        return got
+
+
+def weight_arrays(g: Graph, w: WeightSystem) -> WeightArrays:
+    """The ``WeightArrays`` of the system w over g, nothing converted yet."""
+    if w.backend is Backend.LOG:
+        rows, tables = w.logs()
+        return WeightArrays(Backend.LOG, w.m, (rows, [tables[e] for e in g.edges]))
+    rows, tables = w.cleared()
+    tables = [tables[e] for e in g.edges]
+    row_entries, row_den, row_top = zip(*rows)
+    edge_entries, edge_den, edge_top = zip(*tables) if tables else ((), (), ())
+    return WeightArrays(
+        Backend.EXACT, w.m, (row_entries, edge_entries), (row_den, edge_den), (row_top, edge_top)
+    )
+
+
+def _partitions(g: Graph, arrays: Sequence[WeightArrays], budget: int) -> list:
+    """Partition functions over g of the systems given by their
+    ``WeightArrays`` (one spin count and backend), one factor per vertex
     and one per edge, in one ``contract`` call: a batch of stacked tables
-    when there are several systems.  Factors whose rows or tables are the
-    same objects in every system (as restrictions share) share a stack."""
-    exact, batch = ws[0].backend is Backend.EXACT, len(ws) if len(ws) > 1 else None
-    stored, scales = [], []
-    for w in ws:
-        rows, tables, scale = _int_tables(w) if exact else (*w.logs(), None)
-        stored.append([rows[v] for v in range(g.n)] + [tables[e] for e in g.edges])
-        scales.append(scale)
-    if batch is None:
-        picked = [(c[0], c[2]) if exact else (c, None) for c in stored[0]]
-    else:
-        stacks, picked = {}, []  # one stack per distinct tuple of row or table objects
-        for column in zip(*stored):
-            key = tuple(map(id, column))
-            if key not in stacks:
-                tables = [c[0] for c in column] if exact else column
-                stacks[key] = tables, max([c[2] for c in column]) if exact else None
-            picked.append(stacks[key])
-    factors = list(zip([(v,) for v in range(g.n)] + list(g.edges), [t for t, _ in picked]))
-    maxima = [top for _, top in picked] if exact else None
-    zs = contract([ws[0].m] * g.n, factors, budget, ws[0].backend, maxima, batch)
+    when there are several systems.  The tables are converted in the
+    dtype that call picks."""
+    first = arrays[0]
+    exact, sizes = first.backend is Backend.EXACT, [first.m] * g.n
+    maxima, dtype = None, np.float64
+    if exact:  # each factor's maximum over the batch
+        maxima = [max(tops) for tops in zip(*[a.row_top + a.edge_top for a in arrays])]
+        dtype = _contract_dtype(sizes, maxima)
+    tables = [a.arrays(dtype) for a in arrays]
+    if len(arrays) == 1:
+        (vertex, edge), batch = tables[0], None
+    else:  # stacked by system, then indexed by factor: each factor's tables lead with the batch
+        vertex, edge = (np.stack(t, axis=1) for t in zip(*tables))
+        batch = len(arrays)
+    # one table object for a table every edge shares, so contract converts and shifts it once
+    edge = [edge[0]] * len(edge) if all([a.shared for a in arrays]) else list(edge)
+    factors = [((v,), vertex[v]) for v in range(g.n)] + list(zip(g.edges, edge))
+    zs = contract(sizes, factors, budget, first.backend, maxima, batch)
     zs = zs if batch else [zs]
-    if exact:
-        return [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
-    return [NonNegValue.from_log(z) for z in zs]
+    if not exact:
+        return [NonNegValue.from_log(z) for z in zs]
+    scales = [math.prod(a.row_den) * math.prod(a.edge_den) for a in arrays]
+    return [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
 
 
 def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) -> NonNegValue:
@@ -426,7 +492,7 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     LOG weights whose products leave the float64 range are summed in the
     log domain, where the budget bounds each step's label space.
     """
-    return _partitions(g, [w], budget)[0]
+    return _partitions(g, [weight_arrays(g, w)], budget)[0]
 
 
 def _count_vectors(side: Sequence[tuple], units: Sequence[int]) -> dict:
@@ -552,7 +618,8 @@ def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDG
     for (k, scale), z in zip(uniform, uniform_kab_sums(items, budget)):
         out[k] = NonNegValue.exact(Fraction(z, scale))
     if rest:
-        zs = _partitions(insts[rest[0]].graph, [insts[k].weights for k in rest], budget)
+        kab = insts[rest[0]].graph
+        zs = _partitions(kab, [weight_arrays(kab, insts[k].weights) for k in rest], budget)
         for k, z in zip(rest, zs):
             out[k] = z
     return out
@@ -575,7 +642,7 @@ def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
 class ListAssignment:
     """Per-vertex allowed-target sets for list homomorphism counting."""
 
-    __slots__ = ("n", "lists", "_valid_for")
+    __slots__ = ("n", "lists", "_rows", "_text")
 
     def __init__(self, n: int, lists: Mapping[int, Iterable[int]] | Sequence[Iterable[int]]):
         rows: list[tuple[int, ...]] = []
@@ -590,7 +657,8 @@ class ListAssignment:
             rows = [tuple(sorted(set(row))) for row in lists]
         self.n = n
         self.lists = tuple(rows)
-        self._valid_for = None  # the target count validate_against last accepted
+        self._rows = {}  # target count -> indicator rows, built by indicator_rows
+        self._text = None  # to_text(), on first use
 
     @classmethod
     def full(cls, g: Graph, h: Graph) -> "ListAssignment":
@@ -600,21 +668,32 @@ class ListAssignment:
         return self.lists[v]
 
     def validate_against(self, h: Graph) -> None:
-        """Raise ValueError for the first target outside V(h).  The lists
-        are scanned once per target count, however many kernels check."""
-        if self._valid_for == h.n:
-            return
-        for v, row in enumerate(self.lists):
-            for y in row:
-                if not (0 <= y < h.n):
-                    raise ValueError(f"list of vertex {v} mentions unknown target {y}")
-        self._valid_for = h.n
+        """Raise ValueError for the first target outside V(h)."""
+        self.indicator_rows(h.n)
+
+    def indicator_rows(self, k: int) -> np.ndarray:
+        """The read-only n x k float 0/1 array whose row v marks L(v) in
+        a target on k vertices; ValueError for the first target outside
+        0..k-1.  Built once per target count, however many kernels ask."""
+        rows = self._rows.get(k)
+        if rows is None:
+            for v, row in enumerate(self.lists):  # rows are sorted: check the ends
+                if row and (row[0] < 0 or row[-1] >= k):
+                    bad = next(y for y in row if not 0 <= y < k)
+                    raise ValueError(f"list of vertex {v} mentions unknown target {bad}")
+            rows = np.zeros((self.n, k))
+            rows.put([v * k + y for v, row in enumerate(self.lists) for y in row], 1.0)
+            rows.flags.writeable = False
+            self._rows[k] = rows
+        return rows
 
     def to_text(self) -> str:
-        lines = []
-        for v, row in enumerate(self.lists):
-            lines.append("l " + " ".join([str(v)] + [str(y) for y in row]))
-        return "\n".join(lines) + "\n"
+        if self._text is None:
+            lines = []
+            for v, row in enumerate(self.lists):
+                lines.append("l " + " ".join([str(v)] + [str(y) for y in row]))
+            self._text = "\n".join(lines) + "\n"
+        return self._text
 
     def __eq__(self, other):
         if not isinstance(other, ListAssignment):
@@ -660,12 +739,14 @@ def parse_lists(text: str, g: Graph, h: Graph) -> ListAssignment:
 
 def list_indicators(h: Graph, lists: ListAssignment) -> np.ndarray:
     """The 0/1 indicator over V(h) of each vertex's list: row v marks L(v)."""
-    lists.validate_against(h)
-    return np.array([[1.0 if y in row else 0.0 for y in range(h.n)] for row in lists.lists])
+    return lists.indicator_rows(h.n)
 
 
-def _adjacency(h: Graph) -> np.ndarray:
-    return np.array([[1.0 if h.has_edge(x, y) else 0.0 for y in range(h.n)] for x in range(h.n)])
+def _list_rows(g: Graph, h: Graph, lists: ListAssignment) -> np.ndarray:
+    """``list_indicators`` of lists, checked to be lists for g."""
+    if lists.n != g.n:
+        raise ValueError("list assignment length does not match the graph")
+    return lists.indicator_rows(h.n)
 
 
 def count_list_homs_batch(
@@ -675,7 +756,7 @@ def count_list_homs_batch(
     assignments, rows[i, v] being the ``list_indicators`` row of L_i(v):
     partition functions with those vertex rows and h's adjacency matrix
     on every edge, in one ``contract`` call; the budget bounds its plan."""
-    adj = _adjacency(h)
+    adj = h.adjacency_matrix()
     factors = [((v,), rows[:, v]) for v in range(g.n)] + [(e, adj) for e in g.edges]
     return contract([h.n] * g.n, factors, budget, maxima=[1] * len(factors), batch=len(rows))
 
@@ -685,37 +766,36 @@ def count_list_homs(g: Graph, h: Graph, lists: ListAssignment, budget: int = DEF
     """Number of maps f with f(v) in L(v) mapping every edge of g onto an
     edge of h: the one-assignment case of ``count_list_homs_batch``.
     Memoised (arguments hash by content): thm4, thm5 and conj2 share it."""
-    if lists.n != g.n:
-        raise ValueError("list assignment length does not match the graph")
-    return count_list_homs_batch(g, h, list_indicators(h, lists)[None], budget)[0]
+    return count_list_homs_batch(g, h, _list_rows(g, h, lists)[None], budget)[0]
 
 
-def list_weights(g: Graph, h: Graph, lists: ListAssignment):
+def list_weights(g: Graph, h: Graph, lists: ListAssignment) -> WeightArrays:
     """List homomorphisms of g into h as ``cover_sums`` weights: each
-    vertex row marks its list, every edge carries h's adjacency matrix."""
-    adj = (_adjacency(h).tolist(), 1, 1)
-    return [(row, 1, 1) for row in list_indicators(h, lists).tolist()], dict.fromkeys(g.edges, adj)
+    vertex row marks its list, every edge carries h's adjacency matrix.
+    The arrays are the ones ``count_list_homs`` reads, in float64, the
+    only dtype a 0/1 system's kernels pick."""
+    rows = _list_rows(g, h, lists)
+    edge = h.adjacency_matrix()[None].repeat(g.num_edges, axis=0)
+    ones = ((1,) * g.n, (1,) * g.num_edges)
+    return WeightArrays(Backend.EXACT, h.n, None, ones, ones, {np.float64: (rows, edge)})
 
 
 @np.errstate(divide="ignore")  # log 0 = -inf, a zero weight's log
 def cover_sums(
     g: Graph,
-    rows,
-    tables,
+    weights: WeightArrays,
     pairs: Sequence[tuple[frozenset, frozenset]],
     exponent: Fraction,
     budget: int = DEFAULT_BUDGET,
-    backend: Backend = Backend.EXACT,
 ) -> list:
     """For each pair (A, B) of vertex sets of g, the sum over the spin maps
     x on A of prod_{u in A} r_u(x_u) * prod_{v in B} c_v(x) ** exponent,
     where c_v(x) = sum_s r_v(s) prod_{u in N(v) & A} T_uv(x_u, s).
 
-    rows[v] = r_v and tables[(u, v)] = T_uv (u < v, symmetric) are in a
-    weight system's stored form: EXACT (entries, denominator, maximum or
-    any upper bound) triples, LOG natural logs.  With (A, B) = (N(v), {v})
-    and exponent a the sum is the partition function of the K_{a,b}
-    restriction around v, whose a copies of v each contribute c_v.
+    The rows r_v and tables T_uv are the ``WeightArrays`` weights (EXACT
+    integers over their denominators, or LOG natural logs).  With (A, B)
+    = (N(v), {v}) and exponent a the sum is the partition function of the
+    K_{a,b} restriction around v, whose a copies of v each contribute c_v.
     Pairs of one shape are one batch: one einsum per B position builds
     every pair's c_v tables (a log-sum-exp over s on LOG inputs), and one
     ``contract`` call sums them.  EXACT inputs and an integer exponent
@@ -728,29 +808,18 @@ def cover_sums(
     each shape's pairs run in chunks of budget // (that cost), so every
     batch of tables stays within the budget too.
     """
-    exact = backend is Backend.EXACT
+    exact = weights.backend is Backend.EXACT
     to_log = not exact or exponent.denominator != 1
-    m = len(rows[0][0] if exact else rows[0])
+    m = weights.m
     groups = _cover_layout(g, tuple(pairs))
     width = max([len(scope) for _, scopes, *_ in groups for scope in scopes], default=0)
     cost = m ** (width + (not exact))
     if cost > budget:
         raise BudgetError(cost, budget)
-    stored = [tables[e] for e in g.edges]
-    if exact:
-        rows, row_den, top_r = zip(*rows)
-        stored, edge_den, top_t = zip(*stored) if stored else ((), (), (1,))
-        top_r, top_t = max(top_r) or 1, max(top_t) or 1
-        scaled = any([d != 1 for d in row_den + edge_den])
-        dtype = _exact_dtype(m * top_r * top_t ** width)
-    else:
-        dtype, scaled = np.float64, False
-    # flat lists convert fastest; a table every edge shares converts once
-    vertex = np.array([x for r in rows for x in r], dtype).reshape(g.n, m)
-    shared = len(stored) > 1 and all([t is stored[0] for t in stored])
-    edge = np.array([x for t in stored[: 1 if shared else None] for r in t for x in r], dtype)
-    edge = np.repeat(edge.reshape(-1, m, m), len(stored) if shared else 1, axis=0)
-    power = float(exponent) if to_log else exponent.numerator
+    row_den, edge_den, top_r, scaled = weights.row_den, weights.edge_den, weights.top_r, weights.scaled
+    dtype = _exact_dtype(m * top_r * weights.top_t ** width) if exact else np.float64
+    vertex, edge = weights.arrays(dtype)
+    power = exponent.numerator / exponent.denominator if to_log else exponent.numerator
 
     out, chunk = [None] * len(pairs), budget // cost  # pairs whose c_v tables fit the budget
     for size, scopes, members, a_ids, b_ids in groups:

@@ -48,10 +48,11 @@ class Graph:
 
     No loops, no parallel edges.  Neighbor lists are kept sorted
     ascending; that fixed order is the neighbor enumeration used by every
-    restriction construction downstream.
+    restriction construction downstream.  The text, its sha, the hash and
+    the adjacency matrix are worked out once per graph, on first use.
     """
 
-    __slots__ = ("n", "edges", "_edge_set", "_adj")
+    __slots__ = ("n", "edges", "_edge_set", "_adj", "_text", "_sha", "_hash", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -71,6 +72,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._text = self._sha = self._hash = self._matrix = None
 
     @property
     def num_edges(self) -> int:
@@ -89,13 +91,29 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def adjacency_matrix(self):
+        """The n x n float 0/1 adjacency matrix (a read-only numpy array)."""
+        if self._matrix is None:
+            import numpy as np  # only the kernels need numpy; importing graphs does not
+
+            n = self.n
+            matrix = np.zeros((n, n))
+            matrix.put([u * n + v for u, v in self.edges] + [v * n + u for u, v in self.edges], 1.0)
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
     def to_text(self) -> str:
-        lines = [f"p {self.n} {self.num_edges}"]
-        lines.extend(f"e {u} {v}" for u, v in self.edges)
-        return "\n".join(lines) + "\n"
+        if self._text is None:
+            lines = [f"p {self.n} {self.num_edges}"]
+            lines.extend(f"e {u} {v}" for u, v in self.edges)
+            self._text = "\n".join(lines) + "\n"
+        return self._text
 
     def sha(self) -> str:
-        return sha256_text(self.to_text())
+        if self._sha is None:
+            self._sha = sha256_text(self.to_text())
+        return self._sha
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -103,7 +121,9 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"

@@ -47,20 +47,13 @@ def nonneg_rational(value: RationalLike) -> Fraction:
     return value
 
 
-def log_of_int(n: int) -> float:
-    if n < 0:
-        raise ValueError("log of negative integer")
-    if n == 0:
-        return NEG_INF
-    return math.log(n)  # CPython's math.log is exact-input for big ints
-
-
 def log_of_fraction(x: Fraction) -> float:
-    if x < 0:
+    num = x.numerator  # a Fraction's sign and zero are its numerator's
+    if num < 0:
         raise ValueError("log of negative rational")
-    if x == 0:
+    if num == 0:
         return NEG_INF
-    return log_of_int(x.numerator) - log_of_int(x.denominator)
+    return math.log(num) - math.log(x.denominator)  # math.log takes big ints exactly
 
 
 class NonNegValue:
@@ -102,7 +95,7 @@ class NonNegValue:
     @property
     def is_zero(self) -> bool:
         if self._frac is not None:
-            return self._frac == 0
+            return self._frac.numerator == 0
         return self._log == NEG_INF
 
     @property
@@ -184,7 +177,7 @@ class PowerProduct:
         if len(backends) > 1:
             raise TypeError("mixed backends in product")
         for _, e in self.factors:
-            if e <= 0:
+            if e.numerator <= 0:  # denominators are positive
                 raise ValueError("exponents must be positive")
 
     @property
@@ -200,7 +193,7 @@ class PowerProduct:
     def log(self) -> float:
         if self.is_zero:
             return NEG_INF
-        return sum(float(e) * v.log() for v, e in self.factors)
+        return _log_sum(self.factors)
 
 
 # Absolute log-gap below which the float screen refuses to decide and the
@@ -210,9 +203,12 @@ class PowerProduct:
 _SCREEN_MARGIN = 1e-6
 
 
-def _screen(a_factors: Sequence[Factor], b_factors: Sequence[Factor]) -> int | None:
-    la = sum(float(e) * v.log() for v, e in a_factors)
-    lb = sum(float(e) * v.log() for v, e in b_factors)
+def _log_sum(factors: Sequence[Factor]) -> float:
+    """sum of e * log v; e.numerator / e.denominator is float(e), exactly."""
+    return sum(e.numerator / e.denominator * v.log() for v, e in factors)
+
+
+def _screen(la: float, lb: float) -> int | None:
     gap = lb - la
     margin = _SCREEN_MARGIN + 3e-13 * (abs(la) + abs(lb))
     if gap > margin:
@@ -237,13 +233,19 @@ def _cleared_ints(factors: Sequence[Factor], lcm_exp: int) -> tuple[int, int]:
     return num, den
 
 
-def compare_product(a_factors: Sequence[Factor], b_factors: Sequence[Factor]) -> int:
+def compare_product(
+    a_factors: Sequence[Factor],
+    b_factors: Sequence[Factor],
+    logs: tuple[float, float] | None = None,
+) -> int:
     """Exact three-way comparison of two products of rational powers.
 
     Both sides must be EXACT backend.  Returns -1, 0, or 1 for a < b,
     a == b, a > b.  Decides with a float screen when the log gap is wide,
     otherwise clears all exponent denominators via their lcm and compares
-    arbitrary-precision integers.
+    arbitrary-precision integers.  ``logs``, when given, holds both sides'
+    logs as ``PowerProduct.log`` computes them, which the screen then
+    reuses instead of summing them again.
     """
     a_zero = any(v.is_zero for v, _ in a_factors)
     b_zero = any(v.is_zero for v, _ in b_factors)
@@ -254,7 +256,8 @@ def compare_product(a_factors: Sequence[Factor], b_factors: Sequence[Factor]) ->
     if b_zero:
         return 1
 
-    screened = _screen(a_factors, b_factors)
+    la, lb = logs if logs is not None else (_log_sum(a_factors), _log_sum(b_factors))
+    screened = _screen(la, lb)
     if screened is not None:
         return screened
 

@@ -61,8 +61,9 @@ class WeightSystem:
     == edge_weight(u, v, j, i)`` hold by construction.
 
     Rows and tables are stored in the backend's form only (``cleared``,
-    ``logs``), and restrictions share them by reference, so nothing
-    converts a weight after ``build``.
+    ``logs``), and restrictions share them by reference, so no weight is
+    worked out again after ``build``; kernels read that form as arrays
+    built per call (``counting.WeightArrays``), never kept here.
     """
 
     __slots__ = ("m", "n", "backend", "_rows", "_tables", "_uniform", "_text")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import spinz.counting as counting_mod
 from oracles import (
     backtrack_list_homs,
     cover_sum_by_enumeration,
+    list_vertex_restriction_rhs,
     lists_for_edge,
     lists_for_vertex,
     partition_brute,
@@ -63,7 +65,7 @@ from spinz.harness import (
     sample_weights,
 )
 from spinz.values import Backend, NonNegValue, PowerProduct, compare_product
-from spinz.weights import WeightSystem, _kab_layout, make_hardcore, restrict_to_edge
+from spinz.weights import WeightSystem, _kab_layout, make_hardcore, restrict_to_edge, restrict_to_kab
 
 
 def _cert(g):
@@ -864,6 +866,7 @@ def test_list_and_family_checks_keep_their_messages():
         (lambda: evaluate_bound("thm4", c6, target=k3, lists=negative), "list of vertex 1 mentions unknown target -1"),
         (lambda: evaluate_bound("thm4", c6, target=k3, lists=short), "list assignment length does not match the graph"),
         (lambda: evaluate_bound("thm5", c6, target=k3, lists=bad), "list of vertex 2 mentions unknown target 5"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, lists=short), "list assignment length does not match the graph"),
         (lambda: evaluate_bound("conj2", c6, target=k3, lists=bad), "list of vertex 2 mentions unknown target 5"),
         (lambda: evaluate_bound("conj2", c6, target=k3, lists=short), "list assignment length does not match the graph"),
         (lambda: count_list_homs(c6, k3, bad), "list of vertex 2 mentions unknown target 5"),
@@ -917,3 +920,97 @@ def test_batched_weight_bounds_equal_their_batches_of_one():
                 assert got.verdict is want.verdict
                 assert got.lhs_log == pytest.approx(want.lhs_log, rel=1e-12, abs=1e-12)
                 assert got.rhs_log == pytest.approx(want.rhs_log, rel=1e-12, abs=1e-12)
+
+
+# ----- each instance converted once; per-graph memos change no report -----
+
+
+def _cubic_ten():
+    """A connected 3-regular bipartite graph on 10 vertices, one of the
+    biregular sweep's graphs: class 0..4 against class 5..9."""
+    return Graph(10, [(i, 5 + (i + k) % 5) for i in range(5) for k in (0, 1, 3)])
+
+
+_SHARED_KERNEL_GRAPHS = (
+    cycle_graph(6),
+    complete_bipartite(3, 3),
+    complete_bipartite(2, 3),
+    hypercube_graph(3),
+    _cubic_ten(),
+)
+
+
+def _chosen(products):
+    """The orientation product a per-vertex bound reports: the first,
+    unless the second is strictly smaller."""
+    p, q = products[0], products[-1]
+    return p if compare_product(p.factors, q.factors) <= 0 else q
+
+
+def _orientation_certs(g):
+    cert = _cert(g)
+    return [cert, cert.swapped()] if cert.a == cert.b else [cert]
+
+
+@pytest.mark.parametrize("g", _SHARED_KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_shared_arrays_give_the_brute_force_reports(g):
+    m = 2 if g.n >= 8 else 3
+    h = sample_target_graph(4, seed=g.n)
+    lists = sample_list_assignment(g, h, seed=g.n)
+    for seed in range(2):
+        w = sample_weights(g, m if seed else 2, seed=seed, cap=7, allow_zero=seed == 1)
+        products = [
+            PowerProduct(tuple(
+                (partition_brute(i.graph, i.weights), Fraction(1, c.a))
+                for i in (restrict_to_kab(g, w, c, v) for v in sorted(c.odd))
+            ))
+            for c in _orientation_certs(g)
+        ]
+        want = _chosen(products)
+        exact = vertex_restriction_bound(g, w)
+        assert exact.lhs == partition_brute(g, w)
+        assert [v.fraction for v, _ in exact.rhs.factors] == [v.fraction for v, _ in want.factors]
+        assert [e for _, e in exact.rhs.factors] == [e for _, e in want.factors]
+        log = vertex_restriction_bound(g, w.to_log())
+        assert log.lhs_log == pytest.approx(partition_brute(g, w.to_log()).log(), rel=1e-12)
+        assert log.rhs_log == pytest.approx(want.log(), rel=1e-12, abs=1e-12)
+    count = backtrack_list_homs(g, h, lists)
+    thm4 = list_vertex_restriction_bound(g, h, lists)
+    want = _chosen([list_vertex_restriction_rhs(g, h, lists, c) for c in _orientation_certs(g)])
+    assert thm4.lhs.fraction == count
+    assert [v.fraction for v, _ in thm4.rhs.factors] == [v.fraction for v, _ in want.factors]
+    fam = neighbourhood_family(g)
+    thm5 = cover_family_report(g, h, lists, fam)
+    assert thm5.lhs.fraction == count
+    assert [(v.fraction, e) for v, e in thm5.rhs.factors] == [
+        (cover_sum_by_enumeration(g, h, lists, a_set, b_set, Fraction(fam.t1)), Fraction(1, fam.t1))
+        for a_set, b_set in fam.pairs
+    ]
+
+
+def test_reports_do_not_depend_on_what_ran_before_on_the_graph():
+    def clear_memos():
+        for memo in (bounds_mod._orientations, bounds_mod._list_cover_sums,
+                     counting_mod._cover_layout, count_list_homs):
+            memo.cache_clear()
+
+    for g0 in (cycle_graph(6), complete_bipartite(2, 3), _cubic_ten()):
+        targets = [complete_graph(3), Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])]
+        lists = sample_list_assignment(g0, targets[0], seed=g0.n)  # one assignment for both
+        runs = []
+        for m in (1, 2, 3):
+            w = sample_weights(g0, m, seed=m, cap=9)
+            runs += [lambda g, w=w: vertex_restriction_bound(g, w),
+                     lambda g, w=w.to_log(): vertex_restriction_bound(g, w)]
+        for h in targets:
+            runs += [lambda g, h=h: list_vertex_restriction_bound(g, h, lists),
+                     lambda g, h=h: cover_family_report(g, h, lists, neighbourhood_family(g))]
+        alone = []
+        for run in runs:  # each on a new graph object with no memo behind it
+            clear_memos()
+            alone.append(json.dumps(run(Graph(g0.n, g0.edges)).to_json_dict()))
+        clear_memos()
+        g = Graph(g0.n, g0.edges)
+        for order in (runs, runs[::-1]):
+            after = [json.dumps(run(g).to_json_dict()) for run in order]
+            assert after == (alone if order is runs else alone[::-1])

@@ -36,6 +36,7 @@ from spinz.counting import (
     cover_sums,
     list_indicators,
     list_weights,
+    weight_arrays,
     independent_set_count,
     parse_cover_family,
     parse_lists,
@@ -759,7 +760,7 @@ def test_cover_sums_past_int64_are_exact(g, e):
     even, odd = sorted(bipartition(g).even), sorted(bipartition(g).odd)
     lists = ListAssignment(g.n, [range(4)] * (g.n - 1) + [[1, 3]])
     pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd))]
-    sums = cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(e))
+    sums = cover_sums(g, list_weights(g, h, lists), pairs, Fraction(e))
     for (a_set, b_set), z in zip(pairs, sums):
         want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, Fraction(e))
         assert want > 2 ** 62
@@ -774,17 +775,17 @@ def test_log_cover_sums_past_the_float_range():
     pairs = [(frozenset(even), frozenset(odd)), (frozenset(even[:2]), frozenset(odd[1:]))]
     for rows in ([range(4)] * 6, [[0, 2]] + [range(4)] * 4 + [[1, 2, 3]], [[]] + [range(4)] * 5):
         lists = ListAssignment(6, rows)
-        for (a_set, b_set), z in zip(pairs, cover_sums(g, *list_weights(g, h, lists), pairs, e)):
+        for (a_set, b_set), z in zip(pairs, cover_sums(g, list_weights(g, h, lists), pairs, e)):
             want = cover_sum_by_enumeration(g, h, lists, a_set, b_set, e)
             assert z.log() == want or z.log() == pytest.approx(want, rel=1e-12)
     # on C_6 the plan needs 16 cells, the log-domain steps 64, as many as the maps on A
     g, e = cycle_graph(6), Fraction(4001, 2)
     lists, pair = ListAssignment.full(g, h), (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
     want = cover_sum_by_enumeration(g, h, lists, *pair, e)
-    got = cover_sums(g, *list_weights(g, h, lists), [pair], e, budget=64)[0]
+    got = cover_sums(g, list_weights(g, h, lists), [pair], e, budget=64)[0]
     assert got.log() == pytest.approx(want, rel=1e-12)
     with pytest.raises(BudgetError, match="64 exceeds budget 63"):
-        cover_sums(g, *list_weights(g, h, lists), [pair], e, budget=63)
+        cover_sums(g, list_weights(g, h, lists), [pair], e, budget=63)
 
 
 def test_log_elimination_matches_contract():
@@ -814,10 +815,10 @@ def test_cover_sums_budget_bounds_every_table():
     bp = bipartition(g)
     pairs = [(frozenset(bp.even), frozenset(bp.odd))]
     want = count_list_homs(g, h, lists)
-    got = cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(1), budget=27)[0]
+    got = cover_sums(g, list_weights(g, h, lists), pairs, Fraction(1), budget=27)[0]
     assert got.fraction == want
     with pytest.raises(BudgetError, match="27 exceeds budget 26"):
-        cover_sums(g, *list_weights(g, h, lists), pairs, Fraction(1), budget=26)
+        cover_sums(g, list_weights(g, h, lists), pairs, Fraction(1), budget=26)
 
 
 # ----- cover_sums as the per-vertex K_{a,b} kernel of thm3 and thm4 -----
@@ -852,17 +853,16 @@ def test_vertex_kernel_equals_each_kab_restriction(g, m, seed, style, zero):
     w = sample_weights(g, m, seed=seed, cap=9, allow_zero=seed % 2 == 1, style=style)
     if zero >= 0:
         w = with_vertex_row(w, zero % g.n, [0] * m)
-    log_rows, log_tables = w.to_log().logs()
     for cert in _orientations(g):
         pairs = _around(cert)
-        exact = cover_sums(g, *w.cleared(), pairs, Fraction(cert.a))
+        exact = cover_sums(g, weight_arrays(g, w), pairs, Fraction(cert.a))
         insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
         assert [z.fraction for z in exact] == [z.fraction for z in partition_kab_batch(insts)]
         for inst, z in zip(insts, exact):
             if m ** inst.graph.n <= 243:
                 rows, tables = _tables(inst.weights, inst.graph)
                 assert z.fraction == brute_partition(inst.graph.n, inst.graph.edges, rows, tables)
-        logs = cover_sums(g, log_rows, log_tables, pairs, Fraction(cert.a), backend=Backend.LOG)
+        logs = cover_sums(g, weight_arrays(g, w.to_log()), pairs, Fraction(cert.a))
         for z, want in zip(logs, exact):
             assert z.log() == want.log() or z.log() == pytest.approx(want.log(), rel=1e-12, abs=1e-12)
 
@@ -881,7 +881,7 @@ def test_list_kernel_equals_each_kab_list_count(g, m, seed, empty):
     if empty >= 0:
         lists = with_list(lists, empty % g.n, [])
     for cert in _orientations(g):
-        got = cover_sums(g, *list_weights(g, h, lists), _around(cert), Fraction(cert.a))
+        got = cover_sums(g, list_weights(g, h, lists), _around(cert), Fraction(cert.a))
         # the K_{a,b} layout thm4 counted before: neighbours first, then a copies of v
         kab, _, _ = _kab_layout(cert.a, cert.b)
         sources = np.array([(*cert.neighbor_order(v), *[v] * cert.a) for v in sorted(cert.odd)])
@@ -915,13 +915,12 @@ def test_vertex_kernel_is_exact_on_every_dtype_path(monkeypatch, low, high, path
         return contract(sizes, factors, budget, backend, maxima, batch)
 
     monkeypatch.setattr(counting_mod, "contract", spy)
-    got = cover_sums(g, *w.cleared(), _around(cert), Fraction(cert.a))
+    got = cover_sums(g, weight_arrays(g, w), _around(cert), Fraction(cert.a))
     monkeypatch.undo()
     assert seen == [path]
     insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
     assert [z.fraction for z in got] == [partition_brute(i.graph, i.weights).fraction for i in insts]
-    log_rows, log_tables = w.to_log().logs()
-    logs = cover_sums(g, log_rows, log_tables, _around(cert), Fraction(cert.a), backend=Backend.LOG)
+    logs = cover_sums(g, weight_arrays(g, w.to_log()), _around(cert), Fraction(cert.a))
     assert [z.log() for z in logs] == pytest.approx([z.log() for z in got], rel=1e-12)
 
 
@@ -934,15 +933,15 @@ def test_vertex_kernel_budget_is_the_c_v_table():
         for m in (2, 3):
             h = complete_graph(m)
             cases = [
-                (sample_weights(g, m, seed=m).cleared(), Backend.EXACT, m ** b),
-                (sample_weights(g, m, seed=m, style="uniform_edge").cleared(), Backend.EXACT, m ** b),
-                (sample_weights(g, m, seed=m).to_log().logs(), Backend.LOG, m ** (b + 1)),
-                (list_weights(g, h, ListAssignment.full(g, h)), Backend.EXACT, m ** b),
+                (weight_arrays(g, sample_weights(g, m, seed=m)), m ** b),
+                (weight_arrays(g, sample_weights(g, m, seed=m, style="uniform_edge")), m ** b),
+                (weight_arrays(g, sample_weights(g, m, seed=m).to_log()), m ** (b + 1)),
+                (list_weights(g, h, ListAssignment.full(g, h)), m ** b),
             ]
-            for (rows, tables), backend, cost in cases:
-                assert len(cover_sums(g, rows, tables, pairs, a, cost, backend)) == len(pairs)
+            for weights, cost in cases:
+                assert len(cover_sums(g, weights, pairs, a, cost)) == len(pairs)
                 with pytest.raises(BudgetError, match=f"cost {cost} exceeds budget {cost - 1}"):
-                    cover_sums(g, rows, tables, pairs, a, cost - 1, backend)
+                    cover_sums(g, weights, pairs, a, cost - 1)
 
 
 def test_vertex_kernel_runs_in_chunks_within_the_budget(monkeypatch):
@@ -954,14 +953,14 @@ def test_vertex_kernel_runs_in_chunks_within_the_budget(monkeypatch):
     w = sample_weights(g, m, seed=5)
     h = complete_graph(m + 1)
     cases = [
-        (w.cleared(), Backend.EXACT, m ** 3),
-        (w.to_log().logs(), Backend.LOG, m ** 4),
-        (list_weights(g, h, ListAssignment.full(g, h)), Backend.EXACT, (m + 1) ** 3),
+        (weight_arrays(g, w), m ** 3),
+        (weight_arrays(g, w.to_log()), m ** 4),
+        (list_weights(g, h, ListAssignment.full(g, h)), (m + 1) ** 3),
     ]
     contract = counting_mod.contract
-    for (rows, tables), backend, cost in cases:
-        value = (lambda z: z.log()) if backend is Backend.LOG else (lambda z: z.fraction)
-        want = [value(z) for z in cover_sums(g, rows, tables, pairs, a, DEFAULT_BUDGET, backend)]
+    for weights, cost in cases:
+        value = (lambda z: z.log()) if weights.backend is Backend.LOG else (lambda z: z.fraction)
+        want = [value(z) for z in cover_sums(g, weights, pairs, a, DEFAULT_BUDGET)]
         for budget, batches in ((cost + 1, [1, 1, 1, 1]), (2 * cost, [2, 2]), (3 * cost, [3, 1])):
             seen = []
 
@@ -970,7 +969,27 @@ def test_vertex_kernel_runs_in_chunks_within_the_budget(monkeypatch):
                 return contract(*args)
 
             monkeypatch.setattr(counting_mod, "contract", spy)
-            got = cover_sums(g, rows, tables, pairs, a, budget, backend)
+            got = cover_sums(g, weights, pairs, a, budget)
             monkeypatch.undo()
             assert seen == batches
             assert [value(z) for z in got] == want
+
+
+def test_one_list_assignment_gives_each_target_size_its_own_rows():
+    lists = ListAssignment(4, [[0, 1], [1], [0, 2], []])
+    k3, c4 = complete_graph(3), cycle_graph(4)
+    small, big = list_indicators(k3, lists), list_indicators(c4, lists)
+    for rows, k in ((small, 3), (big, 4)):
+        assert rows.tolist() == [[1.0 if y in row else 0.0 for y in range(k)] for row in lists.lists]
+        assert not rows.flags.writeable
+    assert list_indicators(k3, lists) is small and list_indicators(c4, lists) is big
+    g = cycle_graph(4)
+    for h in (k3, c4, k3):
+        assert count_list_homs(g, h, lists) == backtrack_list_homs(g, h, lists)
+        got = cover_sums(g, list_weights(g, h, lists), [(frozenset({0, 2}), frozenset({1, 3}))], Fraction(1))
+        assert got[0].fraction == backtrack_list_homs(g, h, lists)
+    wide = ListAssignment(4, [[0, 3], [1], [-1, 0], [2]])
+    with pytest.raises(ValueError, match="list of vertex 0 mentions unknown target 3"):
+        list_indicators(k3, wide)
+    with pytest.raises(ValueError, match="list of vertex 2 mentions unknown target -1"):
+        list_indicators(c4, wide)

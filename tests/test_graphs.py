@@ -200,3 +200,20 @@ def test_is_complete_bipartite():
     assert is_complete_bipartite(cycle_graph(4))  # C4 is K_{2,2}
     assert not is_complete_bipartite(cycle_graph(6))
     assert not is_complete_bipartite(complete_graph(3))
+
+
+def test_cached_text_sha_and_adjacency_equal_a_fresh_graphs():
+    from spinz.graphs import hypercube_graph
+    from spinz.util import sha256_text
+
+    g = hypercube_graph(3)
+    text, sha = g.to_text(), g.sha()
+    hash(g), g.adjacency_matrix()
+    assert g.to_text() is text and g.sha() is sha  # built once per graph
+    fresh = Graph(g.n, [(v, u) for u, v in reversed(g.edges)])
+    assert (fresh.sha(), fresh.to_text()) == (sha, text) and sha == sha256_text(text)
+    assert fresh == g and hash(fresh) == hash(g) == hash(Graph(g.n, g.edges))
+    matrix = g.adjacency_matrix()
+    assert matrix.tolist() == [[1.0 if g.has_edge(x, y) else 0.0 for y in range(g.n)] for x in range(g.n)]
+    assert g.adjacency_matrix() is matrix and not matrix.flags.writeable
+    assert Graph(1, []).adjacency_matrix().tolist() == [[0.0]]

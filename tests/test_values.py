@@ -163,3 +163,65 @@ def test_exact_log_is_worked_out_once(monkeypatch):
     assert v.log() == v.to_log().log() == real(Fraction(22, 7))
     assert calls == [Fraction(22, 7)]
     assert hash(v) == key and v == NonNegValue.exact(Fraction(44, 14))
+
+
+# ----- compare_product with the logs its caller already has -----
+
+
+# small denominators keep the exact path's cleared integers small
+product_values = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+exponents = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+
+
+def _compare_both_ways(a_factors, b_factors):
+    """compare_product without and with both sides' logs, as
+    ``PowerProduct.log`` computes them."""
+    logs = PowerProduct(tuple(a_factors)).log(), PowerProduct(tuple(b_factors)).log()
+    return compare_product(a_factors, b_factors), compare_product(a_factors, b_factors, logs)
+
+
+def test_passed_logs_decide_the_p4_near_tie_alike():
+    from spinz.bounds import evaluate_bound
+    from spinz.graphs import path_graph
+    from spinz.weights import make_hardcore
+
+    # hard-core P_4 with activities (lam, 1, 1, lam), lam bisected to within
+    # 1e-15 of the conj1 threshold: the float screen cannot decide there
+    g = path_graph(4)
+    signs = set()
+    for k in range(-3, 4):
+        lam = Fraction(1080616349161203 + k, 10 ** 15)
+        report = evaluate_bound("conj1", g, weights=make_hardcore(g, {0: lam, 1: 1, 2: 1, 3: lam}))
+        lhs = ((report.lhs, Fraction(1)),)
+        without, passed = _compare_both_ways(lhs, report.rhs.factors)
+        assert without == passed == report.cmp
+        assert compare_product(lhs, report.rhs.factors, (report.lhs_log, report.rhs_log)) == without
+        signs.add(without)
+    assert signs == {-1, 1}  # the bisection brackets the threshold
+
+
+@given(
+    st.lists(st.tuples(product_values, exponents), min_size=1, max_size=5),
+    st.lists(st.tuples(product_values, exponents), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_passed_logs_decide_random_products_alike(a, b, zero):
+    a_factors = [(NonNegValue.exact(v), e) for v, e in a]
+    b_factors = [(NonNegValue.exact(v), e) for v, e in b]
+    if zero and b_factors:
+        b_factors[0] = (NonNegValue.exact(0), b_factors[0][1])
+    # the same product with every exponent split in two: an exact tie
+    split = [(v, e / 2) for v, e in a_factors for _ in range(2)]
+    for x, y in ((a_factors, b_factors), (b_factors, a_factors), (a_factors, split)):
+        without, passed = _compare_both_ways(x, y)
+        assert without == passed
+    assert _compare_both_ways(a_factors, split) == (0, 0)
+
+
+def test_logs_read_numerators_and_denominators_bit_for_bit():
+    # Fraction.__float__ is numerator / denominator, so the sums are unchanged
+    for x in (Fraction(7, 3), Fraction(2 ** 400 + 1, 3 ** 200), Fraction(1, 10 ** 30)):
+        assert log_of_fraction(x) == math.log(x.numerator) - math.log(x.denominator)
+    factors = tuple((NonNegValue.exact(Fraction(p, q)), Fraction(r, s))
+                    for p, q, r, s in ((3, 7, 1, 3), (10 ** 40 + 7, 9, 5, 11), (2, 1, 1, 12)))
+    assert PowerProduct(factors).log() == sum(float(e) * v.log() for v, e in factors)
