@@ -27,19 +27,15 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .counting import (
     DEFAULT_BUDGET,
     CoverFamilyPair,
     ListAssignment,
     count_list_homs,
-    count_list_homs_batch,
     cover_sums,
     edge_kab_partitions,
-    edges_by_degree_pair,
+    edge_kab_sums,
     independent_set_count,
-    list_indicators,
     list_weights,
     partition_function,
     weight_arrays,
@@ -54,7 +50,7 @@ from .values import (
     PowerProduct,
     compare_product,
 )
-from .weights import WeightSystem, _kab_layout, make_ising
+from .weights import WeightSystem, make_ising
 
 LOG_REL_TOL = 1e-9
 _ONE = Fraction(1)
@@ -378,21 +374,17 @@ def list_edge_restriction_bound(
     lists: ListAssignment | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
-    """Conjectured per-edge bound on list-homomorphism counts.  The edges
-    of one degree pair (d(u), d(v)) are counted in one batch."""
+    """Conjectured per-edge bound on list-homomorphism counts: conj1's
+    K_{d(u),d(v)} restrictions (``edge_kab_sums``) over the list rows
+    and h's adjacency matrix."""
     _require_min_degree(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
     lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
-    rows = list_indicators(h, lists)
-    counts = {}
-    for (a, b), edges in edges_by_degree_pair(g).items():
-        # w-side vertex j of K_{d(u),d(v)} takes L(n_j(v)), z-side j L(n_j(u))
-        kab, _, _ = _kab_layout(a, b)
-        sources = np.array([(*g.neighbors(v), *g.neighbors(u)) for u, v in edges])
-        counts.update(zip(edges, count_list_homs_batch(kab, h, rows[sources], budget)))
-    rhs = _per_edge_rhs(g, [NonNegValue.exact(counts[e]) for e in g.edges])
+    rows = lists.indicator_rows(h.n)[None]
+    (counts,) = edge_kab_sums(g, rows, h.adjacency_matrix(), budget, Backend.EXACT)
+    rhs = _per_edge_rhs(g, [NonNegValue.exact(z) for z in counts])
     return finish_report(
         "conj2", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
     )

@@ -80,7 +80,6 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="largest tensor, in cells, a computation may plan (default 10^8)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed where applicable")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -126,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--spins", help="comma-separated configuration; default all spin 1")
     p.add_argument("--samples-out", help="write raw counts here, one per line")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the trials (default 0)")
     _add_common(p)
 
     p = sub.add_parser("search", help="run a campaign from a config file")

@@ -2,18 +2,20 @@
 list-homomorphism counts and covering-family sums.
 
 Partition functions are sums of products over a factor graph.  All but
-the exact K_{a,b} instances with one shared edge table (every conj1
-factor; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
+the exact K_{a,b} instances with one shared edge table (EXACT conj1
+factors; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
 variable elimination over ``np.einsum``, planned in full and checked
 against the budget before it contracts anything.  So do list-homomorphism
 counts (0/1 list rows, adjacency-matrix edge tables).  One call can
 contract a batch of instances of one structure, such as the factors of
-one bound: the right sides of thm3, thm4 and thm5 are one ``cover_sums``.
+one bound: the right sides of thm3, thm4 and thm5 are one ``cover_sums``,
+those of LOG conj1 and conj2 one ``edge_kab_sums`` per degree pair.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
-an EXACT weight system stores (``WeightSystem.cleared``), shared with
-every K_{a,b} restriction taken from it; a bound call turns a system's
+an EXACT weight system stores (``WeightSystem.cleared``); the bound
+kernels read them, or a LOG system's logs, from the system itself, never
+from a K_{a,b} restriction built from it.  A bound call turns a system's
 rows and tables into arrays once per dtype (``WeightArrays``) for its
 left side and every right side.
 Log-backend weights are the floats a LOG system stores, contracted
@@ -35,7 +37,7 @@ import numpy as np
 
 from .graphs import Bipartition, Graph
 from .values import NEG_INF, Backend, NonNegValue
-from .weights import KabInstance, WeightSystem, make_hardcore, restrict_to_edge, uniform_edge
+from .weights import KabInstance, WeightSystem, _kab_layout, make_hardcore, uniform_edge
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -557,33 +559,50 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
     return out
 
 
-def edges_by_degree_pair(g: Graph) -> dict[tuple[int, int], list]:
-    """The edges uv of g grouped by (d(u), d(v)), each group in edge order."""
+def edge_kab_sums(g: Graph, rows: np.ndarray, table: np.ndarray, budget: int, backend: Backend) -> list:
+    """Per system, the partition function of the K_{d(u),d(v)} restriction
+    of each edge uv of g, in edge order: the w side takes the rows of
+    N(v), the z side those of N(u), and every edge the table, indexed
+    (w spin, z spin).  ``rows`` is B x n x m and ``table`` m x m (shared)
+    or B x m x m, both in the backend's form (EXACT integers, LOG logs).
+    The edges of one degree pair (d(u), d(v)) over every system are one
+    ``contract`` batch, in (system, edge) order."""
     groups: dict[tuple[int, int], list] = {}
-    for u, v in g.edges:
-        groups.setdefault((g.degree(u), g.degree(v)), []).append((u, v))
-    return groups
+    for k, (u, v) in enumerate(g.edges):
+        groups.setdefault((g.degree(u), g.degree(v)), []).append(k)
+    m = rows.shape[2]
+    out = [[None] * g.num_edges for _ in range(len(rows))]
+    for (a, b), ids in groups.items():
+        kab, _, _ = _kab_layout(a, b)
+        sources = [(*g.neighbors(v), *g.neighbors(u)) for u, v in (g.edges[k] for k in ids)]
+        picked = rows[:, sources].reshape(-1, a + b, m)
+        edge = table if table.ndim == 2 else table.repeat(len(ids), axis=0)
+        factors = [((x,), picked[:, x]) for x in range(a + b)] + [(e, edge) for e in kab.edges]
+        sums = contract([m] * (a + b), factors, budget, backend, batch=len(picked))
+        for i, z in enumerate(sums):
+            out[i // len(ids)][ids[i % len(ids)]] = z
+    return out
 
 
 def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFAULT_BUDGET) -> list:
     """For each system w of ws (one backend), the partition function of
-    ``restrict_to_edge(g, w, u, v)`` for every edge uv of g.  EXACT: one
-    ``uniform_kab_sums`` call over every system's stored rows and table,
-    with the DP over the smaller of N(u) and N(v), so one DP serves every
-    edge at a vertex.  LOG: one ``partition_kab_batch`` per degree pair
-    (d(u), d(v)) over every system."""
-    if not ws or ws[0].backend is Backend.LOG or not g.edges:  # an edgeless g shares no table
-        zs = {}
-        for edges in edges_by_degree_pair(g).values():
-            keys = [(k, e) for k in range(len(ws)) for e in edges]
-            insts = [restrict_to_edge(g, ws[k], *e) for k, e in keys]
-            zs.update(zip(keys, partition_kab_batch(insts, budget)))
-        return [[zs[k, e] for e in g.edges] for k in range(len(ws))]
+    ``restrict_to_edge(g, w, u, v)`` for every edge uv of g, from w's
+    stored rows and shared table; a system whose edge tables differ
+    raises WeightError.  EXACT: one ``uniform_kab_sums`` call over every
+    system, with the DP over the smaller of N(u) and N(v), so one DP
+    serves every edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
+    if not ws or not g.edges:  # an edgeless g shares no table
+        return [[] for _ in ws]
+    log = ws[0].backend is Backend.LOG
+    stored = [w.logs() if log else w.cleared() for w in ws]
+    shared = [tables[uniform_edge(w)] for w, (_, tables) in zip(ws, stored)]
+    if log:
+        rows = np.array([logs for logs, _ in stored])
+        zs = edge_kab_sums(g, rows, np.array(shared), budget, Backend.LOG)
+        return [[NonNegValue.from_log(z) for z in f] for f in zs]
     ends = [(u, v) if g.degree(u) <= g.degree(v) else (v, u) for u, v in g.edges]
     items, scales = [], []
-    for w in ws:
-        rows, tables = w.cleared()
-        table, den, _ = tables[uniform_edge(w)]
+    for (rows, _), (table, den, _) in zip(stored, shared):
         sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]
         dens = [math.prod(rows[x][1] for x in g.neighbors(v)) for v in range(g.n)]
         items += [(table, sides[s], sides[t]) for s, t in ends]
@@ -593,42 +612,21 @@ def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFA
     return [values[k : k + len(ends)] for k in range(0, len(values), len(ends))]
 
 
-def partition_kab_batch(insts: Sequence[KabInstance], budget: int = DEFAULT_BUDGET) -> list:
-    """Partition functions of labeled K_{a,b} instances of one (a, b),
-    spin count and backend, each equal to ``partition_function``.
-
-    The EXACT instances whose edges share one table run
-    ``uniform_kab_sums`` over their smaller side, whose cost (the number
-    of count vectors, polynomial in min(a, b)) the budget bounds.  The
-    others are one batch of ``_partitions`` (largest tensor m^min(a,b))
-    over the rows and tables the restrictions share with their parent; a
-    LOG batch that would underflow is summed in the log domain as a whole.
-    """
-    out, items, uniform, rest = [None] * len(insts), [], [], []
-    for k, inst in enumerate(insts):
-        w = inst.weights
-        if w.backend is Backend.EXACT and w.uniform_edge_table() is not None:
-            rows, tables, scale = _int_tables(w)
-            sides = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
-            table = tables[inst.graph.edges[0]][0]
-            items.append((table, *[[rows[x][0] for x in side] for side in sides]))
-            uniform.append((k, scale))
-        else:
-            rest.append(k)
-    for (k, scale), z in zip(uniform, uniform_kab_sums(items, budget)):
-        out[k] = NonNegValue.exact(Fraction(z, scale))
-    if rest:
-        kab = insts[rest[0]].graph
-        zs = _partitions(kab, [weight_arrays(kab, insts[k].weights) for k in rest], budget)
-        for k, z in zip(rest, zs):
-            out[k] = z
-    return out
-
-
 def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValue:
-    """Partition function of one labeled K_{a,b} instance: the
-    one-instance case of ``partition_kab_batch``."""
-    return partition_kab_batch([inst], budget)[0]
+    """Partition function of one labeled K_{a,b} instance, equal to
+    ``partition_function``.  An EXACT instance whose edges share one
+    table runs ``uniform_kab_sums`` over its smaller side, whose cost
+    (the number of count vectors, polynomial in min(a, b)) the budget
+    bounds; any other is ``partition_function`` (largest tensor
+    m^min(a,b)) over the rows and tables it shares with its parent."""
+    w = inst.weights
+    if w.backend is Backend.LOG or w.uniform_edge_table() is None:
+        return partition_function(inst.graph, w, budget)
+    rows, tables, scale = _int_tables(w)
+    sides = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
+    table = tables[inst.graph.edges[0]][0]
+    (z,) = uniform_kab_sums([(table, *[[rows[x][0] for x in side] for side in sides])], budget)
+    return NonNegValue.exact(Fraction(z, scale))
 
 
 def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
@@ -737,36 +735,23 @@ def parse_lists(text: str, g: Graph, h: Graph) -> ListAssignment:
     return ListAssignment(g.n, {v: rows.get(v, full) for v in range(g.n)})
 
 
-def list_indicators(h: Graph, lists: ListAssignment) -> np.ndarray:
-    """The 0/1 indicator over V(h) of each vertex's list: row v marks L(v)."""
-    return lists.indicator_rows(h.n)
-
-
 def _list_rows(g: Graph, h: Graph, lists: ListAssignment) -> np.ndarray:
-    """``list_indicators`` of lists, checked to be lists for g."""
+    """The indicator rows of lists over V(h), checked to be lists for g."""
     if lists.n != g.n:
         raise ValueError("list assignment length does not match the graph")
     return lists.indicator_rows(h.n)
 
 
-def count_list_homs_batch(
-    g: Graph, h: Graph, rows: np.ndarray, budget: int = DEFAULT_BUDGET
-) -> list:
-    """List-homomorphism counts of g into h for a batch of list
-    assignments, rows[i, v] being the ``list_indicators`` row of L_i(v):
-    partition functions with those vertex rows and h's adjacency matrix
-    on every edge, in one ``contract`` call; the budget bounds its plan."""
-    adj = h.adjacency_matrix()
-    factors = [((v,), rows[:, v]) for v in range(g.n)] + [(e, adj) for e in g.edges]
-    return contract([h.n] * g.n, factors, budget, maxima=[1] * len(factors), batch=len(rows))
-
-
 @lru_cache(maxsize=64)
 def count_list_homs(g: Graph, h: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> int:
     """Number of maps f with f(v) in L(v) mapping every edge of g onto an
-    edge of h: the one-assignment case of ``count_list_homs_batch``.
-    Memoised (arguments hash by content): thm4, thm5 and conj2 share it."""
-    return count_list_homs_batch(g, h, _list_rows(g, h, lists)[None], budget)[0]
+    edge of h: the partition function with the list indicator rows and
+    h's adjacency matrix on every edge, in one ``contract`` call; the
+    budget bounds its plan.  Memoised (arguments hash by content): thm4,
+    thm5 and conj2 share it."""
+    rows, adj = _list_rows(g, h, lists), h.adjacency_matrix()
+    factors = [((v,), rows[v]) for v in range(g.n)] + [(e, adj) for e in g.edges]
+    return contract([h.n] * g.n, factors, budget, maxima=[1] * len(factors))
 
 
 def list_weights(g: Graph, h: Graph, lists: ListAssignment) -> WeightArrays:

@@ -276,12 +276,13 @@ def certify_biregular(g: Graph, bp: Bipartition) -> BiregularCert:
         if g.degree(v) == 0:
             raise NotBiregularError(f"vertex {v} has degree 0", (v, v))
 
+    # no vertex is isolated, so both classes of every component are non-empty
     comps = _component_classes(g, bp)
     for side in ("even", "odd"):
         for comp_even, comp_odd in comps:
             cls = comp_even if side == "even" else comp_odd
             degs = sorted((g.degree(v), v) for v in cls)
-            if degs and degs[0][0] != degs[-1][0]:
+            if degs[0][0] != degs[-1][0]:
                 d0, w0 = degs[0]
                 d1, w1 = degs[-1]
                 raise NotBiregularError(
@@ -290,25 +291,25 @@ def certify_biregular(g: Graph, bp: Bipartition) -> BiregularCert:
                 )
 
     first_even, first_odd = comps[0]
-    d_even = g.degree(next(iter(first_even))) if first_even else 0
-    d_odd = g.degree(next(iter(first_odd))) if first_odd else d_even
-    if not first_even:
-        d_even = d_odd
-    candidates = [(d_even, d_odd), (d_odd, d_even)]
-    candidates.sort(key=lambda ab: (-ab[0], -ab[1]))
-
-    for a, b in candidates:
-        assignment = _orient_components(g, comps, a, b)
-        if assignment is not None:
-            even, odd = assignment
-            return BiregularCert(a=a, b=b, even=frozenset(even), odd=frozenset(odd), graph=g)
-
-    w0 = next(iter(first_even or first_odd))
-    other = comps[1] if len(comps) > 1 else comps[0]
-    w1 = next(iter(other[0] or other[1]))
-    raise NotBiregularError(
-        f"components disagree on the degree pair (witnesses {w0}, {w1})", (w0, w1)
-    )
+    w0 = next(iter(first_even))
+    d_even, d_odd = g.degree(w0), g.degree(next(iter(first_odd)))
+    a, b = max(d_even, d_odd), min(d_even, d_odd)
+    even: set = set()
+    odd: set = set()
+    for comp_even, comp_odd in comps:
+        w1 = next(iter(comp_even))
+        degrees = (g.degree(w1), g.degree(next(iter(comp_odd))))
+        if degrees == (a, b):
+            even |= comp_even
+            odd |= comp_odd
+        elif degrees == (b, a):
+            even |= comp_odd
+            odd |= comp_even
+        else:
+            raise NotBiregularError(
+                f"components disagree on the degree pair (witnesses {w0}, {w1})", (w0, w1)
+            )
+    return BiregularCert(a=a, b=b, even=frozenset(even), odd=frozenset(odd), graph=g)
 
 
 def _component_classes(g: Graph, bp: Bipartition) -> list[tuple[set, set]]:
@@ -321,27 +322,6 @@ def _component_classes(g: Graph, bp: Bipartition) -> list[tuple[set, set]]:
         ({v for v in members if v in bp.even}, {v for v in members if v in bp.odd})
         for members in _component_walk(g)
     ]
-
-
-def _orient_components(g, comps, a, b):
-    even: set = set()
-    odd: set = set()
-    for comp_even, comp_odd in comps:
-        d_e = g.degree(next(iter(comp_even))) if comp_even else None
-        d_o = g.degree(next(iter(comp_odd))) if comp_odd else None
-        if d_e is None:
-            d_e = d_o
-        if d_o is None:
-            d_o = d_e
-        if (d_e, d_o) == (a, b):
-            even |= comp_even
-            odd |= comp_odd
-        elif (d_o, d_e) == (a, b):
-            even |= comp_odd
-            odd |= comp_even
-        else:
-            return None
-    return even, odd
 
 
 # Constructors for common graphs.

@@ -398,13 +398,13 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         "weights = uniform_edge\ntrials = 3\nseed = 17\n"
     )
     commands = [
-        ["compute", c4, uniform, "--seed", "1"],
-        ["bound", "thm3", c6, "--weights", uniform, "--seed", "1"],
-        ["bound", "indconj", k3, "--seed", "1"],
-        ["listhom", c6, k3, "--seed", "1"],
-        ["ising", c4, "--beta", "1.0", "--seed", "1"],
+        ["compute", c4, uniform],
+        ["bound", "thm3", c6, "--weights", uniform],
+        ["bound", "indconj", k3],
+        ["listhom", c6, k3],
+        ["ising", c4, "--beta", "1.0"],
         ["blowup", c4, half, "--scale", "5", "--trials", "20", "--seed", "123"],
-        ["search", campaign, "--seed", "1"],
+        ["search", campaign],  # the campaign's seed is in its config
     ]
     for argv in commands:
         code1, doc1 = _run_cli_canonical(capsys, argv)

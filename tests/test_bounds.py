@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 import spinz.bounds as bounds_mod
 import spinz.counting as counting_mod
+import spinz.harness as harness_mod
+import spinz.weights as weights_mod
 from oracles import (
     backtrack_list_homs,
+    brute_list_homs,
     cover_sum_by_enumeration,
     list_vertex_restriction_rhs,
     lists_for_edge,
@@ -40,10 +43,12 @@ from spinz.bounds import (
     vertex_restriction_bound,
 )
 from spinz.counting import (
+    DEFAULT_BUDGET,
     BudgetError,
     CoverFamilyPair,
     ListAssignment,
     count_list_homs,
+    edge_kab_partitions,
     partition_kab,
 )
 from spinz.graphs import (
@@ -65,7 +70,7 @@ from spinz.harness import (
     sample_weights,
 )
 from spinz.values import Backend, NonNegValue, PowerProduct, compare_product
-from spinz.weights import WeightSystem, _kab_layout, make_hardcore, restrict_to_edge, restrict_to_kab
+from spinz.weights import WeightSystem, _kab_layout, make_hardcore, make_ising, restrict_to_edge, restrict_to_kab
 
 
 def _cert(g):
@@ -486,6 +491,46 @@ def test_conj1_factors_equal_brute_force_of_each_edge_restriction(g, m, seed, al
         inst = restrict_to_edge(g, w, u, v)
         assert z.fraction == partition_brute(inst.graph, inst.weights).fraction
         assert e == Fraction(1, g.degree(u) * g.degree(v))
+    logs = edge_restriction_bound(g, w.to_log()).rhs.factors
+    for (z, _), (want, _) in zip(logs, r.rhs.factors):
+        assert z.log() == pytest.approx(want.log(), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_log_conj1_batch_equals_each_system_alone(tight):
+    for g in _CONJ1_GRAPHS:
+        for m in (1, 2, 3):
+            ws = [
+                sample_weights(g, m, seed=10 * m + k, cap=9, allow_zero=k % 2 == 1, style="uniform_edge")
+                .to_log() for k in range(4)
+            ]
+            if m == 2:
+                ws += [make_ising(g, beta, 0.25) for beta in (0.5, -1.0)]
+            # a K_{3,3} factor's largest tensor is m^3: one restriction per chunk
+            budget = m ** 3 if tight else DEFAULT_BUDGET
+            alone = [[z.log() for z in edge_kab_partitions(g, [w], budget)[0]] for w in ws]
+            together = edge_kab_partitions(g, ws, budget)
+            assert [[z.log() for z in factors] for factors in together] == alone
+
+
+@given(
+    st.sampled_from(_CONJ1_GRAPHS),
+    st.integers(1, 3),
+    st.integers(0, 10 ** 6),
+    st.integers(-1, 5),
+)
+def test_conj2_factors_equal_brute_force_of_each_edge_restriction(g, hn, seed, empty):
+    rng = random.Random(seed)
+    h = Graph(hn, [(i, j) for i in range(hn) for j in range(i + 1, hn) if rng.random() < 0.7])
+    lists = sample_list_assignment(g, h, seed)
+    if empty >= 0:
+        lists = with_list(lists, empty % g.n, [])
+    r = list_edge_restriction_bound(g, h, lists)
+    assert r.lhs.fraction == brute_list_homs(g.n, g.edges, hn, h.edges, lists.lists)
+    for (u, v), (z, _) in zip(g.edges, r.rhs.factors):
+        kab, _, _ = _kab_layout(g.degree(u), g.degree(v))
+        kab_lists = lists_for_edge(g, lists, u, v)
+        assert z.fraction == brute_list_homs(kab.n, kab.edges, hn, h.edges, kab_lists.lists)
 
 
 def test_conj1_budget_is_the_largest_count_vector_space(monkeypatch):
@@ -518,17 +563,36 @@ def test_log_conj1_is_one_contraction_per_degree_pair(monkeypatch):
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     w = sample_weights(g, 3, seed=4, style="uniform_edge").to_log()
     wants = [partition_kab(restrict_to_edge(g, w, u, v)).log() for u, v in g.edges]
-    calls = []
-    contract = counting_mod.contract
-
-    def spy(*args, **kwargs):
-        calls.append(args[4:6])  # (maxima, batch)
-        return contract(*args, **kwargs)
-
-    monkeypatch.setattr(counting_mod, "contract", spy)
+    batches = _spy_batches(monkeypatch)
     (factors,) = counting_mod.edge_kab_partitions(g, [w])
     assert [z.log() for z in factors] == pytest.approx(wants, rel=1e-12)
-    assert sorted(batch or 1 for _, batch in calls) == [1, 1, 1, 2]
+    assert sorted(batches) == [1, 1, 1, 2]
+
+
+def _spy_batches(monkeypatch) -> list:
+    """The batch size of every later ``contract`` call, None when unbatched."""
+    batches = []
+    contract = counting_mod.contract
+
+    def spy(sizes, factors, budget, backend=Backend.EXACT, maxima=None, batch=None):
+        batches.append(batch)
+        return contract(sizes, factors, budget, backend, maxima, batch)
+
+    monkeypatch.setattr(counting_mod, "contract", spy)
+    return batches
+
+
+def test_conj2_is_one_contraction_per_degree_pair(monkeypatch):
+    # the degree pairs of test_log_conj1_is_one_contraction_per_degree_pair
+    g, h = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]), complete_graph(3)
+    lists = ListAssignment.full(g, h)
+    count_list_homs(g, h, lists, DEFAULT_BUDGET)  # the left side, memoised before the spy
+    batches = _spy_batches(monkeypatch)
+    r = list_edge_restriction_bound(g, h, lists)
+    assert sorted(batches) == [1, 1, 1, 2]
+    for (u, v), (z, _) in zip(g.edges, r.rhs.factors):
+        kab, _, _ = _kab_layout(g.degree(u), g.degree(v))
+        assert z.fraction == backtrack_list_homs(kab, h, lists_for_edge(g, lists, u, v))
 
 
 def test_conj2_k2_is_equality():
@@ -763,19 +827,26 @@ def test_per_vertex_bounds_make_one_cover_sum_per_orientation(monkeypatch):
         return cover_sums(*args)
 
     def unused(*args, **kwargs):
-        raise AssertionError("thm3 built a K_{a,b} restriction")
+        raise AssertionError("a bound built a K_{a,b} restriction")
 
     monkeypatch.setattr(bounds_mod, "cover_sums", spy)
-    monkeypatch.setattr(counting_mod, "partition_kab_batch", unused)
-    monkeypatch.setattr("spinz.weights.restrict_to_kab", unused)
+    # no bound builds a restriction system or sums one, whichever module binds the name
+    for name in ("restrict_to_kab", "restrict_to_edge", "partition_kab"):
+        for module in (weights_mod, counting_mod, bounds_mod, harness_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unused)
     h = complete_graph(3)
     for g, orientations in ((cycle_graph(6), 2), (complete_bipartite(2, 3), 1)):
         w = sample_weights(g, 2, seed=g.n)
+        uniform = sample_weights(g, 2, seed=g.n, style="uniform_edge")
         for evaluate, want in (
             (lambda: vertex_restriction_bound(g, w), orientations),
             (lambda: vertex_restriction_bound(g, w.to_log()), orientations),
             (lambda: list_vertex_restriction_bound(g, h), orientations),
             (lambda: evaluate_bound("thm5", g, target=h), 1),
+            (lambda: edge_restriction_bound(g, uniform), 0),
+            (lambda: edge_restriction_bound(g, uniform.to_log()), 0),
+            (lambda: list_edge_restriction_bound(g, h), 0),
         ):
             calls.clear()
             bounds_mod._list_cover_sums.cache_clear()  # count the sums, not memo hits

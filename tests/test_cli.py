@@ -74,6 +74,22 @@ def test_backend_is_exact_or_log_and_only_where_weights_are_read(capsys, files):
     assert "--backend" in capsys.readouterr().err
 
 
+def test_seed_flag_only_on_blowup(capsys, files):
+    cfg = files["tmp"] / "campaign.cfg"
+    cfg.write_text("source = biregular\nn_max = 4\nbounds = thm3\ntrials = 1\n")
+    for argv in (
+        ["compute", files["c4"], files["hc4"]],
+        ["bound", "ind", files["c6"]],
+        ["listhom", files["c4"], files["k3"]],
+        ["ising", files["c4"], "--beta", "0.5"],
+        ["search", cfg],  # a campaign's seed is in its config file
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in [*argv, "--seed", "1"]])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_threads_flag_is_rejected_by_every_subcommand(capsys, files):
     cfg = files["tmp"] / "campaign.cfg"
     cfg.write_text("source = biregular\nn_max = 4\nbounds = thm3\ntrials = 1\n")

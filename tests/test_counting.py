@@ -32,9 +32,8 @@ from spinz.counting import (
     ListAssignment,
     contract,
     count_list_homs,
-    count_list_homs_batch,
     cover_sums,
-    list_indicators,
+    edge_kab_partitions,
     list_weights,
     weight_arrays,
     independent_set_count,
@@ -42,7 +41,6 @@ from spinz.counting import (
     parse_lists,
     partition_function,
     partition_kab,
-    partition_kab_batch,
     weight_of,
 )
 from spinz.graphs import (
@@ -366,9 +364,9 @@ def test_underflowing_log_kab_batch_matches_enumeration():
     insts = [restrict_to_edge(g, w, u, v) for u, v in g.edges]
     assert {(inst.a, inst.b) for inst in insts} == {(2, 2)}
     wants = [partition_brute(inst.graph, inst.weights).log() for inst in insts]
-    # a log-domain step spans 8 cells, so a budget of 16 runs two instances at a time
+    # a log-domain step spans 8 cells, so a budget of 16 runs two restrictions at a time
     for budget in (DEFAULT_BUDGET, 16):
-        zs = partition_kab_batch(insts, budget)
+        (zs,) = edge_kab_partitions(g, [w], budget)
         assert [z.log() for z in zs] == pytest.approx(wants, rel=1e-12)
 
 
@@ -651,7 +649,7 @@ _BIREGULAR = (
     st.booleans(),
     st.booleans(),
 )
-def test_batched_partition_kab_equals_each_instance(g, m, seed, style, zero_row, log, tight):
+def test_partition_kab_equals_partition_function(g, m, seed, style, zero_row, log, tight):
     w = sample_weights(g, m, seed=seed, cap=9, allow_zero=seed % 2 == 0, style=style)
     cert = certify_biregular(g, bipartition(g))
     if zero_row:  # one even vertex with every spin weight 0
@@ -666,13 +664,10 @@ def test_batched_partition_kab_equals_each_instance(g, m, seed, style, zero_row,
         )
     if log:
         w = w.to_log()
-    insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
-    # the largest tensor is m^min(a, b): this budget contracts one instance per chunk
+    # the largest tensor is m^min(a, b), and no DP has more count vectors
     budget = m ** min(cert.a, cert.b) if tight else DEFAULT_BUDGET
-    batched = partition_kab_batch(insts, budget)
-    for inst, z in zip(insts, batched):
-        one = partition_function(inst.graph, inst.weights)
-        assert partition_kab(inst, budget) == z
+    for inst in (restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)):
+        z, one = partition_kab(inst, budget), partition_function(inst.graph, inst.weights)
         if log:
             assert z.log() == one.log() or z.log() == pytest.approx(one.log(), rel=1e-12)
         else:
@@ -713,10 +708,9 @@ def test_count_list_homs_matches_backtracker_and_brute():
             ListAssignment(n, [[y for y in range(hn) if rng.random() < 0.7] for _ in range(n)])
             for _ in range(3)
         ]
-        got = count_list_homs_batch(g, h, np.stack([list_indicators(h, lists) for lists in batch]))
-        for lists, k in zip(batch, got):
-            assert k == count_list_homs(g, h, lists) == backtrack_list_homs(g, h, lists)
-            assert k == brute_list_homs(n, g.edges, hn, h.edges, lists.lists)
+        for lists in batch:
+            k = count_list_homs(g, h, lists)
+            assert k == backtrack_list_homs(g, h, lists) == brute_list_homs(n, g.edges, hn, h.edges, lists.lists)
         if not g.edges:  # every list an empty one gives no map at all
             assert count_list_homs(g, h, ListAssignment(n, [[]] * n)) == 0
 
@@ -731,7 +725,6 @@ def test_list_hom_engine_on_empty_vertex_sets():
     assert contract([], [], DEFAULT_BUDGET, batch=2) == [1, 1]
     empty = [((0,), np.zeros(0)), ((1,), np.zeros(0)), ((0, 1), np.zeros((0, 0)))]
     assert contract([0, 0], empty, DEFAULT_BUDGET, maxima=[1, 1, 1]) == 0
-    assert count_list_homs_batch(cycle_graph(4), complete_graph(3), np.zeros((0, 4, 3))) == []
 
 
 def test_count_list_homs_c30_to_k3_is_fast():
@@ -857,7 +850,7 @@ def test_vertex_kernel_equals_each_kab_restriction(g, m, seed, style, zero):
         pairs = _around(cert)
         exact = cover_sums(g, weight_arrays(g, w), pairs, Fraction(cert.a))
         insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
-        assert [z.fraction for z in exact] == [z.fraction for z in partition_kab_batch(insts)]
+        assert [z.fraction for z in exact] == [partition_kab(inst).fraction for inst in insts]
         for inst, z in zip(insts, exact):
             if m ** inst.graph.n <= 243:
                 rows, tables = _tables(inst.weights, inst.graph)
@@ -884,9 +877,9 @@ def test_list_kernel_equals_each_kab_list_count(g, m, seed, empty):
         got = cover_sums(g, list_weights(g, h, lists), _around(cert), Fraction(cert.a))
         # the K_{a,b} layout thm4 counted before: neighbours first, then a copies of v
         kab, _, _ = _kab_layout(cert.a, cert.b)
-        sources = np.array([(*cert.neighbor_order(v), *[v] * cert.a) for v in sorted(cert.odd)])
-        before = count_list_homs_batch(kab, h, list_indicators(h, lists)[sources])
-        brute = [backtrack_list_homs(kab, h, lists_for_vertex(lists, cert, v)) for v in sorted(cert.odd)]
+        restricted = [lists_for_vertex(lists, cert, v) for v in sorted(cert.odd)]
+        before = [count_list_homs(kab, h, kab_lists) for kab_lists in restricted]
+        brute = [backtrack_list_homs(kab, h, kab_lists) for kab_lists in restricted]
         assert [z.fraction for z in got] == before == brute
 
 
@@ -978,11 +971,11 @@ def test_vertex_kernel_runs_in_chunks_within_the_budget(monkeypatch):
 def test_one_list_assignment_gives_each_target_size_its_own_rows():
     lists = ListAssignment(4, [[0, 1], [1], [0, 2], []])
     k3, c4 = complete_graph(3), cycle_graph(4)
-    small, big = list_indicators(k3, lists), list_indicators(c4, lists)
+    small, big = lists.indicator_rows(3), lists.indicator_rows(4)
     for rows, k in ((small, 3), (big, 4)):
         assert rows.tolist() == [[1.0 if y in row else 0.0 for y in range(k)] for row in lists.lists]
         assert not rows.flags.writeable
-    assert list_indicators(k3, lists) is small and list_indicators(c4, lists) is big
+    assert lists.indicator_rows(3) is small and lists.indicator_rows(4) is big
     g = cycle_graph(4)
     for h in (k3, c4, k3):
         assert count_list_homs(g, h, lists) == backtrack_list_homs(g, h, lists)
@@ -990,6 +983,6 @@ def test_one_list_assignment_gives_each_target_size_its_own_rows():
         assert got[0].fraction == backtrack_list_homs(g, h, lists)
     wide = ListAssignment(4, [[0, 3], [1], [-1, 0], [2]])
     with pytest.raises(ValueError, match="list of vertex 0 mentions unknown target 3"):
-        list_indicators(k3, wide)
+        wide.indicator_rows(3)
     with pytest.raises(ValueError, match="list of vertex 2 mentions unknown target -1"):
-        list_indicators(c4, wide)
+        wide.indicator_rows(4)

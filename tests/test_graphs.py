@@ -160,9 +160,12 @@ def test_certify_disconnected_component_flip():
 
 
 def test_certify_rejects_mismatched_components():
-    g = disjoint_union([cycle_graph(4), Graph(2, [(0, 1)])])
-    with pytest.raises(NotBiregularError):
-        _cert(g)
+    # the second witness lies in the first component that disagrees with the first
+    k22, k2 = complete_bipartite(2, 2), Graph(2, [(0, 1)])
+    for parts, witnesses in (([cycle_graph(4), k2], (0, 4)), ([k22, k22, k2], (0, 8))):
+        with pytest.raises(NotBiregularError, match=f"witnesses {witnesses[0]}, {witnesses[1]}") as err:
+            _cert(disjoint_union(parts))
+        assert err.value.witnesses == witnesses
 
 
 def test_class_size_identities():
