@@ -1,6 +1,7 @@
 """spinz: exact partition functions of weighted spin systems on graphs,
 complete-bipartite upper bounds, and a randomized blow-up lab."""
 
+from .util import ParseError
 from .values import Backend, NonNegValue, PowerProduct, compare_product
 from .graphs import (
     Bipartition,
@@ -23,6 +24,7 @@ from .graphs import (
 from .weights import (
     KabInstance,
     WeightError,
+    WeightParseError,
     WeightSystem,
     make_hardcore,
     make_ising,

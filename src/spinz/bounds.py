@@ -263,7 +263,6 @@ def list_vertex_restriction_bound(
     _orientations(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
-    lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
     rhs = _per_vertex_rhs(g, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
     return finish_report(
@@ -380,7 +379,6 @@ def list_edge_restriction_bound(
     _require_min_degree(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
-    lists.validate_against(h)
     lhs_count = count_list_homs(g, h, lists, budget)
     rows = lists.indicator_rows(h.n)[None]
     (counts,) = edge_kab_sums(g, rows, h.adjacency_matrix(), budget, Backend.EXACT)

@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("search", help="run a campaign from a config file")
-    p.add_argument("config")
-    _add_common(p)
+    p.add_argument("config")  # holds the campaign's budget and seed
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     return parser
 

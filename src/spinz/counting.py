@@ -31,11 +31,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graphs import Bipartition, Graph
+from .util import ParseError, parse_fields, records
 from .values import NEG_INF, Backend, NonNegValue
 from .weights import KabInstance, WeightSystem, _kab_layout, make_hardcore, uniform_edge
 
@@ -642,19 +643,12 @@ class ListAssignment:
 
     __slots__ = ("n", "lists", "_rows", "_text")
 
-    def __init__(self, n: int, lists: Mapping[int, Iterable[int]] | Sequence[Iterable[int]]):
-        rows: list[tuple[int, ...]] = []
-        if isinstance(lists, Mapping):
-            for v in range(n):
-                if v not in lists:
-                    raise ValueError(f"list missing for vertex {v}")
-                rows.append(tuple(sorted(set(lists[v]))))
-        else:
-            if len(lists) != n:
-                raise ValueError(f"expected {n} lists, got {len(lists)}")
-            rows = [tuple(sorted(set(row))) for row in lists]
+    def __init__(self, n: int, lists: Sequence[Iterable[int]]):
+        """lists[v] is L(v), for each of the n vertices."""
+        if len(lists) != n:
+            raise ValueError(f"expected {n} lists, got {len(lists)}")
         self.n = n
-        self.lists = tuple(rows)
+        self.lists = tuple(tuple(sorted(set(row))) for row in lists)
         self._rows = {}  # target count -> indicator rows, built by indicator_rows
         self._text = None  # to_text(), on first use
 
@@ -664,10 +658,6 @@ class ListAssignment:
 
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.lists[v]
-
-    def validate_against(self, h: Graph) -> None:
-        """Raise ValueError for the first target outside V(h)."""
-        self.indicator_rows(h.n)
 
     def indicator_rows(self, k: int) -> np.ndarray:
         """The read-only n x k float 0/1 array whose row v marks L(v) in
@@ -710,29 +700,21 @@ def parse_lists(text: str, g: Graph, h: Graph) -> ListAssignment:
 
     A bare `l <v>` line assigns the empty list explicitly.
     """
-    rows: dict[int, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    rows: dict[int, list[int]] = {}
+    for lineno, line in records(text):
         parts = line.split()
         if parts[0] != "l" or len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected 'l <v> <targets...>'")
-        try:
-            ids = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise ValueError(f"line {lineno}: ids must be integers") from None
-        v, targets = ids[0], ids[1:]
+            raise ParseError("expected 'l <v> <targets...>'", lineno)
+        v, *targets = parse_fields(parts[1:], ParseError("ids must be integers", lineno))
         if not (0 <= v < g.n):
-            raise ValueError(f"line {lineno}: vertex {v} out of range")
+            raise ParseError(f"vertex {v} out of range", lineno)
         if v in rows:
-            raise ValueError(f"line {lineno}: duplicate list for vertex {v}")
+            raise ParseError(f"duplicate list for vertex {v}", lineno)
         for y in targets:
             if not (0 <= y < h.n):
-                raise ValueError(f"line {lineno}: target {y} out of range")
-        rows[v] = tuple(targets)
-    full = range(h.n)
-    return ListAssignment(g.n, {v: rows.get(v, full) for v in range(g.n)})
+                raise ParseError(f"target {y} out of range", lineno)
+        rows[v] = targets
+    return ListAssignment(g.n, [rows.get(v, range(h.n)) for v in range(g.n)])
 
 
 def _list_rows(g: Graph, h: Graph, lists: ListAssignment) -> np.ndarray:
@@ -916,30 +898,24 @@ def parse_cover_family(text: str) -> CoverFamilyPair:
     t1 = t2 = None
     pairs: list[tuple[frozenset, frozenset]] = []
     pending_a: frozenset | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         directive, *fields = line.split()
         if directive not in ("t", "A", "B"):
-            raise ValueError(f"line {lineno}: unknown directive {directive!r}")
-        try:
-            ids = [int(p) for p in fields]
-        except ValueError:
-            raise ValueError(f"line {lineno}: {directive} takes integers") from None
+            raise ParseError(f"unknown directive {directive!r}", lineno)
+        ids = parse_fields(fields, ParseError(f"{directive} takes integers", lineno))
         if directive == "t":
             if len(ids) != 2:
-                raise ValueError(f"line {lineno}: expected 't <t1> <t2>'")
+                raise ParseError("expected 't <t1> <t2>'", lineno)
             if t1 is not None:
-                raise ValueError(f"line {lineno}: duplicate 't' header")
+                raise ParseError("duplicate 't' header", lineno)
             t1, t2 = ids
         elif directive == "A":
             if pending_a is not None:
-                raise ValueError(f"line {lineno}: A line without a matching B line")
+                raise ParseError("A line without a matching B line", lineno)
             pending_a = frozenset(ids)
         else:
             if pending_a is None:
-                raise ValueError(f"line {lineno}: B line without a preceding A line")
+                raise ParseError("B line without a preceding A line", lineno)
             pairs.append((pending_a, frozenset(ids)))
             pending_a = None
     if t1 is None or t2 is None:

@@ -17,17 +17,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .util import sha256_text
+from .util import ParseError, parse_fields, records, sha256_text
 
 
 class GraphError(ValueError):
     """Base class for graph construction and certification failures."""
 
 
-class GraphParseError(GraphError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class GraphParseError(ParseError, GraphError):
+    """A malformed line of a graph file."""
 
 
 class NotBipartiteError(GraphError):
@@ -135,18 +133,12 @@ def parse_graph(text: str) -> Graph:
     m = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         parts = line.split()
         if n is None:
             if parts[0] != "p" or len(parts) != 3:
                 raise GraphParseError("expected header 'p <n> <m>'", lineno)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphParseError("header counts must be integers", lineno) from None
+            n, m = parse_fields(parts[1:], GraphParseError("header counts must be integers", lineno))
             if n < 1:
                 raise GraphParseError(f"vertex count must be >= 1, got {n}", lineno)
             if m < 0:
@@ -154,10 +146,7 @@ def parse_graph(text: str) -> Graph:
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise GraphParseError(f"expected 'e <u> <v>', got {line!r}", lineno)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphParseError("edge endpoints must be integers", lineno) from None
+        u, v = parse_fields(parts[1:], GraphParseError("edge endpoints must be integers", lineno))
         if u == v:
             raise GraphParseError(f"loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):

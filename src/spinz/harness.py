@@ -38,7 +38,7 @@ from .graphs import (
     is_connected,
     parse_graph,
 )
-from .util import derive_seed, dump_json
+from .util import ParseError, derive_seed, dump_json, parse_fields, records
 from .weights import WeightSystem, hardcore_from_pairs, parse_weights
 
 ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 10}
@@ -396,23 +396,18 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 
 def parse_campaign_config(text: str) -> CampaignConfig:
     kwargs: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
+            raise ParseError("expected 'key = value'", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
         if key in kwargs:
-            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+            raise ParseError(f"duplicate config key {key!r}", lineno)
         if key in _CONFIG_INTS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: {key} takes an integer, got {value!r}") from None
+            error = ParseError(f"{key} takes an integer, got {value!r}", lineno)
+            (kwargs[key],) = parse_fields([value], error)
         elif key in _CONFIG_BOOLS:
             if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"line {lineno}: {key} takes true/false/yes/no/1/0, got {value!r}")
+                raise ParseError(f"{key} takes true/false/yes/no/1/0, got {value!r}", lineno)
             kwargs[key] = _BOOL_WORDS[value.lower()]
         elif key == "bounds":
             kwargs[key] = tuple(x.strip() for x in value.split(",") if x.strip())
@@ -421,7 +416,7 @@ def parse_campaign_config(text: str) -> CampaignConfig:
         elif key in ("source", "weights", "out"):
             kwargs[key] = value
         else:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            raise ParseError(f"unknown config key {key!r}", lineno)
     return CampaignConfig(**kwargs)
 
 

@@ -1,9 +1,36 @@
-"""Small shared helpers: hashing, seed derivation, JSON."""
+"""Small shared helpers: hashing, seed derivation, JSON, line reading."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from typing import Callable, Iterable, Iterator
+
+
+class ParseError(ValueError):
+    """A malformed line of a text input; ``.line`` is its 1-based number."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of text that is
+    neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_fields(fields: Iterable[str], error: ParseError, parse: Callable = int) -> list:
+    """Each field through ``parse`` (int unless given); raises ``error``,
+    the caller's message for its line, for the first that does not parse."""
+    try:
+        return [parse(x) for x in fields]
+    except (ValueError, ZeroDivisionError):
+        raise error from None
 
 
 def sha256_text(text: str) -> str:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .graphs import Graph, BiregularCert, complete_bipartite
-from .util import sha256_text
+from .util import ParseError, parse_fields, records, sha256_text
 from .values import (
     Backend,
     NonNegValue,
@@ -42,10 +42,8 @@ class WeightError(ValueError):
     """Invalid weight table construction or lookup."""
 
 
-class WeightParseError(WeightError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class WeightParseError(ParseError, WeightError):
+    """A malformed line of a weight file."""
 
 
 Table = tuple  # m x m tuple-of-tuples of NonNegValue, symmetric
@@ -291,29 +289,21 @@ def parse_weights(text: str, graph: Graph) -> WeightSystem:
     m = None
     vertex: dict[tuple[int, int], Fraction] = {}
     edge: dict[tuple[int, int, int, int], Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in records(text):
         parts = line.split()
         if m is None:
             if parts[0] != "m" or len(parts) != 2:
                 raise WeightParseError("expected header 'm <spins>'", lineno)
-            try:
-                m = int(parts[1])
-            except ValueError:
-                raise WeightParseError("spin count must be an integer", lineno) from None
+            (m,) = parse_fields(parts[1:], WeightParseError("spin count must be an integer", lineno))
             if m < 1:
                 raise WeightParseError(f"spin count must be >= 1, got {m}", lineno)
             continue
         if parts[0] == "vw":
             if len(parts) != 4:
                 raise WeightParseError("expected 'vw <v> <i> <value>'", lineno)
-            try:
-                v, i = int(parts[1]), int(parts[2])
-                val = parse_rational(parts[3])
-            except (ValueError, ZeroDivisionError):
-                raise WeightParseError(f"malformed vw line {line!r}", lineno) from None
+            malformed = WeightParseError(f"malformed vw line {line!r}", lineno)
+            v, i = parse_fields(parts[1:3], malformed)
+            (val,) = parse_fields(parts[3:], malformed, parse_rational)
             if not (0 <= v < graph.n):
                 raise WeightParseError(f"vertex {v} out of range [0,{graph.n})", lineno)
             if not (1 <= i <= m):
@@ -326,11 +316,9 @@ def parse_weights(text: str, graph: Graph) -> WeightSystem:
         elif parts[0] == "ew":
             if len(parts) != 6:
                 raise WeightParseError("expected 'ew <u> <v> <i> <j> <value>'", lineno)
-            try:
-                u, v, i, j = (int(x) for x in parts[1:5])
-                val = parse_rational(parts[5])
-            except (ValueError, ZeroDivisionError):
-                raise WeightParseError(f"malformed ew line {line!r}", lineno) from None
+            malformed = WeightParseError(f"malformed ew line {line!r}", lineno)
+            u, v, i, j = parse_fields(parts[1:5], malformed)
+            (val,) = parse_fields(parts[5:], malformed, parse_rational)
             if i > j:
                 raise WeightParseError(
                     f"spin pair must be canonical i <= j, got ({i},{j})", lineno

@@ -595,6 +595,17 @@ def test_conj2_is_one_contraction_per_degree_pair(monkeypatch):
         assert z.fraction == backtrack_list_homs(kab, h, lists_for_edge(g, lists, u, v))
 
 
+def test_thm4_thm5_and_conj2_share_one_list_hom_count():
+    g, h = cycle_graph(6), complete_graph(3)
+    lists = ListAssignment.full(g, h)
+    count_list_homs.cache_clear()
+    list_vertex_restriction_bound(g, h, lists)
+    cover_family_report(g, h, lists, neighbourhood_family(g))
+    list_edge_restriction_bound(g, h, lists)
+    info = count_list_homs.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_conj2_k2_is_equality():
     g, h = complete_bipartite(1, 1), complete_graph(3)
     r = list_edge_restriction_bound(g, h)
@@ -965,9 +976,9 @@ def test_list_and_family_checks_keep_their_messages():
 
 def test_lists_checked_for_one_target_size_are_checked_again_for_another():
     lists = ListAssignment(4, [[0, 2], [1], [2], [0]])
-    lists.validate_against(complete_graph(3))
+    lists.indicator_rows(3)
     with pytest.raises(ValueError, match="list of vertex 0 mentions unknown target 2"):
-        lists.validate_against(complete_graph(2))
+        lists.indicator_rows(2)
     assert evaluate_bound("thm4", cycle_graph(4), target=complete_graph(3), lists=lists).verdict is Verdict.HOLDS
 
 

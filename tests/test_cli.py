@@ -90,6 +90,22 @@ def test_seed_flag_only_on_blowup(capsys, files):
         assert "--seed" in capsys.readouterr().err
 
 
+def test_budget_flag_not_on_search(capsys, files):
+    cfg = files["tmp"] / "campaign.cfg"
+    cfg.write_text("source = biregular\nn_max = 4\nbounds = thm3\ntrials = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", str(cfg), "--budget", "5"])  # a campaign's budget is in its config file
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_malformed_input_line_exits_2_naming_the_line(capsys, files):
+    bad = files["tmp"] / "bad.graph"
+    bad.write_text("p 2 1\ne 0 x\n")
+    assert main(["compute", str(bad), str(files["uniform"])]) == 2
+    assert capsys.readouterr().err == "error: line 2: edge endpoints must be integers\n"
+
+
 def test_threads_flag_is_rejected_by_every_subcommand(capsys, files):
     cfg = files["tmp"] / "campaign.cfg"
     cfg.write_text("source = biregular\nn_max = 4\nbounds = thm3\ntrials = 1\n")
