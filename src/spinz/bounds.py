@@ -173,35 +173,30 @@ def finish_report(
 
 @lru_cache(maxsize=256)
 def _orientations(g: Graph) -> tuple:
-    """Per class orientation of g's biregularity certificate (both when
-    a == b): its pairs (N(v), {v}) over the degree-b vertices v,
-    ascending, the exponent a and the factor exponent 1/a.  Once per
-    graph (graphs hash by content); errors are not cached."""
+    """(pairs per class orientation, a) for g's biregularity certificate:
+    both orientations when a == b, each the pairs (N(v), {v}) over the
+    degree-b vertices v, ascending.  Once per graph (graphs hash by
+    content); errors are not cached."""
     cert = certify_biregular(g, bipartition(g))
     certs = (cert, cert.swapped()) if cert.a == cert.b else (cert,)
-    return tuple(
-        (
-            tuple((frozenset(c.neighbor_order(v)), frozenset({v})) for v in sorted(c.odd)),
-            Fraction(c.a),
-            Fraction(1, c.a),
-        )
-        for c in certs
-    )
+    return tuple(tuple((frozenset(c.neighbor_order(v)), frozenset({v})) for v in sorted(c.odd))
+                 for c in certs), Fraction(cert.a)
 
 
 def _per_vertex_rhs(g: Graph, sums_of) -> PowerProduct:
     """The product over the degree-b class of the K_{a,b} restriction
     around each vertex v, each to the 1/a; when a == b, the smaller of
     both orientations' products.  A restriction's a copies of v each
-    contribute the same factor, so each orientation is one covering sum,
-    sums_of(pairs, exponent), over the pairs (N(v), {v}) with exponent a."""
-    products = [
-        PowerProduct(tuple((z, inverse) for z in sums_of(pairs, a)))
-        for pairs, a, inverse in _orientations(g)
-    ]
-    p, q = products[0], products[-1]
-    if p is q:
+    contribute the same factor, so the right side is one covering sum,
+    sums_of(pairs, a), over the pairs (N(v), {v}) of every orientation
+    (when a == b they all have one shape, so they are one batch)."""
+    orientations, a = _orientations(g)
+    sums = sums_of(sum(orientations, ()), a)
+    k, inverse = len(orientations[0]), 1 / a
+    p = PowerProduct(tuple((z, inverse) for z in sums[:k]))
+    if len(orientations) == 1:
         return p
+    q = PowerProduct(tuple((z, inverse) for z in sums[k:]))
     logs = p.log(), q.log()
     if p.backend is Backend.EXACT:
         return p if compare_product(p.factors, q.factors, logs) <= 0 else q
@@ -244,11 +239,22 @@ def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
 
 
 @lru_cache(maxsize=64)
-def _list_cover_sums(g: Graph, h: Graph, lists: ListAssignment, pairs, exponent, budget) -> tuple:
-    """``cover_sums`` of the list homomorphisms of g into h.  Memoised
-    (arguments hash by content): thm4's first orientation and thm5 on
-    the neighbourhood family sum the same pairs."""
-    return tuple(cover_sums(g, list_weights(g, h, lists), pairs, exponent, budget))
+def _list_cover_memo(g: Graph, h: Graph, lists: ListAssignment, exponent, budget) -> dict:
+    """{pair: its ``cover_sums`` value} for the list homomorphisms of g
+    into h, filled by ``_list_cover_sums``.  Arguments hash by content."""
+    return {}
+
+
+def _list_cover_sums(g: Graph, h: Graph, lists: ListAssignment, pairs, exponent, budget) -> list:
+    """``cover_sums`` of the list homomorphisms of g into h, in one call
+    over the pairs not yet summed with these arguments (exact sums only:
+    a LOG sum can depend on its batch), so thm5 on the neighbourhood
+    family finds every pair in thm4's sums."""
+    memo = _list_cover_memo(g, h, lists, exponent, budget) if exponent.denominator == 1 else {}
+    new = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+    if new:
+        memo.update(zip(new, cover_sums(g, list_weights(g, h, lists), new, exponent, budget)))
+    return [memo[pair] for pair in pairs]
 
 
 def list_vertex_restriction_bound(
@@ -282,11 +288,13 @@ def cover_family_value(
         prod_i ( sum_{x in prod_{v in A_i} L(v)} |C^x(A_i, B_i)|^(t1/t2) )^(1/t1)
 
     Exact when t2 divides t1 (integer inner exponents); otherwise the
-    inner sums are LOG values.  Each inner sum is one contraction
-    (``cover_sums``), and pairs of one shape share a batch.
+    inner sums are LOG values.  The inner sums are one ``cover_sums``
+    call, whose pairs of one shape share a batch; an exact pair already
+    summed for (g, h, lists) at this exponent is not summed again, so on
+    the neighbourhood family after thm4 there is no call at all.
     """
     _check_family(g, fam)
-    sums = _list_cover_sums(g, h, lists, tuple(fam.pairs), Fraction(fam.t1, fam.t2), budget)
+    sums = _list_cover_sums(g, h, lists, fam.pairs, Fraction(fam.t1, fam.t2), budget)
     inverse = Fraction(1, fam.t1)
     return PowerProduct(tuple((f, inverse) for f in sums))
 
@@ -302,8 +310,8 @@ def neighbourhood_family(g: Graph) -> CoverFamilyPair:
     """The neighbourhoods-and-singletons family of a biregular graph: the
     A's are the neighbourhoods of the degree-b vertices, the B's those
     vertices as singletons, t1 = a, t2 = 1."""
-    pairs, a, _ = _orientations(g)[0]
-    return CoverFamilyPair(pairs=pairs, t1=a.numerator, t2=1)
+    orientations, a = _orientations(g)
+    return CoverFamilyPair(pairs=orientations[0], t1=a.numerator, t2=1)
 
 
 def cover_family_report(

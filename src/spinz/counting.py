@@ -8,8 +8,9 @@ variable elimination over ``np.einsum``, planned in full and checked
 against the budget before it contracts anything.  So do list-homomorphism
 counts (0/1 list rows, adjacency-matrix edge tables).  One call can
 contract a batch of instances of one structure, such as the factors of
-one bound: the right sides of thm3, thm4 and thm5 are one ``cover_sums``,
-those of LOG conj1 and conj2 one ``edge_kab_sums`` per degree pair.
+one bound: the right side of thm3, thm4 or thm5 is one ``cover_sums``
+(both class orientations when a == b), those of LOG conj1 and conj2 one
+``edge_kab_sums`` per degree pair.  A tiny EXACT plan is one einsum.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -44,6 +45,10 @@ DEFAULT_BUDGET = 10 ** 8
 
 SpinConfig = tuple  # tuple[int, ...] with 1-based spins
 
+try:  # np.einsum's kernel without its dispatch layer, which costs 3 us a call
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    _c_einsum = np.einsum
 _FLOAT_EXACT_LIMIT = 1 << 53
 _INT64_LIMIT = 1 << 62
 _TINY = float(np.finfo(np.float64).tiny)
@@ -59,6 +64,12 @@ _MAX_OPERANDS = 31
 # builds an intermediate larger than the step's largest operand or output,
 # so the budget still bounds memory.
 _BLAS_MIN_CELLS = 1 << 15
+# An EXACT plan with at most this many scoped cells and factors runs as one
+# einsum, saving each step's call overhead (flat for 16-256 cells and 4-8
+# factors; more factors slow conj1's left sides).  LOG keeps its steps: one
+# einsum's float sum order depends on the batch when a table is shared.
+_ONE_STEP_CELLS = 64
+_ONE_STEP_OPERANDS = 8
 
 
 class BudgetError(ValueError):
@@ -96,15 +107,17 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     whose remaining neighbours span the fewest cells (lowest id on ties).
     Each tensor is consumed at the step of its first-eliminated variable;
     a bucket of more than ``_MAX_OPERANDS`` tensors is first multiplied
-    in chunks that keep the eliminated variable.  Returns (free, largest,
-    steps): the number of assignments of the variables in no scope, the
-    cell count of the largest intermediate tensor, and per step the
-    einsum operands as (tensor index, labels) pairs, the output labels,
-    the number of products summed into each output cell and the cell
-    count of the step's whole label space (step k appends tensor
-    len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
-    batch axis.  The last tensor is the scalar sum.  It depends only on
-    the structure, so it is cached.
+    in chunks that keep the eliminated variable.  Returns (free,
+    largest, steps, one_step): the number of assignments of the
+    variables in no scope, the cell count of the largest intermediate
+    tensor, per step the einsum operands as (tensor index, labels)
+    pairs, the output labels, the number of products summed into each
+    output cell and the cell count of the step's whole label space (step
+    k appends tensor len(scopes) + k), and, for at most
+    ``_ONE_STEP_OPERANDS`` factors over at most ``_ONE_STEP_CELLS``
+    scoped cells, the same sum as one step (else None).  Every label
+    tuple is led by ``Ellipsis``, the batch axis.  The last tensor is
+    the scalar sum.  It depends only on the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -120,6 +133,7 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     largest = 1
     order = []
     remaining = sorted(scoped)
+    space = math.prod(map(size_of, remaining))
     while remaining:
         v = min(remaining, key=cost.__getitem__)
         largest = max(largest, cost[v])
@@ -132,6 +146,11 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
             nb.discard(v)
             cost[u] = math.prod(map(size_of, nb))
         order.append((v, tuple(sorted(kept))))
+    one_step = None
+    if scopes and space <= _ONE_STEP_CELLS and len(scopes) <= _ONE_STEP_OPERANDS:
+        ids = {x: k for k, x in enumerate(sorted(scoped))}
+        operands = tuple((i, (..., *map(ids.__getitem__, scope))) for i, scope in enumerate(scopes))
+        one_step = ((operands, (...,), space, space),)
 
     step_of = {v: k for k, (v, _) in enumerate(order)}
     buckets: list[list[int]] = [[] for _ in order]
@@ -166,14 +185,12 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
-    return free, largest, tuple(steps)
+    return free, largest, tuple(steps), one_step
 
 
 def _einsum(tensors, operands, out, optimize=False):
-    args = []
-    for i, labels in operands:
-        args += (tensors[i], labels)
-    return np.einsum(*args, out, optimize=optimize)
+    args = [x for i, labels in operands for x in (tensors[i], labels)]
+    return np.einsum(*args, out, optimize=True) if optimize else _c_einsum(*args, out)
 
 
 def _exact_dtype(bound: int):
@@ -215,7 +232,8 @@ def contract(
     given, holds each table's largest entry, which is otherwise read off
     the tables.  The bound covers every partial product and partial sum
     in any order, so float64 steps over at least ``_BLAS_MIN_CELLS``
-    cells go through BLAS and stay exact.  LOG tables hold natural logs
+    cells go through BLAS, and a tiny plan is one einsum over all its
+    factors (``_plan``'s one step), both exact.  LOG tables hold natural logs
     with -inf for zero and the result is the log of the sum, -inf when
     it is zero; each table and each intermediate is divided by its
     maximum, so sums far outside the float range stay finite.  A
@@ -242,11 +260,12 @@ def contract(
         scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
     else:
         scopes = tuple(vars_ for vars_, _ in factors)
-    free, largest, steps = _plan(tuple(sizes), scopes)
+    free, largest, steps, one_step = _plan(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
 
     log = backend is Backend.LOG
+    steps = steps if log or one_step is None else one_step  # the cost stays the greedy order's
     if log:
         dtype = np.float64
         total = math.log(free)  # log of everything split off so far
@@ -351,7 +370,7 @@ def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | No
     Tables are batched as in ``contract``.  Slower than ``contract``.  The
     cost is the largest step label space, checked before any step runs; a
     batch runs in chunks of budget // cost instances."""
-    free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
+    free, _, steps, _ = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
     cost = max([cells for *_, cells in steps], default=1)
     if cost > budget:
         raise BudgetError(cost, budget)
@@ -747,7 +766,6 @@ def list_weights(g: Graph, h: Graph, lists: ListAssignment) -> WeightArrays:
     return WeightArrays(Backend.EXACT, h.n, None, ones, ones, {np.float64: (rows, edge)})
 
 
-@np.errstate(divide="ignore")  # log 0 = -inf, a zero weight's log
 def cover_sums(
     g: Graph,
     weights: WeightArrays,
@@ -763,9 +781,10 @@ def cover_sums(
     integers over their denominators, or LOG natural logs).  With (A, B)
     = (N(v), {v}) and exponent a the sum is the partition function of the
     K_{a,b} restriction around v, whose a copies of v each contribute c_v.
-    Pairs of one shape are one batch: one einsum per B position builds
-    every pair's c_v tables (a log-sum-exp over s on LOG inputs), and one
-    ``contract`` call sums them.  EXACT inputs and an integer exponent
+    Pairs of one shape are one batch, whichever class A lies in (thm3
+    and thm4 pass both orientations at once): one einsum per B position
+    builds every pair's c_v tables (a log-sum-exp over s on LOG inputs),
+    and one ``contract`` call sums them.  EXACT inputs and an integer exponent
     give exact values, the integer sums divided by prod_{u in A} den_u *
     prod_{v in B} (den_v prod_u den_uv) ** exponent; c_v takes float64,
     int64 or Python ints from the bound m * max r * (max T) ** |N(v) & A|,
@@ -802,11 +821,9 @@ def cover_sums(
                     operands = [r_v, [..., 0]]
                     for i in axes:
                         operands += [t_uv[:, i - 1], [..., i, 0]]
-                    counts = np.einsum(*operands, [..., *axes])
+                    counts = _c_einsum(*operands, [..., *axes])
                     counts = counts.astype(np.int64) if dtype is np.float64 else counts
-                    if to_log:
-                        counts = np.log(counts) * power
-                    else:
+                    if not to_log:  # else its log times the exponent, taken below
                         maxima.append(int(counts.max()) ** power)
                         if maxima[-1] >= _INT64_LIMIT:
                             counts = counts.astype(object)
@@ -819,7 +836,9 @@ def cover_sums(
                     counts = np.logaddexp.reduce(terms, axis=-1) * power
                 factors.append((scope, counts))
             if to_log and exact:
-                factors[:size] = [(x, np.log(t)) for x, t in factors[:size]]
+                with np.errstate(divide="ignore"):  # log 0 = -inf, a zero weight's log
+                    factors = [(x, np.log(t) * power if k >= size else np.log(t))
+                               for k, (x, t) in enumerate(factors)]
             backend_out = Backend.LOG if to_log else Backend.EXACT
             sums = contract([m] * size, factors, budget, backend_out, maxima, len(a_rows))
             for (k, a_set, b_edges), z in zip(members[part], sums):

@@ -231,7 +231,7 @@ class WeightSystem:
                 fields = fields_of[id(stored)] = [
                     f"{i + 1} {j + 1} {_format(entries[i][j], den)}" for i, j in upper
                 ]
-            lines += [f"ew {u} {w} {f}" for f in fields]
+            lines.append(f"ew {u} {w} " + f"\new {u} {w} ".join(fields))  # a line per field
         return "\n".join(lines) + "\n"
 
     def sha(self) -> str:

@@ -322,6 +322,28 @@ def lists_for_edge(g, lists, u, v):
     return ListAssignment(len(rows), rows)
 
 
+def brute_factor_sum(sizes, factors, log=False):
+    """Sum over every assignment of the variables (x ranges over
+    range(sizes[x])) of the product of the factor tables, each factor a
+    (variables, nested table) pair.  Exact on Python ints; with log=True
+    the tables hold natural logs (-inf for zero) and the result is the
+    log of the sum, from every term's log at once."""
+    terms = []
+    for cfg in itertools.product(*map(range, sizes)):
+        acc = 0.0 if log else 1
+        for scope, table in factors:
+            for x in scope:
+                table = table[cfg[x]]
+            acc = acc + table if log else acc * table
+        terms.append(acc)
+    if not log:
+        return sum(terms)
+    top = max(terms, default=float("-inf"))
+    if top == float("-inf"):
+        return top
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
 def lse_pair(a, b):
     """log(e^a + e^b), stable, with -inf as the additive zero."""
     if a == float("-inf"):

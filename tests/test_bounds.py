@@ -829,7 +829,7 @@ def test_report_json_schema():
 # ----- one covering-sum kernel for thm3, thm4 and thm5 -----
 
 
-def test_per_vertex_bounds_make_one_cover_sum_per_orientation(monkeypatch):
+def test_per_vertex_bounds_make_one_cover_sum_per_right_side(monkeypatch):
     calls = []
     cover_sums = bounds_mod.cover_sums
 
@@ -847,23 +847,24 @@ def test_per_vertex_bounds_make_one_cover_sum_per_orientation(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unused)
     h = complete_graph(3)
-    for g, orientations in ((cycle_graph(6), 2), (complete_bipartite(2, 3), 1)):
+    # one call however many orientations: C_6 has two, K_{2,3} one
+    for g in (cycle_graph(6), complete_bipartite(2, 3)):
         w = sample_weights(g, 2, seed=g.n)
         uniform = sample_weights(g, 2, seed=g.n, style="uniform_edge")
         for evaluate, want in (
-            (lambda: vertex_restriction_bound(g, w), orientations),
-            (lambda: vertex_restriction_bound(g, w.to_log()), orientations),
-            (lambda: list_vertex_restriction_bound(g, h), orientations),
+            (lambda: vertex_restriction_bound(g, w), 1),
+            (lambda: vertex_restriction_bound(g, w.to_log()), 1),
+            (lambda: list_vertex_restriction_bound(g, h), 1),
             (lambda: evaluate_bound("thm5", g, target=h), 1),
             (lambda: edge_restriction_bound(g, uniform), 0),
             (lambda: edge_restriction_bound(g, uniform.to_log()), 0),
             (lambda: list_edge_restriction_bound(g, h), 0),
         ):
             calls.clear()
-            bounds_mod._list_cover_sums.cache_clear()  # count the sums, not memo hits
+            bounds_mod._list_cover_memo.cache_clear()  # count the sums, not memo hits
             evaluate()
             assert len(calls) == want
-        # thm5 on the neighbourhood family reuses thm4's first orientation
+        # thm5 on the neighbourhood family reuses thm4's sums
         list_vertex_restriction_bound(g, h)
         calls.clear()
         evaluate_bound("thm5", g, target=h)
@@ -1034,6 +1035,41 @@ def _orientation_certs(g):
     return [cert, cert.swapped()] if cert.a == cert.b else [cert]
 
 
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(6), complete_bipartite(3, 3), hypercube_graph(3), _cubic_ten()],
+    ids=["c6", "k33", "q3", "cubic10"],
+)
+def test_one_call_for_both_orientations_reports_the_smaller_product(g, monkeypatch):
+    certs = _orientation_certs(g)
+    assert len(certs) == 2  # a == b
+    a = Fraction(certs[0].a)
+    sides = [tuple((frozenset(c.neighbor_order(v)), frozenset({v})) for v in sorted(c.odd)) for c in certs]
+
+    def smaller(weights):  # each orientation's product from a call of its own
+        p, q = (PowerProduct(tuple((z, 1 / a) for z in counting_mod.cover_sums(g, weights, pairs, a)))
+                for pairs in sides)
+        if p.backend is Backend.LOG:
+            return p if p.log() <= q.log() else q
+        return _chosen([p, q])
+
+    w = sample_weights(g, 3, seed=g.n, cap=9, allow_zero=True)
+    h = sample_target_graph(4, seed=g.n)
+    lists = sample_list_assignment(g, h, seed=g.n)
+    cases = [
+        (vertex_restriction_bound(g, w), smaller(counting_mod.weight_arrays(g, w))),
+        (vertex_restriction_bound(g, w.to_log()), smaller(counting_mod.weight_arrays(g, w.to_log()))),
+        (list_vertex_restriction_bound(g, h, lists), smaller(counting_mod.list_weights(g, h, lists))),
+    ]
+    for report, want in cases:
+        assert report.rhs.factors == want.factors
+    # thm5 on the neighbourhood family then sums nothing
+    calls = []
+    monkeypatch.setattr(bounds_mod, "cover_sums", lambda *args: calls.append(args))
+    thm5 = cover_family_report(g, h, lists, neighbourhood_family(g))
+    assert calls == [] and thm5.lhs == cases[2][0].lhs
+
+
 @pytest.mark.parametrize("g", _SHARED_KERNEL_GRAPHS, ids=lambda g: f"n{g.n}m{g.num_edges}")
 def test_shared_arrays_give_the_brute_force_reports(g):
     m = 2 if g.n >= 8 else 3
@@ -1072,7 +1108,7 @@ def test_shared_arrays_give_the_brute_force_reports(g):
 
 def test_reports_do_not_depend_on_what_ran_before_on_the_graph():
     def clear_memos():
-        for memo in (bounds_mod._orientations, bounds_mod._list_cover_sums,
+        for memo in (bounds_mod._orientations, bounds_mod._list_cover_memo,
                      counting_mod._cover_layout, count_list_homs):
             memo.cache_clear()
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import spinz.counting as counting_mod
 from oracles import (
     backtrack_list_homs,
+    brute_factor_sum,
     brute_list_homs,
     brute_partition,
     c4_torus_independent_sets,
@@ -547,15 +548,21 @@ def test_parse_cover_family_errors_name_the_line(text, message):
 
 
 def _einsum_calls(monkeypatch):
-    """Record (optimize, operand dtypes) of every np.einsum call."""
+    """Record (optimize, operand dtypes) of every einsum call: np.einsum
+    and the kernel the engine calls directly for unoptimised steps."""
     calls = []
-    real = np.einsum
+    real, kernel = np.einsum, counting_mod._c_einsum
 
     def spy(*args, optimize=False):
         calls.append((optimize, {a.dtype for a in args if isinstance(a, np.ndarray)}))
         return real(*args, optimize=optimize)
 
+    def kernel_spy(*args):
+        calls.append((False, {a.dtype for a in args if isinstance(a, np.ndarray)}))
+        return kernel(*args)
+
     monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(counting_mod, "_c_einsum", kernel_spy)
     return calls
 
 
@@ -800,6 +807,63 @@ def test_log_elimination_matches_contract():
         want = contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG)
         got = _log_elimination(sizes, logs, DEFAULT_BUDGET)
         assert got == want or got == pytest.approx(want, rel=1e-12)
+
+
+def test_one_step_plans_match_brute_force(monkeypatch):
+    # random factor graphs on both sides of the one-step cap, batched and
+    # not: EXACT in all three dtypes, LOG with zeros and with tables whose
+    # span sends the call to _log_elimination
+    fallbacks = []
+    real = counting_mod._log_elimination
+    monkeypatch.setattr(counting_mod, "_log_elimination", lambda *a: fallbacks.append(a) or real(*a))
+    rng = np.random.default_rng(23)
+    seen = set()
+    for trial in range(200):
+        n = int(rng.integers(1, 5))
+        sizes = [int(x) for x in rng.integers(1, 5, size=n)]
+        scopes = [tuple(sorted(rng.choice(n, int(rng.integers(0, min(n, 3) + 1)), replace=False).tolist()))
+                  for _ in range(int(rng.integers(1, 12)))]
+        batch = 3 if trial % 2 else None
+        stacked = [batch is not None and rng.random() < 0.6 for _ in scopes]
+        shapes = [((batch,) if b else ()) + tuple(sizes[x] for x in s) for s, b in zip(scopes, stacked)]
+        # the largest entry of every table picks the dtype: float64, int64 (the
+        # bound near 2^57) or Python ints
+        kind = trial // 2 % 3
+        top = (3, int((2 ** 57 / math.prod(sizes)) ** (1 / len(scopes))), 2 ** 40)[kind]
+        tables = [rng.integers(0, top + 1, size=shape) for shape in shapes]
+        for t in tables:
+            t.flat[0] = top
+        if kind == 0 and trial % 4 < 2:
+            tables = [t.astype(float) for t in tables]  # whole-number float tables
+        maxima = [top] * len(tables)
+        reduced = tuple(tuple(x for x in s if sizes[x] != 1) for s in scopes)
+        cells = math.prod(sizes[x] for x in {x for s in reduced for x in s})
+        one_step = cells <= counting_mod._ONE_STEP_CELLS and len(scopes) <= counting_mod._ONE_STEP_OPERANDS
+        steps = counting_mod._plan(tuple(sizes), reduced)[3]
+        if one_step:
+            assert len(steps) == 1 and steps[0][1] == (...,)
+        else:
+            assert steps is None
+        seen.add((one_step, batch, counting_mod._contract_dtype(sizes, maxima)))
+
+        def instance(k, tables):
+            return [(s, (t[k] if b else t).tolist()) for s, t, b in zip(scopes, tables, stacked)]
+
+        factors = list(zip(scopes, tables))
+        want = [brute_factor_sum(sizes, instance(k, tables)) for k in range(batch or 1)]
+        got = contract(sizes, factors, DEFAULT_BUDGET, batch=batch)
+        assert (got if batch else [got]) == want
+        with np.errstate(divide="ignore"):
+            logs = [np.log(t.astype(float)) for t in tables]
+        if trial % 4 == 1:  # the last table's zeros become live entries 800 nats down
+            logs[-1] = np.where(logs[-1] > -np.inf, logs[-1], -800.0)
+        want = [brute_factor_sum(sizes, instance(k, logs), log=True) for k in range(batch or 1)]
+        got = contract(sizes, list(zip(scopes, logs)), DEFAULT_BUDGET, Backend.LOG, batch=batch)
+        for z, w in zip(got if batch else [got], want):
+            assert z == w or z == pytest.approx(w, rel=1e-9, abs=1e-9)
+    dtypes = {np.float64, np.int64, object}
+    assert {(o, b, d) for o in (True, False) for b in (None, 3) for d in dtypes} <= seen
+    assert fallbacks
 
 
 def test_cover_sums_budget_bounds_every_table():
