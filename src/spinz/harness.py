@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -578,8 +579,9 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
     """Evaluate the configured bounds over every (graph, sample) pair.
 
     Per-instance errors are recorded, never fatal.  Conjecture violations
-    do not abort anything: each one is persisted with its full instance
-    files so it can be independently re-verified.
+    do not abort anything: with ``out`` set, each one is persisted as one
+    JSON file that embeds its instance texts, so it can be independently
+    re-verified (``recheck_witness``).
 
     The campaign runs single-threaded; `threads` is accepted and ignored
     only because the committed benchmark (``perfbench/workloads.py``)
@@ -621,22 +623,34 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
     return report
 
 
+# Witness file names: <bound>_<k>.json, and the instance-text copies that
+# older versions wrote beside it, which a rerun clears as well.
+_WITNESS_FILE = re.compile(rf"({'|'.join(BOUND_NAMES)})_[0-9]+\.(json|graph|weights|target|lists)")
+
+
 def _write_campaign_outputs(report: CampaignReport) -> None:
+    """Write report.json, summary.txt and one violations/<bound>_<k>.json
+    per violation, its payload (which embeds the instance texts).
+
+    Witness files of an earlier run into the same directory are deleted
+    first, so violations/ holds this run's witnesses and nothing stale;
+    other files there are left alone.
+    """
     out_dir = Path(report.config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(dump_json(report.to_json_dict()))
     (out_dir / "summary.txt").write_text(report.summary_text())
+    vdir = out_dir / "violations"
+    if vdir.is_dir():
+        for path in vdir.iterdir():
+            if _WITNESS_FILE.fullmatch(path.name):
+                path.unlink()
     violations = [
         (name, i, payload)
         for name, agg in report.per_bound.items()
         for i, payload in enumerate(agg.violations)
     ]
     if violations:
-        vdir = out_dir / "violations"
         vdir.mkdir(exist_ok=True)
         for name, i, payload in violations:
-            stem = f"{name}_{i:03d}"
-            (vdir / f"{stem}.json").write_text(dump_json(payload))
-            for kind in ("graph", "weights", "target", "lists"):
-                if kind in payload:
-                    (vdir / f"{stem}.{kind}").write_text(payload[kind])
+            (vdir / f"{name}_{i:03d}.json").write_text(dump_json(payload))

@@ -80,6 +80,64 @@ def brute_list_homs(g_n, g_edges, h_n, h_edges, lists):
     return count
 
 
+def _text_records(text):
+    return [line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def _graph_of_text(text):
+    """(n, edges u < v) from a graph file's text: ``p n m``, then ``e u v``."""
+    n, edges = 0, []
+    for rec in _text_records(text):
+        if rec[0] == "p":
+            n = int(rec[1])
+        else:
+            edges.append(tuple(sorted((int(rec[1]), int(rec[2])))))
+    return n, edges
+
+
+def witness_verdict(payload):
+    """The verdict of a serialized conj1 or conj2 witness, decided from its
+    texts alone: ``VIOLATED`` when Z^L > prod_uv Z_uv^(L / d(u)d(v)), with
+    L the lcm of the d(u)d(v), else ``HOLDS``.  Z_uv sums K_{d(u),d(v)}
+    whose sides carry the rows of N(v) and of N(u) and whose every edge
+    carries uv's table.  conj1 reads the weight file text; conj2's rows
+    are the lists' indicators and its table is the target's adjacency.
+    Every sum is ``brute_partition``'s full enumeration."""
+    n, edges = _graph_of_text(payload["graph"])
+    if payload["bound"] == "conj1":
+        head, *records = _text_records(payload["weights"])  # head: m M
+        m = int(head[1])
+        rows = [[Fraction(0)] * m for _ in range(n)]
+        tables = {e: [[Fraction(0)] * m for _ in range(m)] for e in edges}
+        for rec in records:  # vw v i x, or ew u v i j x (1-based spins, i <= j)
+            if rec[0] == "vw":
+                rows[int(rec[1])][int(rec[2]) - 1] = Fraction(rec[3])
+            else:
+                i, j = int(rec[3]) - 1, int(rec[4]) - 1
+                table = tables[int(rec[1]), int(rec[2])]
+                table[i][j] = table[j][i] = Fraction(rec[5])
+    else:
+        k, target_edges = _graph_of_text(payload["target"])
+        adjacency = [[int((min(x, y), max(x, y)) in target_edges) for y in range(k)]
+                     for x in range(k)]
+        named = {int(rec[1]): {int(y) for y in rec[2:]} for rec in _text_records(payload["lists"])}
+        rows = [[int(y in named[v]) for y in range(k)] for v in range(n)]
+        tables = dict.fromkeys(edges, adjacency)
+    nbrs = [sorted(w if u == v else u for u, w in edges if v in (u, w)) for v in range(n)]
+    exponents = {(u, v): len(nbrs[u]) * len(nbrs[v]) for u, v in edges}
+    power = math.lcm(*exponents.values())
+    rhs = Fraction(1)
+    for (u, v), d in exponents.items():
+        side = nbrs[v] + nbrs[u]
+        kab = [(i, j) for i in range(len(nbrs[v])) for j in range(len(nbrs[v]), len(side))]
+        z = brute_partition(
+            len(side), kab, [rows[x] for x in side], dict.fromkeys(kab, tables[u, v])
+        )
+        rhs *= z ** (power // d)
+    lhs = brute_partition(n, edges, rows, tables) ** power
+    return "VIOLATED" if lhs > rhs else "HOLDS"
+
+
 def weighted_two_sided_hom_sum(g_n, g_edges, even, odd, h_n, h_edges, lam, mu):
     """Sum over homomorphisms into h of prod_{v even} lam[f(v)] *
     prod_{v odd} mu[f(v)]."""
