@@ -42,7 +42,7 @@ from .graphs import (
 from .util import ParseError, derive_seed, dump_json, parse_fields, records
 from .weights import WeightSystem, hardcore_from_pairs, parse_weights
 
-ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 10}
+ENUMERATION_CEILINGS = {"all": 7, "bipartite": 7, "biregular": 12}
 
 
 class EnumerationError(ValueError):
@@ -58,16 +58,21 @@ def canonical_form(g: Graph) -> tuple:
     labelings reachable by individualization-refinement.
 
     Refinement splits cells by neighbor counts per cell; when it stalls,
-    every vertex of the first non-singleton cell is individualized in
-    turn and all branches are explored, so the minimum is taken over a
-    label set that every isomorphic copy reproduces.
+    each vertex of the first non-singleton cell is individualized in
+    turn.  Two leaves with equal edge tuples give an automorphism, and
+    the search skips the subtrees that automorphisms map onto explored
+    ones (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+    Such a subtree only repeats edge tuples already seen, so the key is
+    that of the exhaustive search, which every isomorphic copy reproduces.
     """
     n = g.n
-    best: list[tuple] = []
+    adj = [g.neighbors(v) for v in range(n)]
+    leaves: dict[tuple, tuple] = {}  # edge tuple -> (path, order) of its first leaf
+    automorphisms: list[list[int]] = []
 
     def refine(cells: list[tuple]) -> list[tuple]:
         while True:
-            index = {}
+            index = [0] * n
             for ci, cell in enumerate(cells):
                 for v in cell:
                     index[v] = ci
@@ -80,7 +85,7 @@ def canonical_form(g: Graph) -> tuple:
                 sig = {}
                 for v in cell:
                     counts = [0] * len(cells)
-                    for u in g.neighbors(v):
+                    for u in adj[v]:
                         counts[index[u]] += 1
                     sig.setdefault(tuple(counts), []).append(v)
                 if len(sig) == 1:
@@ -93,28 +98,59 @@ def canonical_form(g: Graph) -> tuple:
             if not changed:
                 return cells
 
-    def descend(cells: list[tuple]) -> None:
+    def descend(cells: list[tuple], path: tuple) -> int | None:
+        """Search the node that individualized path; return the depth to
+        unwind to when a repeated leaf shows that the subtree being
+        searched there is the image of an explored one, else None."""
         cells = refine(cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            order = [v for cell in cells for v in cell]
-            rank = {v: i for i, v in enumerate(order)}
+            order = [cell[0] for cell in cells]
+            rank = [0] * n
+            for i, v in enumerate(order):
+                rank[v] = i
             edges = tuple(
-                sorted(
-                    (min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in g.edges
-                )
+                sorted((rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u]) for u, v in g.edges)
             )
-            if not best or edges < best[0]:
-                best[:] = [edges]
-            return
+            if edges not in leaves:
+                leaves[edges] = (path, order)
+                return None
+            first_path, first_order = leaves[edges]
+            image = [0] * n
+            for u, v in zip(first_order, order):
+                image[u] = v
+            automorphisms.append(image)
+            return next(d for d, (u, v) in enumerate(zip(first_path, path)) if u != v)
         cell = cells[target]
-        for v in cell:
-            rest = tuple(u for u in cell if u != v)
-            branched = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            descend(branched)
+        orbit = list(range(n))  # union-find over the automorphisms that fix path
 
-    descend([tuple(range(n))])
-    return (n, best[0])
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                v = orbit[v]
+            return v
+
+        merged = 0
+        explored: list[int] = []
+        for v in cell:
+            # orbits of the automorphisms found so far that fix path
+            for image in automorphisms[merged:]:
+                if all(image[u] == u for u in path):
+                    for u in cell:
+                        ru, rv = root(u), root(image[u])
+                        if ru != rv:
+                            orbit[max(ru, rv)] = min(ru, rv)
+            merged = len(automorphisms)
+            if any(root(v) == root(w) for w in explored):  # v's subtree is an image
+                continue
+            explored.append(v)
+            rest = tuple(u for u in cell if u != v)
+            jump = descend(cells[:target] + [(v,), rest] + cells[target + 1 :], path + (v,))
+            if jump is not None and jump < len(path):
+                return jump
+        return None
+
+    descend([tuple(range(n))], ())
+    return (n, min(leaves))
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
@@ -244,10 +280,13 @@ def enumerate_graphs(
     exact here, but callers must tolerate duplicates by contract.
     ``all``/``bipartite`` keep the edge sets that are the smallest of
     their class over the n! vertex permutations: n = 7 takes about 0.5 s
-    and 130 MB, and n = 8 would hold 2^28 masks against 8! permutations,
-    so the ceilings, checked before anything is yielded, are {all: 7,
-    bipartite: 7, biregular: 10}; ``biregular`` up to 10 takes about 15 s
-    (n = 12 took 25 minutes).
+    and 130 MB, and n = 8 would hold 2^28 masks against 8! permutations.
+    ``biregular`` generates labelled graphs and keeps the first of each
+    ``canonical_form`` key: up to 10 takes about 0.06 s and up to 12
+    under 1 s (82 graphs), but up to 14 takes 50 s, as 38,926
+    labelled graphs each need a canonical form.  So the ceilings,
+    checked before anything is yielded, are {all: 7, bipartite: 7,
+    biregular: 12}.
     """
     if n_max < 0:
         raise EnumerationError(f"n_max must be >= 0, got {n_max}")
@@ -267,22 +306,12 @@ def enumerate_graphs(
 # Instance sampling
 
 
-def draw_rational(rng: random.Random, cap: int) -> tuple[int, int]:
-    """One weight draw: numerator and denominator independently uniform
-    on 1..cap."""
-    return rng.randint(1, cap), rng.randint(1, cap)
-
-
-def _draw_value(rng: random.Random, cap: int, allow_zero: bool) -> tuple[int, int]:
-    """One weight as an integer pair (p, q) for p/q: ``draw_rational``,
-    then (0, 1) with probability 1/8 when zeros are allowed."""
-    p, q = draw_rational(rng, cap)
-    if allow_zero and rng.random() < 0.125:
-        return 0, 1
-    return p, q
-
-
 WEIGHT_STYLES = ("general", "uniform_edge", "hardcore")
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
 
 
 def sample_weights(
@@ -299,25 +328,47 @@ def sample_weights(
     ``uniform_edge`` draws one edge table shared by all edges (the shape
     the per-edge restriction bounds require); ``hardcore`` draws only
     per-vertex activities into the two-spin hard-constraint system.
-    Draws are integer pairs, stored through ``WeightSystem.from_pairs``
-    (``hardcore_from_pairs``) without building a ``Fraction``.
+    Each weight is p/q with p and q uniform on 1..cap, then 0 with
+    probability 1/8 when zeros are allowed.  p and q are drawn straight
+    from ``getrandbits`` by the rejection loop that ``random.randint``
+    runs, so the stream is the one ``randint(1, cap)`` gives (checked
+    on CPython 3.10-3.13).  Draws are integer pairs, stored through
+    ``WeightSystem.from_pairs`` (``hardcore_from_pairs``) without
+    building a ``Fraction``.
     """
     if style not in WEIGHT_STYLES:
         raise ValueError(f"unknown weight style {style!r}")
+    _check_cap(cap)
     rng = random.Random(seed)
+    bits, uniform, k = rng.getrandbits, rng.random, cap.bit_length()
+
+    def draw(count: int) -> list[tuple[int, int]]:
+        out = []
+        for _ in range(count):
+            p = bits(k)
+            while p >= cap:
+                p = bits(k)
+            q = bits(k)
+            while q >= cap:
+                q = bits(k)
+            out.append((0, 1) if allow_zero and uniform() < 0.125 else (p + 1, q + 1))
+        return out
+
     if style == "hardcore":
-        return hardcore_from_pairs(g, [_draw_value(rng, cap, allow_zero) for _ in range(g.n)])
-    rows = [[_draw_value(rng, cap, allow_zero) for _ in range(m)] for _ in range(g.n)]
+        return hardcore_from_pairs(g, draw(g.n))
+    flat = draw(g.n * m)
+    rows = [flat[v * m : v * m + m] for v in range(g.n)]
+    # entry (i, j) of a symmetric table is upper-triangle draw number sym[i*m + j]
     upper = [(i, j) for i in range(m) for j in range(i, m)]
-
-    def draw_table():
-        drawn = {ij: _draw_value(rng, cap, allow_zero) for ij in upper}
-        return [drawn[min(i, j), max(i, j)] for i in range(m) for j in range(m)]
-
+    sym = [upper.index((min(i, j), max(i, j))) for i in range(m) for j in range(m)]
     if style == "uniform_edge":
-        tables = dict.fromkeys(g.edges, draw_table())
+        drawn = draw(len(upper))
+        tables = dict.fromkeys(g.edges, [drawn[s] for s in sym])
     else:
-        tables = {e: draw_table() for e in g.edges}
+        tables = {}
+        for e in g.edges:
+            drawn = draw(len(upper))
+            tables[e] = [drawn[s] for s in sym]
     return WeightSystem.from_pairs(g.n, m, rows, tables)
 
 
@@ -378,6 +429,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _check_cap(self.cap)
         for name in self.bounds:
             if name not in BOUND_NAMES:
                 raise ValueError(f"unknown bound name {name!r}")

@@ -253,16 +253,16 @@ def _cleared(nums: Sequence[int], den: int, m: int | None = None):
     denominator, maximum) triple, the entries in rows of m when m is
     given."""
     g = math.gcd(den, *nums)
-    entries = tuple(x // g for x in nums)
-    top = max(entries)
-    if m is not None:
-        entries = tuple(entries[k : k + m] for k in range(0, len(entries), m))
-    return entries, den // g, top
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    entries = tuple(zip(*[iter(nums)] * m)) if m else tuple(nums)
+    return entries, den, max(nums)
 
 
 def _clear(pairs, m: int | None = None):
     """Cleared triple of a flat list of rationals p/q given as (p, q)."""
-    den = math.lcm(*(q for _, q in pairs))
+    den = math.lcm(*[q for _, q in pairs])
     return _cleared([p * (den // q) for p, q in pairs], den, m)
 
 

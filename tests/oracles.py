@@ -2,9 +2,9 @@
 
 The oracles are deliberately naive (raw Fractions, full enumeration,
 no shared kernels with the package) so the tests check two independent
-routes to the same number.  The last few helpers (``are_isomorphic``,
-``count_all_block_homs``) are test-only conveniences built on package
-kernels, kept here because no package code calls them.
+routes to the same number.  The last few helpers (``count_all_block_homs``
+and the like) are test-only conveniences built on package kernels, kept
+here because no package code calls them.
 """
 
 from __future__ import annotations
@@ -514,13 +514,78 @@ def partition_brute(g, w, budget=10 ** 8):
     return total.total()
 
 
-def are_isomorphic(g1, g2):
-    """Isomorphism of two spinz Graphs by their canonical forms."""
-    from spinz.harness import canonical_form
+def exhaustive_canonical_form(g):
+    """The reference for ``harness.canonical_form``: the same key, the
+    minimum edge tuple over every individualization-refinement leaf,
+    with no automorphism pruning, so it visits every leaf.
 
+    Refinement splits cells by neighbor counts per cell; when it stalls,
+    every vertex of the first non-singleton cell is individualized in
+    turn and all branches are explored.
+    """
+    n = g.n
+    best = []
+
+    def refine(cells):
+        while True:
+            index = {}
+            for ci, cell in enumerate(cells):
+                for v in cell:
+                    index[v] = ci
+            new_cells = []
+            changed = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                sig = {}
+                for v in cell:
+                    counts = [0] * len(cells)
+                    for u in g.neighbors(v):
+                        counts[index[u]] += 1
+                    sig.setdefault(tuple(counts), []).append(v)
+                if len(sig) == 1:
+                    new_cells.append(cell)
+                else:
+                    changed = True
+                    for key in sorted(sig):
+                        new_cells.append(tuple(sorted(sig[key])))
+            cells = new_cells
+            if not changed:
+                return cells
+
+    def descend(cells):
+        cells = refine(cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = [v for cell in cells for v in cell]
+            rank = {v: i for i, v in enumerate(order)}
+            edges = tuple(
+                sorted((min(rank[u], rank[v]), max(rank[u], rank[v])) for u, v in g.edges)
+            )
+            if not best or edges < best[0]:
+                best[:] = [edges]
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = tuple(u for u in cell if u != v)
+            descend(cells[:target] + [(v,), rest] + cells[target + 1 :])
+
+    descend([tuple(range(n))])
+    return (n, best[0])
+
+
+def are_isomorphic(g1, g2):
+    """Isomorphism of two spinz Graphs by their exhaustive canonical forms."""
     if g1.n != g2.n or g1.num_edges != g2.num_edges:
         return False
-    return canonical_form(g1) == canonical_form(g2)
+    return exhaustive_canonical_form(g1) == exhaustive_canonical_form(g2)
+
+
+def draw_rational(rng, cap):
+    """The ``random.randint`` reference for ``harness.sample_weights``'
+    draws: numerator and denominator independently uniform on 1..cap."""
+    return rng.randint(1, cap), rng.randint(1, cap)
 
 
 def count_all_block_homs(g, sub, host, budget=10 ** 8):
@@ -546,7 +611,7 @@ def fraction_sample_weights(g, m, seed, cap=16, allow_zero=False, style="general
     rng = random.Random(seed)
 
     def draw():
-        value = Fraction(rng.randint(1, cap), rng.randint(1, cap))
+        value = Fraction(*draw_rational(rng, cap))
         if allow_zero and rng.random() < 0.125:
             value = Fraction(0)
         return value

@@ -252,6 +252,13 @@ def test_search_rejects_a_malformed_config(capsys, files):
         assert capsys.readouterr().err.startswith("error: line ")
 
 
+def test_search_rejects_cap_below_one(capsys, files):
+    cfg = files["tmp"] / "cap.cfg"
+    cfg.write_text("source = general\nn_max = 3\nbounds = conj1\ncap = 0\n")
+    assert main(["search", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: cap must be >= 1, got 0\n"
+
+
 def test_listhom_counts(capsys, files):
     code, doc = run_cli(capsys, "listhom", files["c6"], files["k3"])
     assert code == 0

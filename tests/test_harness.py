@@ -1,10 +1,18 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import are_isomorphic, fraction_sample_weights, isomorphic_brute, relabel
+from oracles import (
+    are_isomorphic,
+    draw_rational,
+    exhaustive_canonical_form,
+    fraction_sample_weights,
+    isomorphic_brute,
+    relabel,
+)
 from spinz.bounds import BOUND_INPUTS, BOUND_NAMES, Verdict, evaluate_bound, evaluate_trials
 from spinz.graphs import (
     Graph,
@@ -21,7 +29,6 @@ from spinz.harness import (
     EnumerationError,
     _evaluate_graph,
     canonical_form,
-    draw_rational,
     enumerate_graphs,
     parse_campaign_config,
     recheck_witness,
@@ -126,10 +133,125 @@ def test_enumerate_ceiling_is_checked_before_the_first_graph():
             next(graphs)
 
 
-def test_biregular_ceiling_is_ten_and_checked_before_the_first_graph():
-    graphs = enumerate_graphs(11, "biregular", connected_only=True)
-    with pytest.raises(EnumerationError, match="n_max 11 exceeds the biregular ceiling 10"):
+def test_biregular_ceiling_is_twelve_and_checked_before_the_first_graph():
+    graphs = enumerate_graphs(13, "biregular", connected_only=True)
+    with pytest.raises(EnumerationError, match="n_max 13 exceeds the biregular ceiling 12"):
         next(graphs)
+
+
+def test_biregular_enumeration_reaches_its_ceiling():
+    # 82 classes, 31 of them on 12 vertices, as networkx's isomorphism test counts them
+    graphs = list(enumerate_graphs(12, "biregular"))
+    assert len(graphs) == 82
+    assert sum(g.n == 12 for g in graphs) == 31
+
+
+def test_canonical_form_matches_the_exhaustive_search_over_the_graph_atlas():
+    """networkx's atlas holds every graph on 1..7 vertices, one per class
+    (its empty graph aside): the keys are pairwise distinct, survive a
+    random relabelling, and equal the unpruned search's keys."""
+    import networkx as nx
+
+    atlas = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g() if len(a)]
+    keys = [canonical_form(g) for g in atlas]
+    assert len(atlas) == 1252
+    assert len(set(keys)) == len(keys)
+    rng = random.Random(18)
+    for g, key in zip(atlas, keys):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == key
+        assert exhaustive_canonical_form(g) == key
+
+
+def test_canonical_form_prunes_large_automorphism_groups():
+    # 2 * 6! * 6! and 384 automorphisms: the unpruned search visits a leaf
+    # for each (K_{5,5}'s 28,800 take it about 1 s, so K_{6,6} about a minute)
+    rng = random.Random(5)
+    for g in (complete_bipartite(6, 6), hypercube_graph(4), cycle_graph(12)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
+    assert canonical_form(complete_bipartite(6, 6)) != canonical_form(complete_bipartite(5, 7))
+
+
+@pytest.mark.parametrize(
+    "n_max, mode, options, expect",
+    [
+        (10, "biregular", {"connected_only": True, "max_degree": 3},
+         (14, "b27d2c496be72b3aac4124cc9a686fcae520e876a5afe494faa32e1f5fe28200")),
+        (10, "biregular", {}, (46, "fe02333009b4ad34c3acc120bbcef0e4bc5881767a85b16be315eefd639aea16")),
+        (6, "all", {"connected_only": True},
+         (142, "1b1b0203e322956527eb1ce9158724bb03405cc54d793ad7d3f554e4e58acecc")),
+        (6, "bipartite", {}, (55, "281e2f313a8fbe78b6dcdcb9ef8d62ed9b938dd7dc2d6bbb6f159b474aa722ba")),
+    ],
+)
+def test_enumeration_order_and_edges_are_pinned(n_max, mode, options, expect):
+    """The yield order fixes each graph's graph_index in a campaign: the
+    graphs, in order, are those the exhaustive canonical form gave."""
+    texts = [g.to_text() for g in enumerate_graphs(n_max, mode, **options)]
+    assert (len(texts), hashlib.sha256("".join(texts).encode()).hexdigest()) == expect
+
+
+# sha256 over sample_weights(g, m, seed, cap, allow_zero, style).to_text() for
+# allow_zero off then on, m = 1, 2, 3, the graphs of _PIN_GRAPHS and _PIN_SEEDS,
+# recorded when every draw went through random.randint
+_PIN_GRAPHS = (
+    Graph(1, []),
+    path_graph(3),
+    cycle_graph(5),
+    complete_bipartite(2, 3),
+    hypercube_graph(3),
+)
+_PIN_SEEDS = (0, 7, 2**40 + 3)
+_SAMPLE_DIGESTS = {
+    ("general", 1): "ec2fd7460cfa4e605c5986073201ee85ae36e228c3efd8f854fa266326cbbdd0",
+    ("general", 5): "09177ae9841ef221e85515c14e488368772f7d99983a51ceb83ba01bd8c8ad4c",
+    ("general", 16): "aa9f28e11738ac013ecde02798c0e75bbdca9674ccd0ce1ab8f1ded00795d850",
+    ("general", 100): "d001870eecb90351c22b9cb3df56f4328c663f5c9cc37803b76bef15bdd82c56",
+    ("uniform_edge", 1): "84c5b7094e9b423da6c33145dbc8e51ce4eaa4df1a6a350c828640825069f6c1",
+    ("uniform_edge", 5): "df5560f08fbaa3d9b99858c1c69370b629f03a1f33ad1bd1ee9933860b4466f1",
+    ("uniform_edge", 16): "d13a8084d51777c9be0934065d7c81d37f2e9f064d9f2a1cdd528ef64a9d33f4",
+    ("uniform_edge", 100): "19ba7872c186c1816e330a3743de615bdf9912dca8c0560ded55a0edc879491d",
+    ("hardcore", 1): "7f3a1bf6790815bce591e1e54e0db87e21eefa7480e72875f408f99b88abd4dd",
+    ("hardcore", 5): "17695ff4792765fd27d07d6ceaf190eef7c5451fe25d823fe74ad7e1c3a4aa24",
+    ("hardcore", 16): "85849506cef7e00630fae692dbca90b0bf7115b3f4ffc50fd6ad65783e1459ef",
+    ("hardcore", 100): "bfbdad6c34ae8a048b757c323ec38aca800a29ccbae2d0220ac4686673049881",
+}
+
+
+@pytest.mark.parametrize("style, cap", sorted(_SAMPLE_DIGESTS))
+def test_sampled_weight_texts_are_pinned(style, cap):
+    digest = hashlib.sha256()
+    for allow_zero in (False, True):
+        for m in (1, 2, 3):
+            for g in _PIN_GRAPHS:
+                for seed in _PIN_SEEDS:
+                    text = sample_weights(g, m, seed, cap, allow_zero, style).to_text()
+                    digest.update(text.encode())
+    assert digest.hexdigest() == _SAMPLE_DIGESTS[style, cap]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 31, 32, 33, 2**32, 2**32 + 1, 10**20])
+def test_direct_bit_draws_are_the_randint_stream(cap):
+    # caps at and across the 32-bit word that one getrandbits call returns
+    g = complete_bipartite(2, 3)
+    for style in WEIGHT_STYLES:
+        for allow_zero in (False, True):
+            got = sample_weights(g, 2, seed=cap, cap=cap, allow_zero=allow_zero, style=style)
+            want = fraction_sample_weights(g, 2, seed=cap, cap=cap, allow_zero=allow_zero, style=style)
+            assert got.to_text() == want.to_text()
+
+
+def test_cap_below_one_is_rejected_before_any_draw():
+    for cap in (0, -2):
+        message = f"cap must be >= 1, got {cap}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_weights(cycle_graph(4), 2, seed=1, cap=cap)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CampaignConfig(cap=cap)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_campaign_config(f"cap = {cap}\n")
 
 
 def test_enumerate_deterministic_order():
