@@ -22,15 +22,12 @@ from .graphs import (
     path_graph,
 )
 from .weights import (
-    KabInstance,
     WeightError,
     WeightParseError,
     WeightSystem,
     make_hardcore,
     make_ising,
     parse_weights,
-    restrict_to_edge,
-    restrict_to_kab,
 )
 from .counting import (
     DEFAULT_BUDGET,
@@ -42,7 +39,6 @@ from .counting import (
     parse_cover_family,
     parse_lists,
     partition_function,
-    partition_kab,
     weight_of,
 )
 from .bounds import (

@@ -355,7 +355,7 @@ def edge_restriction_bound(
     at most the product over edges uv of the K_{d(u),d(v)}-restricted
     partition function raised to 1/(d(u)d(v)).
 
-    Requires a uniform edge-weight system (see ``restrict_to_edge``).
+    Requires every edge to carry one shared table (``uniform_edge``).
     The batch of one of ``edge_restriction_bounds``.
     """
     return edge_restriction_bounds(g, [w], budget)[0]

@@ -207,11 +207,7 @@ def _contract_dtype(sizes: Sequence[int], maxima: Sequence[int]):
 
 def _table_max(table) -> int:
     """Largest entry of an integer array or nested sequence of integers."""
-    if isinstance(table, np.ndarray):
-        return int(table.max())
-    if isinstance(table[0], (list, tuple, np.ndarray)):
-        return max(map(_table_max, table))
-    return max(table)
+    return int(np.max(table))
 
 
 def contract(
@@ -401,6 +397,7 @@ def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | No
     return out[0] if batch is None else out
 
 
+# _int_tables and partition_kab run in no bound; perfbench's tracer wraps them by name.
 def _int_tables(w: WeightSystem):
     """Cleared (entries, denominator, maximum) rows and tables of an EXACT
     system and the scale they carry: the product of their denominators."""
@@ -509,8 +506,6 @@ def partition_function(g: Graph, w: WeightSystem, budget: int = DEFAULT_BUDGET) 
     neighbourhood), not m^n, and is checked before any contraction.
     Always equal to the sum of ``weight_of`` over all m^n configurations:
     exactly on the EXACT backend, up to float rounding on the LOG backend.
-    It reads the rows and tables the system stores, which a restriction
-    shares with its parent.
     LOG weights whose products leave the float64 range are summed in the
     log domain, where the budget bounds each step's label space.
     """
@@ -538,11 +533,10 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
     with row r contributes f_r(c) = sum_i r[i] prod_j T[i][j]^c[j], which
     depends on side_s only through its spin-count vector c, so the result
     is sum_c DP(c) * prod_{r in side_t} f_r(c), DP being ``_count_vectors``
-    over side_s.  Memos keyed by object identity (a restriction shares its
-    parent's rows and table) serve every item of the call: the DP by
-    side_s, the T-power products prod_j T[i][j]^c[j] by (table, c), and
-    f_r(c) by (table, c, r), so a row in several side_t is summed once
-    per c.  An item costs its number of count vectors,
+    over side_s.  Two memos keyed by object identity (the items of one
+    system share its stored rows and table) serve every item of the call:
+    the DP by side_s, and the T-power products prod_j T[i][j]^c[j] by
+    (table, c).  An item costs its number of count vectors,
     comb(|side_s| + m - 1, m - 1); all are checked before any DP runs.
     """
     for table, side_s, _ in items:
@@ -551,30 +545,20 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
             raise BudgetError(cost, budget)
     base = max([len(side_s) for _, side_s, _ in items], default=0) + 1
     units = [base ** i for i in range(max([len(table) for table, _, _ in items], default=0))]
-    groups_of, sides_of, factors_of, out = {}, {}, {}, []
+    groups_of, products_of, out = {}, {}, []
     for table, side_s, side_t in items:
         key = tuple(map(id, side_s))
         groups = groups_of.get(key)
         if groups is None:
             groups = groups_of[key] = _count_vectors(side_s, units)
-        memo, total = sides_of.setdefault((id(table), *map(id, side_t)), {}), 0
+        total = 0
         for counts, acc in groups.items():
-            prod_t = memo.get(counts)
-            if prod_t is None:
-                memos = factors_of.get((id(table), counts))
-                if memos is None:
-                    powers = [counts // unit % base for unit in units]
-                    products = [math.prod(map(pow, t_row, powers)) for t_row in table]
-                    memos = factors_of[id(table), counts] = products, {}
-                products, f_of = memos  # f_of: id(r) -> f_r(c)
-                prod_t = 1
-                for row in side_t:
-                    f = f_of.get(id(row))
-                    if f is None:
-                        f = f_of[id(row)] = sum(map(operator.mul, row, products))
-                    prod_t *= f
-                memo[counts] = prod_t
-            total += acc * prod_t
+            products = products_of.get((id(table), counts))
+            if products is None:
+                powers = [counts // unit % base for unit in units]
+                products = [math.prod(map(pow, t_row, powers)) for t_row in table]
+                products_of[id(table), counts] = products
+            total += acc * math.prod([sum(map(operator.mul, row, products)) for row in side_t])
         out.append(total)
     return out
 
@@ -605,12 +589,12 @@ def edge_kab_sums(g: Graph, rows: np.ndarray, table: np.ndarray, budget: int, ba
 
 
 def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFAULT_BUDGET) -> list:
-    """For each system w of ws (one backend), the partition function of
-    ``restrict_to_edge(g, w, u, v)`` for every edge uv of g, from w's
-    stored rows and shared table; a system whose edge tables differ
-    raises WeightError.  EXACT: one ``uniform_kab_sums`` call over every
-    system, with the DP over the smaller of N(u) and N(v), so one DP
-    serves every edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
+    """For each system w of ws (one backend) and each edge uv of g, Z of
+    K_{d(u),d(v)} with w's stored rows of N(v) on one side, of N(u) on
+    the other and w's shared table on every edge; mixed edge tables raise
+    WeightError.  EXACT: one ``uniform_kab_sums`` call over every system,
+    with the DP over the smaller of N(u) and N(v), so one DP serves every
+    edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
     if not ws or not g.edges:  # an edgeless g shares no table
         return [[] for _ in ws]
     log = ws[0].backend is Backend.LOG

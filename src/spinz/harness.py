@@ -402,7 +402,8 @@ class CampaignConfig:
 
     Read from a key-value file (``key = value`` per line, each key once,
     # comments on their own lines): source (biregular|general|bipartite|
-    files), files (semicolon-separated paths), n_max, a, b, max_degree,
+    files), files (semicolon-separated paths; a relative path resolves from
+    the working directory), n_max, a, b, max_degree,
     connected and allow_zero (true/false, yes/no or 1/0, any case), m, cap,
     weights (general|uniform_edge|hardcore), bounds (comma-separated
     names), trials (samples per graph), seed, h_max, budget, out.

@@ -371,6 +371,47 @@ def lists_for_vertex(lists, cert, v):
     return ListAssignment(cert.a + cert.b, [lists[u] for u in nbrs] + [lists[v]] * cert.a)
 
 
+def kab_system(w, a, b, rows, sources):
+    """(K_{a,b}, weights) with w side 0..b-1 and z side b..b+a-1: vertex k
+    carries the spin weights of w's vertex rows[k], and every edge at
+    w-side vertex k the table of w's edge sources[k].  Built entry by
+    entry from w's values; tables are symmetric, so an edge's orientation
+    does not matter."""
+    from spinz.graphs import complete_bipartite
+    from spinz.values import Backend
+    from spinz.weights import WeightSystem
+
+    kab, spins = complete_bipartite(b, a), range(1, w.m + 1)
+    vertex = [[w.vertex_weight(x, i) for i in spins] for x in rows]
+    edge = {(k, z): [[w.edge_weight(*sources[k], i, j) for j in spins] for i in spins]
+            for k, z in kab.edges}
+    if w.backend is Backend.LOG:
+        logs = {e: tuple(tuple(x.log() for x in r) for r in t) for e, t in edge.items()}
+        return kab, WeightSystem(w.m, a + b, Backend.LOG, [tuple(x.log() for x in r) for r in vertex], logs)
+    return kab, WeightSystem.build(
+        kab, w.m,
+        {(k, i): x.fraction for k, r in enumerate(vertex) for i, x in enumerate(r, start=1)},
+        {(k, z, i, j): t[i - 1][j - 1].fraction for (k, z), t in edge.items() for i in spins
+         for j in spins if i <= j},
+    )
+
+
+def kab_around(w, cert, v):
+    """(K_{a,b}, weights) induced by the closed neighbourhood of the odd
+    (degree-b) vertex v: w-side vertex k is v's k-th neighbour n_k, every
+    z-side vertex a copy of v, and every edge at n_k the table of n_k v."""
+    nbrs = cert.neighbor_order(v)
+    return kab_system(w, cert.a, cert.b, [*nbrs, *[v] * cert.a], [(u, v) for u in nbrs])
+
+
+def kab_on_edge(g, w, u, v):
+    """(K_{d(u),d(v)}, weights) induced by the edge uv of a system whose
+    edges share one table: the w side copies N(v), the z side N(u), and
+    every edge carries the shared table."""
+    rows = [*g.neighbors(v), *g.neighbors(u)]
+    return kab_system(w, g.degree(u), g.degree(v), rows, [(u, v)] * g.degree(v))
+
+
 def lists_for_edge(g, lists, u, v):
     """The lists induced on K_{d(u),d(v)} by the edge uv: w-side vertex j
     gets L(n_j(v)), z-side vertex j L(n_j(u))."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import block_homs_brute, count_all_block_homs
+from oracles import block_homs_brute, count_all_block_homs, kab_around
 from spinz.blowup import (
     build_blowup_host,
     concentration_experiment,
@@ -195,21 +195,20 @@ def test_blowup_runs_on_restricted_kab_instances():
     # the per-vertex restriction of a base instance is itself a graph plus
     # weights, so the same host/count machinery covers the K_{a,b} side
     from spinz.graphs import bipartition, certify_biregular
-    from spinz.weights import restrict_to_kab
 
     g = cycle_graph(4)
     w = uniform_half_weights(g)
     cert = certify_biregular(g, bipartition(g))
-    inst = restrict_to_kab(g, w, cert, sorted(cert.odd)[0])
-    host = build_blowup_host(inst.graph, inst.weights, 3)
+    kab, weights = kab_around(w, cert, sorted(cert.odd)[0])
+    host = build_blowup_host(kab, weights, 3)
     sub = sample_subgraph(host, 42)
     import itertools
 
     total = sum(
-        count_block_homs(inst.graph, sub, host, cfg)
-        for cfg in itertools.product((1, 2), repeat=inst.graph.n)
+        count_block_homs(kab, sub, host, cfg)
+        for cfg in itertools.product((1, 2), repeat=kab.n)
     )
-    assert total == count_all_block_homs(inst.graph, sub, host)
+    assert total == count_all_block_homs(kab, sub, host)
 
 
 def test_experiment_all_ones_is_deterministic_unity():

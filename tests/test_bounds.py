@@ -15,6 +15,8 @@ from oracles import (
     backtrack_list_homs,
     brute_list_homs,
     cover_sum_by_enumeration,
+    kab_around,
+    kab_on_edge,
     list_vertex_restriction_rhs,
     lists_for_edge,
     lists_for_vertex,
@@ -49,6 +51,7 @@ from spinz.counting import (
     ListAssignment,
     count_list_homs,
     edge_kab_partitions,
+    partition_function,
     partition_kab,
 )
 from spinz.graphs import (
@@ -488,8 +491,7 @@ def test_conj1_factors_equal_brute_force_of_each_edge_restriction(g, m, seed, al
     assert r.lhs.fraction == partition_brute(g, w).fraction
     assert len(r.rhs.factors) == len(g.edges)
     for (u, v), (z, e) in zip(g.edges, r.rhs.factors):
-        inst = restrict_to_edge(g, w, u, v)
-        assert z.fraction == partition_brute(inst.graph, inst.weights).fraction
+        assert z.fraction == partition_brute(*kab_on_edge(g, w, u, v)).fraction
         assert e == Fraction(1, g.degree(u) * g.degree(v))
     logs = edge_restriction_bound(g, w.to_log()).rhs.factors
     for (z, _), (want, _) in zip(logs, r.rhs.factors):
@@ -562,7 +564,7 @@ def test_log_conj1_is_one_contraction_per_degree_pair(monkeypatch):
     # degree pairs (2,2), (2,3) twice, (3,2) and (2,1): four batches for five edges
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     w = sample_weights(g, 3, seed=4, style="uniform_edge").to_log()
-    wants = [partition_kab(restrict_to_edge(g, w, u, v)).log() for u, v in g.edges]
+    wants = [partition_function(*kab_on_edge(g, w, u, v)).log() for u, v in g.edges]
     batches = _spy_batches(monkeypatch)
     (factors,) = counting_mod.edge_kab_partitions(g, [w])
     assert [z.log() for z in factors] == pytest.approx(wants, rel=1e-12)
@@ -1079,8 +1081,8 @@ def test_shared_arrays_give_the_brute_force_reports(g):
         w = sample_weights(g, m if seed else 2, seed=seed, cap=7, allow_zero=seed == 1)
         products = [
             PowerProduct(tuple(
-                (partition_brute(i.graph, i.weights), Fraction(1, c.a))
-                for i in (restrict_to_kab(g, w, c, v) for v in sorted(c.odd))
+                (partition_brute(*kab_around(w, c, v)), Fraction(1, c.a))
+                for v in sorted(c.odd)
             ))
             for c in _orientation_certs(g)
         ]

@@ -20,6 +20,8 @@ from oracles import (
     independent_sets,
     ising_brute_log_z,
     ising_cycle_z,
+    kab_around,
+    kab_on_edge,
     lists_for_vertex,
     partition_brute,
     weighted_independent_set_sum,
@@ -61,7 +63,6 @@ from spinz.weights import (
     _kab_layout,
     make_hardcore,
     make_ising,
-    restrict_to_edge,
     restrict_to_kab,
 )
 from spinz.graphs import certify_biregular
@@ -362,9 +363,8 @@ def test_underflowing_log_kab_batch_matches_enumeration():
     g = cycle_graph(8)
     rows = [(0.3 * v, -0.3 * v) for v in range(g.n)]  # a field that differs at every vertex
     w = WeightSystem(2, g.n, Backend.LOG, rows, make_ising(g, 400, 0).logs()[1])
-    insts = [restrict_to_edge(g, w, u, v) for u, v in g.edges]
-    assert {(inst.a, inst.b) for inst in insts} == {(2, 2)}
-    wants = [partition_brute(inst.graph, inst.weights).log() for inst in insts]
+    assert {(g.degree(u), g.degree(v)) for u, v in g.edges} == {(2, 2)}
+    wants = [partition_brute(*kab_on_edge(g, w, u, v)).log() for u, v in g.edges]
     # a log-domain step spans 8 cells, so a budget of 16 runs two restrictions at a time
     for budget in (DEFAULT_BUDGET, 16):
         (zs,) = edge_kab_partitions(g, [w], budget)
@@ -913,12 +913,12 @@ def test_vertex_kernel_equals_each_kab_restriction(g, m, seed, style, zero):
     for cert in _orientations(g):
         pairs = _around(cert)
         exact = cover_sums(g, weight_arrays(g, w), pairs, Fraction(cert.a))
-        insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
-        assert [z.fraction for z in exact] == [partition_kab(inst).fraction for inst in insts]
-        for inst, z in zip(insts, exact):
-            if m ** inst.graph.n <= 243:
-                rows, tables = _tables(inst.weights, inst.graph)
-                assert z.fraction == brute_partition(inst.graph.n, inst.graph.edges, rows, tables)
+        insts = [kab_around(w, cert, v) for v in sorted(cert.odd)]
+        assert [z.fraction for z in exact] == [partition_function(*inst).fraction for inst in insts]
+        for (kab, weights), z in zip(insts, exact):
+            if m ** kab.n <= 243:
+                rows, tables = _tables(weights, kab)
+                assert z.fraction == brute_partition(kab.n, kab.edges, rows, tables)
         logs = cover_sums(g, weight_arrays(g, w.to_log()), pairs, Fraction(cert.a))
         for z, want in zip(logs, exact):
             assert z.log() == want.log() or z.log() == pytest.approx(want.log(), rel=1e-12, abs=1e-12)
@@ -975,8 +975,8 @@ def test_vertex_kernel_is_exact_on_every_dtype_path(monkeypatch, low, high, path
     got = cover_sums(g, weight_arrays(g, w), _around(cert), Fraction(cert.a))
     monkeypatch.undo()
     assert seen == [path]
-    insts = [restrict_to_kab(g, w, cert, v) for v in sorted(cert.odd)]
-    assert [z.fraction for z in got] == [partition_brute(i.graph, i.weights).fraction for i in insts]
+    want = [partition_brute(*kab_around(w, cert, v)).fraction for v in sorted(cert.odd)]
+    assert [z.fraction for z in got] == want
     logs = cover_sums(g, weight_arrays(g, w.to_log()), _around(cert), Fraction(cert.a))
     assert [z.log() for z in logs] == pytest.approx([z.log() for z in got], rel=1e-12)
 

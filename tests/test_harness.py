@@ -364,6 +364,24 @@ def test_campaign_empty_source():
     assert report.per_bound["indconj"].instances == 0
 
 
+def test_campaign_over_listed_graph_files(tmp_path):
+    # two files by absolute path, ';'-separated with spaces around the entries
+    paths = [tmp_path / "c6.graph", tmp_path / "k23.graph"]
+    paths[0].write_text(cycle_graph(6).to_text())
+    paths[1].write_text(complete_bipartite(2, 3).to_text())
+    text = (f"source = files\nfiles =  {paths[0]} ;  {paths[1]} ;\n"
+            "bounds = thm3, conj1, indconj\nweights = uniform_edge\ntrials = 4\nseed = 5\n")
+    cfg = parse_campaign_config(text)
+    assert cfg.files == tuple(map(str, paths))
+    report = run_campaign(cfg)
+    assert report.graphs == 2
+    # sampled bounds run once per trial, indconj once per graph
+    counts = {name: agg.instances for name, agg in report.per_bound.items()}
+    assert counts == {"thm3": 8, "conj1": 8, "indconj": 2}
+    assert all(agg.errors == 0 for agg in report.per_bound.values())
+    assert report.per_bound["thm3"].holds == 8
+
+
 def test_campaign_min_slack_zero_on_complete_bipartite_hardcore():
     cfg = CampaignConfig(
         source="biregular", n_max=5, connected=True, bounds=("conj1",),

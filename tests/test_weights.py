@@ -12,6 +12,8 @@ from oracles import (
     clear_fractions,
     fraction_sample_weights,
     fraction_weight_tables,
+    kab_around,
+    kab_on_edge,
     partition_brute,
     weights_file_text,
 )
@@ -278,6 +280,33 @@ def test_cleared_restrictions_match_brute_force():
     assert checked > 200
 
 
+def test_restrictions_equal_the_oracle_systems():
+    # restrict_to_kab and restrict_to_edge build what tests/oracles.py builds
+    # entry by entry, on the same layout
+    for g in (cycle_graph(6), complete_bipartite(2, 3), path_graph(4)):
+        for style in ("general", "uniform_edge"):
+            w = sample_weights(g, 3, seed=g.n, cap=9, allow_zero=True, style=style)
+            pairs = []
+            if g.n != 4:  # P_4 is not biregular
+                cert = certify_biregular(g, bipartition(g))
+                pairs += [(restrict_to_kab(g, w, cert, v), kab_around(w, cert, v)) for v in sorted(cert.odd)]
+            if style == "uniform_edge":
+                pairs += [(restrict_to_edge(g, w, u, v), kab_on_edge(g, w, u, v)) for u, v in g.edges]
+            for inst, (kab, weights) in pairs:
+                assert inst.graph.edges == kab.edges
+                assert inst.weights.to_text() == weights.to_text()
+    g, w = cycle_graph(5), make_ising(cycle_graph(5), 0.7, 0.2)
+    for u, v in g.edges:
+        assert restrict_to_edge(g, w, u, v).weights.sha() == kab_on_edge(g, w, u, v)[1].sha()
+
+
+def test_restriction_layer_is_not_public_api():
+    import spinz
+
+    for name in ("KabInstance", "restrict_to_kab", "restrict_to_edge", "partition_kab"):
+        assert not hasattr(spinz, name), name
+
+
 def test_restrictions_share_the_parents_cleared_rows_and_tables():
     g = cycle_graph(6)
     for style in ("general", "uniform_edge"):
@@ -301,7 +330,7 @@ def test_restrictions_share_the_parents_cleared_rows_and_tables():
     assert all(c_rows[x] is rows[y] for x, y in zip(inst.w_ids, g.neighbors(1)))
     assert all(c_rows[x] is rows[y] for x, y in zip(inst.z_ids, g.neighbors(0)))
     assert all(t is tables[g.edges[0]] for t in c_tables.values())
-    assert inst.weights.uniform_edge_table() is w.uniform_edge_table()
+    assert inst.weights.uniform_edge_table() == w.uniform_edge_table()
 
 
 def test_restrictions_and_bounds_never_clear(monkeypatch):
@@ -409,7 +438,7 @@ def test_uniform_edge_table_agrees_with_value_comparison():
         got = w.uniform_edge_table()
         assert (got is not None) == (want is not None) == uniform
         assert got == want
-        assert w.uniform_edge_table() is got  # cached
+        assert w.uniform_edge_table() == got
 
 
 def test_kab_layout_is_shared_and_restrictions_are_unchanged():
