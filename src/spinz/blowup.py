@@ -55,20 +55,17 @@ def scale_edge_weights(w: WeightSystem) -> tuple[WeightSystem, Fraction]:
 class BlowupHost:
     """The deterministic host: disjoint blocks of size C * weight per
     (spin, vertex), all cross edges present between blocks over base
-    edges, and the per-block-pair survival probability table."""
+    edges, and the per-block-pair survival probability table.  Each base
+    vertex has its own segment of host vertices, its blocks in spin order."""
 
     graph: Graph
     weights: WeightSystem
     C: int
-    block_start: tuple[tuple[int, ...], ...]  # [v][i-1] -> first host id
-    block_size: tuple[tuple[int, ...], ...]
-    vertex_start: tuple[int, ...]
-    vertex_size: tuple[int, ...]
-    total_vertices: int
+    block_size: tuple[tuple[int, ...], ...]  # [v][i-1] -> size of the block of spin i
 
     def local_block_slice(self, v: int, spin: int) -> slice:
         """Block range inside the vertex's own host segment."""
-        offset = self.block_start[v][spin - 1] - self.vertex_start[v]
+        offset = sum(self.block_size[v][: spin - 1])
         return slice(offset, offset + self.block_size[v][spin - 1])
 
     def check_config(self, cfg: SpinConfig) -> None:
@@ -104,16 +101,10 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
             raise WeightError(
                 f"edge weight {emax} is outside (0,1]; apply scale_edge_weights first"
             )
-    starts: list[tuple[int, ...]] = []
     sizes: list[tuple[int, ...]] = []
-    vstart: list[int] = []
-    vsize: list[int] = []
-    cursor = 0
     rows, _ = w.cleared()
     for v, (entries, den, _) in enumerate(rows):
-        row_starts = []
         row_sizes = []
-        vstart.append(cursor)
         for i, x in enumerate(entries, start=1):
             size, rest = divmod(C * x, den)
             if rest:
@@ -121,22 +112,9 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
                     f"block size C*weight = {Fraction(C * x, den)} for vertex {v} spin {i} "
                     "is not an integer"
                 )
-            row_starts.append(cursor)
             row_sizes.append(size)
-            cursor += size
-        starts.append(tuple(row_starts))
         sizes.append(tuple(row_sizes))
-        vsize.append(cursor - vstart[-1])
-    return BlowupHost(
-        graph=g,
-        weights=w,
-        C=C,
-        block_start=tuple(starts),
-        block_size=tuple(sizes),
-        vertex_start=tuple(vstart),
-        vertex_size=tuple(vsize),
-        total_vertices=cursor,
-    )
+    return BlowupHost(graph=g, weights=w, C=C, block_size=tuple(sizes))
 
 
 @dataclass(frozen=True)

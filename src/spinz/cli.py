@@ -25,7 +25,7 @@ from .counting import (
 )
 from .graphs import Graph, GraphError, parse_graph
 from .harness import parse_campaign_config, run_campaign
-from .util import dump_json
+from .util import dump_json, parse_fields
 from .values import Backend
 from .weights import WeightError, WeightSystem, parse_weights
 
@@ -132,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")  # holds the campaign's budget and seed
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # main reports a flag p lacks with p's usage
     return parser
 
 
@@ -194,10 +196,10 @@ def _cmd_ising(args) -> int:
 def _cmd_blowup(args) -> int:
     g = _load_graph(args.graph)
     w = _load_weights(args.weights, g)
+    cfg = (1,) * g.n
     if args.spins:
-        cfg = tuple(int(x) for x in args.spins.split(","))
-    else:
-        cfg = (1,) * g.n
+        error = CliError(f"--spins takes comma-separated integers, got {args.spins!r}")
+        cfg = tuple(parse_fields(args.spins.split(","), error))
     stats = concentration_experiment(
         g, w, cfg, args.scale, args.trials, args.seed, budget=args.budget
     )
@@ -228,7 +230,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _HANDLERS[args.command](args)
     except (CliError, GraphError, WeightError, BudgetError, ValueError, OSError) as exc:

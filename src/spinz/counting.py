@@ -10,7 +10,7 @@ counts (0/1 list rows, adjacency-matrix edge tables).  One call can
 contract a batch of instances of one structure, such as the factors of
 one bound: the right side of thm3, thm4 or thm5 is one ``cover_sums``
 (both class orientations when a == b), those of LOG conj1 and conj2 one
-``edge_kab_sums`` per degree pair.  A tiny EXACT plan is one einsum.
+``edge_kab_sums`` per degree pair.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
 back out; results are exact rationals.  The integer tables are the form
@@ -64,12 +64,6 @@ _MAX_OPERANDS = 31
 # builds an intermediate larger than the step's largest operand or output,
 # so the budget still bounds memory.
 _BLAS_MIN_CELLS = 1 << 15
-# An EXACT plan with at most this many scoped cells and factors runs as one
-# einsum, saving each step's call overhead (flat for 16-256 cells and 4-8
-# factors; more factors slow conj1's left sides).  LOG keeps its steps: one
-# einsum's float sum order depends on the batch when a table is shared.
-_ONE_STEP_CELLS = 64
-_ONE_STEP_OPERANDS = 8
 
 
 class BudgetError(ValueError):
@@ -108,16 +102,14 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     Each tensor is consumed at the step of its first-eliminated variable;
     a bucket of more than ``_MAX_OPERANDS`` tensors is first multiplied
     in chunks that keep the eliminated variable.  Returns (free,
-    largest, steps, one_step): the number of assignments of the
-    variables in no scope, the cell count of the largest intermediate
-    tensor, per step the einsum operands as (tensor index, labels)
-    pairs, the output labels, the number of products summed into each
-    output cell and the cell count of the step's whole label space (step
-    k appends tensor len(scopes) + k), and, for at most
-    ``_ONE_STEP_OPERANDS`` factors over at most ``_ONE_STEP_CELLS``
-    scoped cells, the same sum as one step (else None).  Every label
-    tuple is led by ``Ellipsis``, the batch axis.  The last tensor is
-    the scalar sum.  It depends only on the structure, so it is cached.
+    largest, steps): the number of assignments of the variables in no
+    scope, the cell count of the largest intermediate tensor, and per
+    step the einsum operands as (tensor index, labels) pairs, the output
+    labels, the number of products summed into each output cell and the
+    cell count of the step's whole label space (step k appends tensor
+    len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
+    batch axis.  The last tensor is the scalar sum.  It depends only on
+    the structure, so it is cached.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -133,7 +125,6 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     largest = 1
     order = []
     remaining = sorted(scoped)
-    space = math.prod(map(size_of, remaining))
     while remaining:
         v = min(remaining, key=cost.__getitem__)
         largest = max(largest, cost[v])
@@ -146,11 +137,6 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
             nb.discard(v)
             cost[u] = math.prod(map(size_of, nb))
         order.append((v, tuple(sorted(kept))))
-    one_step = None
-    if scopes and space <= _ONE_STEP_CELLS and len(scopes) <= _ONE_STEP_OPERANDS:
-        ids = {x: k for k, x in enumerate(sorted(scoped))}
-        operands = tuple((i, (..., *map(ids.__getitem__, scope))) for i, scope in enumerate(scopes))
-        one_step = ((operands, (...,), space, space),)
 
     step_of = {v: k for k, (v, _) in enumerate(order)}
     buckets: list[list[int]] = [[] for _ in order]
@@ -185,7 +171,7 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
-    return free, largest, tuple(steps), one_step
+    return free, largest, tuple(steps)
 
 
 def _einsum(tensors, operands, out, optimize=False):
@@ -228,8 +214,7 @@ def contract(
     given, holds each table's largest entry, which is otherwise read off
     the tables.  The bound covers every partial product and partial sum
     in any order, so float64 steps over at least ``_BLAS_MIN_CELLS``
-    cells go through BLAS, and a tiny plan is one einsum over all its
-    factors (``_plan``'s one step), both exact.  LOG tables hold natural logs
+    cells go through BLAS and stay exact.  LOG tables hold natural logs
     with -inf for zero and the result is the log of the sum, -inf when
     it is zero; each table and each intermediate is divided by its
     maximum, so sums far outside the float range stay finite.  A
@@ -256,12 +241,11 @@ def contract(
         scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
     else:
         scopes = tuple(vars_ for vars_, _ in factors)
-    free, largest, steps, one_step = _plan(tuple(sizes), scopes)
+    free, largest, steps = _plan(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
 
     log = backend is Backend.LOG
-    steps = steps if log or one_step is None else one_step  # the cost stays the greedy order's
     if log:
         dtype = np.float64
         total = math.log(free)  # log of everything split off so far
@@ -366,7 +350,7 @@ def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | No
     Tables are batched as in ``contract``.  Slower than ``contract``.  The
     cost is the largest step label space, checked before any step runs; a
     batch runs in chunks of budget // cost instances."""
-    free, _, steps, _ = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
+    free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
     cost = max([cells for *_, cells in steps], default=1)
     if cost > budget:
         raise BudgetError(cost, budget)
@@ -595,8 +579,6 @@ def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFA
     WeightError.  EXACT: one ``uniform_kab_sums`` call over every system,
     with the DP over the smaller of N(u) and N(v), so one DP serves every
     edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
-    if not ws or not g.edges:  # an edgeless g shares no table
-        return [[] for _ in ws]
     log = ws[0].backend is Backend.LOG
     stored = [w.logs() if log else w.cleared() for w in ws]
     shared = [tables[uniform_edge(w)] for w, (_, tables) in zip(ws, stored)]

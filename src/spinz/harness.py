@@ -192,8 +192,6 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 
 
 def _enumerate_general(n: int, bipartite_only: bool, connected_only: bool):
-    if n < 2:
-        return
     for mask in _orbit_minima(n).tolist():
         g = _graph_from_mask(n, mask)
         if connected_only and not is_connected(g):

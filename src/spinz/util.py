@@ -24,9 +24,10 @@ def records(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_fields(fields: Iterable[str], error: ParseError, parse: Callable = int) -> list:
+def parse_fields(fields: Iterable[str], error: Exception, parse: Callable = int) -> list:
     """Each field through ``parse`` (int unless given); raises ``error``,
-    the caller's message for its line, for the first that does not parse."""
+    the caller's message for its line or flag, for the first that does
+    not parse."""
     try:
         return [parse(x) for x in fields]
     except (ValueError, ZeroDivisionError):

@@ -114,29 +114,12 @@ class NonNegValue:
             return NonNegValue.from_log(self.log())
         return self
 
-    def _require_same_backend(self, other: "NonNegValue") -> None:
+    def __mul__(self, other: "NonNegValue") -> "NonNegValue":
         if self.backend is not other.backend:
             raise TypeError("cannot mix exact and log backends; convert explicitly")
-
-    def __mul__(self, other: "NonNegValue") -> "NonNegValue":
-        self._require_same_backend(other)
         if self._frac is not None:
             return NonNegValue(self._frac * other._frac, None)
         return NonNegValue(None, self._log + other._log)
-
-    def _cmp_key(self, other: "NonNegValue"):
-        self._require_same_backend(other)
-        if self._frac is not None:
-            return self._frac, other._frac
-        return self._log, other._log
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
 
     def __eq__(self, other):
         if not isinstance(other, NonNegValue):

@@ -637,7 +637,7 @@ def count_all_block_homs(g, sub, host, budget=10 ** 8):
 
     if sub.cfg is not None:
         raise ValueError("the sample holds only the blocks of one configuration")
-    sizes = [host.vertex_size[v] for v in range(g.n)]
+    sizes = [sum(host.block_size[v]) for v in range(g.n)]
     factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
     return contract(sizes, factors, budget)
 

@@ -53,7 +53,7 @@ def test_build_host_trivial_blowup():
     g = cycle_graph(4)
     w = WeightSystem.build(g, 2)
     host = build_blowup_host(g, w, 1)
-    assert host.total_vertices == 8  # two singleton blocks per vertex
+    assert sum(map(sum, host.block_size)) == 8  # two singleton blocks per vertex
     assert host.block_size == ((1, 1),) * 4
 
 
@@ -165,26 +165,31 @@ def test_block_homs_partition_the_list_homomorphisms():
 def test_count_all_matches_backtracking_on_host_graph():
     # cross-check the elimination engine against the generic list-hom
     # counter on an explicit host graph
+    import itertools
+
     g = path_graph(3)
     w = uniform_half_weights(g)
     host = build_blowup_host(g, w, 2)
     sub = sample_subgraph(host, 21)
+    # host ids: the vertices' segments one after another
+    vertex_size = [sum(row) for row in host.block_size]
+    vertex_start = list(itertools.accumulate(vertex_size, initial=0))
     edges = []
     for (u, v), keep in sub.keep.items():
         for x in range(keep.shape[0]):
             for y in range(keep.shape[1]):
                 if keep[x, y]:
                     edges.append(
-                        (host.vertex_start[u] + x, host.vertex_start[v] + y)
+                        (vertex_start[u] + x, vertex_start[v] + y)
                     )
-    hgraph = Graph(host.total_vertices, edges) if edges else None
+    hgraph = Graph(vertex_start[-1], edges) if edges else None
     if hgraph is None:
         assert count_all_block_homs(g, sub, host) == 0
         return
     lists = ListAssignment(
         g.n,
         [
-            range(host.vertex_start[v], host.vertex_start[v] + host.vertex_size[v])
+            range(vertex_start[v], vertex_start[v] + vertex_size[v])
             for v in range(g.n)
         ],
     )

@@ -121,7 +121,9 @@ def test_threads_flag_is_rejected_by_every_subcommand(capsys, files):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv] + ["--threads", "2"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        err = capsys.readouterr().err  # the command's own parser reports the flag
+        assert err.startswith(f"usage: spinz {argv[0]} ")
+        assert f"spinz {argv[0]}: error: unrecognized arguments: --threads 2" in err
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
         assert "--threads" not in capsys.readouterr().out
@@ -283,6 +285,12 @@ def test_ising_past_the_float_range(capsys, files):
     assert doc["log_z"] == pytest.approx(want, rel=1e-12)
 
 
+def test_ising_beta_must_be_finite(capsys, files):
+    for beta in ("nan", "inf"):
+        assert main(["ising", str(files["c4"]), "--beta", beta]) == 2
+        assert capsys.readouterr().err == "error: beta and h must be finite\n"
+
+
 def test_ising_report(capsys, files):
     code, doc = run_cli(capsys, "ising", files["c4"], "--beta", "1.0")
     assert code == 0
@@ -313,6 +321,20 @@ def test_blowup_writes_samples(capsys, files):
     assert len(lines) == 5
     assert all(line.isdigit() for line in lines)
     assert doc["samples_path"] == str(out)
+
+
+def test_blowup_spins_flag(capsys, files):
+    argv = ["blowup", files["c4"], files["half4"], "--scale", "2", "--trials", "2", "--spins"]
+    code, doc = run_cli(capsys, *argv, "2,1,2,1")
+    assert code == 0
+    assert doc["config"] == [2, 1, 2, 1]
+    assert doc["mu"] == {"num": "1", "den": "1"}  # C^4 * (1/2)^4
+    for spins, message in (
+        ("1,x", "--spins takes comma-separated integers, got '1,x'"),
+        ("1,2,1", "configuration has 3 entries for 4 vertices"),
+    ):
+        assert main([str(a) for a in argv] + [spins]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_search_campaign(capsys, files):

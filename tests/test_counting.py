@@ -809,9 +809,9 @@ def test_log_elimination_matches_contract():
         assert got == want or got == pytest.approx(want, rel=1e-12)
 
 
-def test_one_step_plans_match_brute_force(monkeypatch):
-    # random factor graphs on both sides of the one-step cap, batched and
-    # not: EXACT in all three dtypes, LOG with zeros and with tables whose
+def test_plans_match_brute_force(monkeypatch):
+    # random factor graphs of 1-11 factors, batched and not: EXACT in all
+    # three dtypes, LOG with zeros and with tables whose
     # span sends the call to _log_elimination
     fallbacks = []
     real = counting_mod._log_elimination
@@ -836,15 +836,7 @@ def test_one_step_plans_match_brute_force(monkeypatch):
         if kind == 0 and trial % 4 < 2:
             tables = [t.astype(float) for t in tables]  # whole-number float tables
         maxima = [top] * len(tables)
-        reduced = tuple(tuple(x for x in s if sizes[x] != 1) for s in scopes)
-        cells = math.prod(sizes[x] for x in {x for s in reduced for x in s})
-        one_step = cells <= counting_mod._ONE_STEP_CELLS and len(scopes) <= counting_mod._ONE_STEP_OPERANDS
-        steps = counting_mod._plan(tuple(sizes), reduced)[3]
-        if one_step:
-            assert len(steps) == 1 and steps[0][1] == (...,)
-        else:
-            assert steps is None
-        seen.add((one_step, batch, counting_mod._contract_dtype(sizes, maxima)))
+        seen.add((batch, counting_mod._contract_dtype(sizes, maxima)))
 
         def instance(k, tables):
             return [(s, (t[k] if b else t).tolist()) for s, t, b in zip(scopes, tables, stacked)]
@@ -862,7 +854,7 @@ def test_one_step_plans_match_brute_force(monkeypatch):
         for z, w in zip(got if batch else [got], want):
             assert z == w or z == pytest.approx(w, rel=1e-9, abs=1e-9)
     dtypes = {np.float64, np.int64, object}
-    assert {(o, b, d) for o in (True, False) for b in (None, 3) for d in dtypes} <= seen
+    assert {(b, d) for b in (None, 3) for d in dtypes} <= seen
     assert fallbacks
 
 

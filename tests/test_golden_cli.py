@@ -6,8 +6,9 @@ code, the SHA-256 of stdout and that of stderr.  ``runtime_seconds`` is
 zeroed first.  The floats of a case marked ``rounded`` (the LOG backend,
 the Ising check and the blow-up statistics) are rounded to 12
 significant digits, as in ``test_golden_bounds``; every other stdout is
-hashed byte for byte.  The cases include every check of the CI
-console-script step.  A change that moves a digest must say which and
+hashed byte for byte.  The cases and the tests below make every CLI
+check in-process; CI's console-script step keeps only what needs the
+installed entry point.  A change that moves a digest must say which and
 why.  Print the current digests with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -157,7 +158,7 @@ GOLDEN = {
     "listhom-c4-k3-lists": (0, 'fa73020ec944e321e158495ed877918b55de3ff95efa9d011c97e9187745a74e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "malformed-graph": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '53ea53b6b716fe328bffd0c9d7ef3a2f3c613d1a39adbbfe19ae0a90e628cc55'),
     "missing-file": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '634aa8fdc8bba8dbf8e534e7e9a12bb9f1a8ed3fce6785b2fffd3bc7109c2e98'),
-    "search-budget": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '38b69e00954dacda308a136e88e5e1d00ab97371660a41f866cedfca5afb361f'),
+    "search-budget": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '58f9d9d4cd18e705067148f96862343f3e0afd9b782e2b0c917bb018a65d4cd6'),
     "search-conj1": (0, 'af53cbdaaaae5735e9779522f468e3afbb5b5420c023c8f2456d8a23b0226b64', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 

@@ -184,6 +184,11 @@ def test_canonical_form_prunes_large_automorphism_groups():
         (6, "all", {"connected_only": True},
          (142, "1b1b0203e322956527eb1ce9158724bb03405cc54d793ad7d3f554e4e58acecc")),
         (6, "bipartite", {}, (55, "281e2f313a8fbe78b6dcdcb9ef8d62ed9b938dd7dc2d6bbb6f159b474aa722ba")),
+        # a pinned degree pair is orientation-free: (1, 2) is the (2, 1) stream
+        (10, "biregular", {"a": 2, "b": 1},
+         (3, "7f9469ba0549e30d60ca71f6254b7ddf39fde260bb44b65e188d84925c328130")),
+        (10, "biregular", {"a": 1, "b": 2},
+         (3, "7f9469ba0549e30d60ca71f6254b7ddf39fde260bb44b65e188d84925c328130")),
     ],
 )
 def test_enumeration_order_and_edges_are_pinned(n_max, mode, options, expect):
