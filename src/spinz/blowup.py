@@ -9,11 +9,12 @@ experiment checks the mean and the variance bound empirically.
 
 Sampling uses a counter-based generator (Philox): one key per trial,
 derived by SHA-256 from the experiment seed, and one stream per (base
-edge, block pair) at its own counter offset under that key.  A block
-therefore has the same cells whether it is drawn alone or inside the
-full sample, so a trial that counts one configuration draws only the
-blocks that configuration reads.  Runs are bit-reproducible across
-platforms, and each trial is an independent stream.
+edge, block pair) at its own counter offset under that key.  A block's
+cells depend only on (key, counter), so a trial draws only the blocks
+its configuration reads, and it builds one generator whose counter it
+resets before each block: the same cells a fresh generator at that
+counter would draw.  Runs are bit-reproducible across platforms, and
+each trial is an independent stream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, SpinConfig, contract, weight_of
+from .counting import DEFAULT_BUDGET, BudgetError, SpinConfig, contract, contract_cost, weight_of
 from .graphs import Graph, GraphError, bipartition, certify_biregular
 from .util import derive_key128, derive_seed
 from .values import Backend, log_of_fraction
@@ -55,26 +56,22 @@ def scale_edge_weights(w: WeightSystem) -> tuple[WeightSystem, Fraction]:
 class BlowupHost:
     """The deterministic host: disjoint blocks of size C * weight per
     (spin, vertex), all cross edges present between blocks over base
-    edges, and the per-block-pair survival probability table.  Each base
-    vertex has its own segment of host vertices, its blocks in spin order."""
+    edges, and the per-block-pair survival probability table."""
 
     graph: Graph
     weights: WeightSystem
     C: int
     block_size: tuple[tuple[int, ...], ...]  # [v][i-1] -> size of the block of spin i
 
-    def local_block_slice(self, v: int, spin: int) -> slice:
-        """Block range inside the vertex's own host segment."""
-        offset = sum(self.block_size[v][: spin - 1])
-        return slice(offset, offset + self.block_size[v][spin - 1])
-
-    def check_config(self, cfg: SpinConfig) -> None:
-        """Raise ValueError unless cfg gives every base vertex a spin."""
+    def configured_sizes(self, cfg: SpinConfig) -> list[int]:
+        """The size of each base vertex's configured block; ValueError
+        unless cfg gives every base vertex a spin."""
         if len(cfg) != self.graph.n:
             raise ValueError(f"configuration has {len(cfg)} entries for {self.graph.n} vertices")
         for s in cfg:
             if not (1 <= s <= self.weights.m):
                 raise ValueError(f"spin {s} out of range 1..{self.weights.m}")
+        return [self.block_size[v][s - 1] for v, s in enumerate(cfg)]
 
 
 def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
@@ -119,46 +116,47 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
 
 @dataclass(frozen=True)
 class SampledSubgraph:
-    """One sampled subgraph: per base edge, the boolean survival matrix
-    over the two vertex segments (same vertex set as the host), or only
-    over the two configured blocks when ``cfg`` is set."""
+    """One sampled subgraph of one configuration: per base edge (u, v),
+    the boolean survival matrix between the configured blocks of u and v."""
 
     host: BlowupHost
     seed: int
     keep: dict  # (u, v) canonical base edge -> bool ndarray
-    cfg: SpinConfig | None = None
+    cfg: SpinConfig
 
 
-def sample_subgraph(host: BlowupHost, seed: int, cfg: SpinConfig | None = None) -> SampledSubgraph:
-    """Retain each host edge independently with its table probability.
+def _reset(bitgen: np.random.Philox, state: dict, counter: tuple[int, ...]) -> None:
+    """Put ``bitgen`` where ``np.random.Philox(key=key, counter=counter)``
+    starts: ``state`` is its state dict under that key, and the buffer is
+    emptied so the next draw computes the block at counter + 1."""
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    state["buffer_pos"] = 4  # the buffer holds 4 words, all used
+    state["has_uint32"] = 0
+    bitgen.state = state
+
+
+def sample_subgraph(host: BlowupHost, seed: int, cfg: SpinConfig) -> SampledSubgraph:
+    """Retain each host edge between the configured blocks independently
+    with its table probability.
 
     Deterministic given the seed.  The block pair (i, j) over the e-th
-    base edge (u, v) in sorted order is drawn row-major from its own
-    Philox stream: the trial's key, counter (0, e, i, j).  Given ``cfg``,
-    only the block pair (cfg[u], cfg[v]) of each edge is drawn; without
-    it, each edge's matrix over the two whole segments is assembled from
-    all its block pairs, so both hold the same cells for that block.
+    base edge (u, v) in sorted order, i = cfg[u] and j = cfg[v], is drawn
+    row-major from its own Philox stream: the trial's key, counter
+    (0, e, i, j).  One generator serves the call, reset to each block's
+    counter before its draw.
     """
-    if cfg is not None:
-        host.check_config(cfg)
-        cfg = tuple(cfg)
-    key = np.array(derive_key128("blowup-edges", seed), dtype=np.uint64)
-    spins = range(1, host.weights.m + 1)
+    sizes = host.configured_sizes(cfg)
+    cfg = tuple(cfg)
+    bitgen = np.random.Philox(key=np.array(derive_key128("blowup-edges", seed), dtype=np.uint64))
+    rng, state = np.random.Generator(bitgen), bitgen.state
     _, tables = host.weights.cleared()
     keep = {}
     for e, (u, v) in enumerate(host.graph.edges):
         table, den, _ = tables[(u, v)]
-
-        def block(i: int, j: int) -> np.ndarray:
-            counter = np.array([0, e, i, j], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
-            draws = rng.random((host.block_size[u][i - 1], host.block_size[v][j - 1]))
-            return draws < table[i - 1][j - 1] / den  # correctly rounded, as float(weight)
-
-        if cfg is None:
-            keep[(u, v)] = np.block([[block(i, j) for j in spins] for i in spins])
-        else:
-            keep[(u, v)] = block(cfg[u], cfg[v])
+        i, j = cfg[u], cfg[v]
+        _reset(bitgen, state, (0, e, i, j))
+        # int / int rounds correctly, as float(weight) does
+        keep[(u, v)] = rng.random((sizes[u], sizes[v])) < table[i - 1][j - 1] / den
     return SampledSubgraph(host=host, seed=seed, keep=keep, cfg=cfg)
 
 
@@ -172,24 +170,15 @@ def count_block_homs(
     """Exact number of maps sending each vertex into its configured block
     with every base edge landing on a surviving host edge.
 
-    Computed by ``contract`` over the base graph with one 0/1 factor per
-    edge, restricted to the configured blocks: sliced from a full sample,
-    read as they are from a sample drawn for ``cfg``.  The budget bounds
-    the largest intermediate tensor of the elimination plan.
+    Computed by ``contract`` over the base graph with the sample's 0/1
+    survival matrix as each edge's factor.  The budget bounds the largest
+    intermediate tensor of the elimination plan.
     """
-    host.check_config(cfg)
-    if sub.cfg is not None and sub.cfg != tuple(cfg):
+    sizes = host.configured_sizes(cfg)
+    if sub.cfg != tuple(cfg):
         raise ValueError(f"the sample holds only the blocks of configuration {list(sub.cfg)}")
-    sizes = [host.block_size[v][cfg[v] - 1] for v in range(g.n)]
-    if 0 in sizes:
-        return 0
-    factors = []
-    for u, v in g.edges:
-        keep = sub.keep[(u, v)]
-        if sub.cfg is None:
-            keep = keep[host.local_block_slice(u, cfg[u]), host.local_block_slice(v, cfg[v])]
-        factors.append(((u, v), keep))
-    return contract(sizes, factors, budget)
+    factors = [((u, v), sub.keep[(u, v)]) for u, v in g.edges]
+    return contract(sizes, factors, budget, maxima=[1] * len(factors))
 
 
 @dataclass(frozen=True)
@@ -279,12 +268,19 @@ def concentration_experiment(
 
     Edge weights above 1 are scaled down first; the reported mean and
     variance statistics refer to the scaled system actually sampled, and
-    the applied divisor is recorded alongside.
+    the applied divisor is recorded alongside.  Before any draw, the
+    budget is checked against the largest tensor of the counting plan,
+    then against the cells a trial draws (sum over base edges uv of
+    B_u * B_v, B the configured block sizes).
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a variance estimate")
     scaled, edge_scale = scale_edge_weights(w)
     host = build_blowup_host(g, scaled, C)
+    sizes = host.configured_sizes(cfg)
+    for cost in (contract_cost(sizes, g.edges), sum(sizes[u] * sizes[v] for u, v in g.edges)):
+        if cost > budget:
+            raise BudgetError(cost, budget)
 
     def run_trial(t: int) -> int:
         sub = sample_subgraph(host, derive_seed("blowup-trial", seed, t), cfg)

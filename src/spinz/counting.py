@@ -56,13 +56,20 @@ _LOG_TINY = math.log(_TINY)
 # Operands per einsum call: numpy accepts fewer than NPY_MAXARGS (32 on
 # numpy 1.x, 64 on 2.x).
 _MAX_OPERANDS = 31
-# Exact float64 steps whose label space has at least this many cells let
-# einsum pair operands through BLAS.  Measured on 0/1 blocks: unoptimised
-# einsum wins below about 2^15 cells (a 32^3 matrix product, 20 against
-# 24 us) and loses above it (40^3: 26 against 20 us; 100^3: 320 against
-# 48 us), since the path search costs about 20 us a call.  The path never
-# builds an intermediate larger than the step's largest operand or output,
-# so the budget still bounds memory.
+# Exact float64 steps whose label space has at least this many cells go
+# through BLAS: a step of two operands as one ``np.matmul``
+# (``_MatmulStep``), a step of more through einsum's optimize=True path,
+# which never builds an intermediate larger than the step's largest
+# operand or output, so the budget still bounds memory (folding pairs
+# could exceed it).
+# Measured on 0/1 blocks, matmul against the unoptimised kernel: a k^3
+# matrix product wins from about 2^10 cells (k = 10: 2.3 against 2.5 us;
+# 32: 3.1 against 12 us; 100: 26 against 235 us), but a step whose
+# output keeps a label of both operands (100 dot products of length 100)
+# loses at 10^4 cells (6.9 against 5.1 us), and that is the only float64
+# step of two operands between 2^10 and 2^15 cells in the benchmark
+# workloads (C = 100 in the blow-up).  The path search behind
+# optimize=True costs about 20 us a call.
 _BLAS_MIN_CELLS = 1 << 15
 
 
@@ -105,8 +112,9 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     largest, steps): the number of assignments of the variables in no
     scope, the cell count of the largest intermediate tensor, and per
     step the einsum operands as (tensor index, labels) pairs, the output
-    labels, the number of products summed into each output cell and the
-    cell count of the step's whole label space (step k appends tensor
+    labels, the number of products summed into each output cell, the
+    cell count of the step's whole label space and, for a step of two
+    operands, its ``_MatmulStep`` (step k appends tensor
     len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
     batch axis.  The last tensor is the scalar sum.  It depends only on
     the structure, so it is cached.
@@ -162,16 +170,73 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
             part = tuple(sorted({x for i, _ in chunk for x in scope_of[i]}))
             cells = math.prod(map(size_of, part))
             largest = max(largest, cells)
-            steps.append((tuple(chunk), (..., *[labels[x] for x in part]), 1, cells))
+            steps.append((tuple(chunk), (..., *[labels[x] for x in part]), 1, cells, None))
             scope_of.append(part)
             operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, steps[-1][1])]
         terms = 1 if v is None else sizes[v]
         cells = math.prod(map(size_of, labels))  # every label is in some operand
-        steps.append((tuple(operands), (..., *[labels[x] for x in kept]), terms, cells))
+        out = (..., *[labels[x] for x in kept])
+        pair = None
+        if len(operands) == 2:
+            pair = _MatmulStep(operands[0][1][1:], operands[1][1][1:], out[1:], sizes, labels)
+        steps.append((tuple(operands), out, terms, cells, pair))
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
     return free, largest, tuple(steps)
+
+
+class _MatmulStep:
+    """A plan step of two operands run as one ``np.matmul``: the operands
+    are transposed and reshaped to (shared, free, summed) and (shared,
+    summed, free), the shared labels being those in both operands and the
+    output, and the product is reshaped and transposed to the output
+    labels.  Those transposes and shapes are worked out on the step's
+    first matrix product and kept with the cached plan, so a plan that
+    never reaches BLAS never pays for them.  An operand with one more
+    axis than its labels carries the batch, and the product does when
+    either operand does.  In a plan step every label outside the output
+    is in both operands: each tensor of a bucket holds its eliminated
+    variable, and the step keeps every other variable."""
+
+    __slots__ = ("step", "program")
+
+    def __init__(self, a, b, out, sizes, labels):
+        # a, b and out without their leading Ellipsis; labels maps each
+        # variable to its label, sizes each variable to its size
+        self.step = a, b, out, sizes, labels
+        self.program = None
+
+    def compile(self) -> tuple:
+        """Per operand and for the product, the (axes, shape) pair without
+        and with a leading batch axis."""
+        a, b, out, sizes, labels = self.step
+        size = {label: sizes[x] for x, label in labels.items()}
+        shared = [x for x in out if x in a and x in b]
+        free_a = [x for x in out if x not in b]
+        free_b = [x for x in out if x not in a]
+        summed = [x for x in a if x not in out]
+        p, fa, fb, s = (math.prod(size[x] for x in part) for part in (shared, free_a, free_b, summed))
+        middle = shared + free_a + free_b
+        return tuple(
+            ((tuple(axes), shape), ((0, *[k + 1 for k in axes]), (-1, *shape)))
+            for axes, shape in (
+                ([a.index(x) for x in shared + free_a + summed], (p, fa, s)),
+                ([b.index(x) for x in shared + summed + free_b], (p, s, fb)),
+                ([middle.index(x) for x in out], tuple(size[x] for x in middle)),
+            )
+        )
+
+    def __call__(self, a, b):
+        if self.program is None:
+            self.program = self.compile()
+        (unbatched_a, batched_a), (unbatched_b, batched_b), (unbatched, batched) = self.program
+        axes, shape = batched_a if a.ndim > len(unbatched_a[0]) else unbatched_a
+        a = a.transpose(axes).reshape(shape)
+        axes, shape = batched_b if b.ndim > len(unbatched_b[0]) else unbatched_b
+        product = np.matmul(a, b.transpose(axes).reshape(shape))
+        axes, shape = batched if product.ndim > 3 else unbatched
+        return product.reshape(shape).transpose(axes)
 
 
 def _einsum(tensors, operands, out, optimize=False):
@@ -196,6 +261,21 @@ def _table_max(table) -> int:
     return int(np.max(table))
 
 
+def _narrow(sizes: Sequence[int], scopes) -> tuple:
+    """The scopes without their length-1 variables: such an axis selects
+    nothing, and dropping it keeps einsum narrow."""
+    if 1 not in sizes:
+        return tuple(scopes)
+    return tuple(tuple(x for x in scope if sizes[x] != 1) for scope in scopes)
+
+
+def contract_cost(sizes: Sequence[int], scopes) -> int:
+    """The cost ``contract`` checks against its budget for factors over
+    ``scopes``: the largest intermediate tensor of the plan, which it
+    then finds in the cache."""
+    return _plan(tuple(sizes), _narrow(sizes, scopes))[1]
+
+
 def contract(
     sizes: Sequence[int],
     factors,
@@ -214,10 +294,12 @@ def contract(
     given, holds each table's largest entry, which is otherwise read off
     the tables.  The bound covers every partial product and partial sum
     in any order, so float64 steps over at least ``_BLAS_MIN_CELLS``
-    cells go through BLAS and stay exact.  LOG tables hold natural logs
-    with -inf for zero and the result is the log of the sum, -inf when
-    it is zero; each table and each intermediate is divided by its
-    maximum, so sums far outside the float range stay finite.  A
+    cells go through BLAS (a step of two operands as one matrix product
+    whose transposes and shapes are compiled with the plan) and stay
+    exact.  LOG tables hold natural logs with -inf for zero and the
+    result is the log of the sum, -inf when it is zero; each table and
+    each intermediate is divided by its maximum, so sums far outside
+    the float range stay finite.  A
     nonzero entry that falls below the float64 range after that shift
     would be lost, so the whole call then runs in the log domain
     (``_log_elimination``), whose cost, the largest step label space,
@@ -237,10 +319,7 @@ def contract(
     chunks of budget // cost instances, so the chunk's tensors stay
     within the budget too.
     """
-    if 1 in sizes:  # a length-1 axis selects nothing; dropping it keeps einsum narrow
-        scopes = tuple(tuple(x for x in vars_ if sizes[x] != 1) for vars_, _ in factors)
-    else:
-        scopes = tuple(vars_ for vars_, _ in factors)
+    scopes = _narrow(sizes, [vars_ for vars_, _ in factors])
     free, largest, steps = _plan(tuple(sizes), scopes)
     if largest > budget:
         raise BudgetError(largest, budget)
@@ -311,11 +390,19 @@ def contract(
 def _run(steps, tensors, total, log, dtype, n):
     """Run a plan's steps on its tensors (n instances); return the LOG
     shift carried so far and the last tensor (None if none), or
-    (None, None) if a LOG step would lose a nonzero term to underflow."""
+    (None, None) if a LOG step would lose a nonzero term to underflow.
+    A float64 EXACT step over at least ``_BLAS_MIN_CELLS`` cells (counting
+    every instance) runs as its ``_MatmulStep`` when it has two operands
+    and through einsum's optimize=True path when it has more; batched and
+    unbatched calls run the same code."""
     blas = not log and dtype is np.float64
-    for operands, out, terms, cells in steps:
-        optimize = blas and cells * n >= _BLAS_MIN_CELLS and len(operands) > 1
-        result = _einsum(tensors, operands, out, optimize)
+    for operands, out, terms, cells, pair in steps:
+        if not blas or cells * n < _BLAS_MIN_CELLS or len(operands) < 2:
+            result = _einsum(tensors, operands, out)
+        elif pair is None:  # more than two operands
+            result = _einsum(tensors, operands, out, optimize=True)
+        else:
+            result = pair(tensors[operands[0][0]], tensors[operands[1][0]])
         if dtype is object:  # object einsum returns a bare int for a scalar
             result = np.asarray(result, dtype=object)
         if log:
@@ -351,7 +438,7 @@ def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | No
     cost is the largest step label space, checked before any step runs; a
     batch runs in chunks of budget // cost instances."""
     free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
-    cost = max([cells for *_, cells in steps], default=1)
+    cost = max([cells for _, _, _, cells, _ in steps], default=1)
     if cost > budget:
         raise BudgetError(cost, budget)
     tensors = [np.asarray(table, dtype=np.float64) for _, table in factors]
@@ -360,7 +447,7 @@ def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | No
     n_all, chunk, out = 1 if batch is None else batch, budget // cost, []
     for lo in range(0, n_all, chunk):
         part = [t[lo : lo + chunk] if len(t) > 1 else t for t in tensors]
-        for operands, (_, *out_labels), _, _ in steps:
+        for operands, (_, *out_labels), *_ in steps:
             space = sorted({x for _, (_, *labels) in operands for x in labels})
             full = sum(  # each operand over the whole label space, axes in label order
                 np.expand_dims(

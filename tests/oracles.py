@@ -2,9 +2,10 @@
 
 The oracles are deliberately naive (raw Fractions, full enumeration,
 no shared kernels with the package) so the tests check two independent
-routes to the same number.  The last few helpers (``count_all_block_homs``
-and the like) are test-only conveniences built on package kernels, kept
-here because no package code calls them.
+routes to the same number.  The last few helpers (the blow-up lab's
+full sample, ``count_all_block_homs`` and the like) are test-only
+conveniences, some built on package kernels, kept here because no
+package code calls them.
 """
 
 from __future__ import annotations
@@ -629,10 +630,59 @@ def draw_rational(rng, cap):
     return rng.randint(1, cap), rng.randint(1, cap)
 
 
+def block_slice(host, v, spin):
+    """The block of ``spin`` inside base vertex v's segment of the whole
+    host, where each vertex's blocks follow one another in spin order."""
+    offset = sum(host.block_size[v][: spin - 1])
+    return slice(offset, offset + host.block_size[v][spin - 1])
+
+
+def full_sample(host, seed):
+    """The sample of the whole host that ``blowup.sample_subgraph``'s
+    streams define: per base edge, the survival matrix over the two vertex
+    segments, its block pair (i, j) over the e-th edge drawn by a fresh
+    Philox generator at counter (0, e, i, j) under the trial's key.  A
+    namespace holding ``keep`` and ``cfg`` None (no configuration)."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from spinz.util import derive_key128
+
+    key = np.array(derive_key128("blowup-edges", seed), dtype=np.uint64)
+    spins = range(1, host.weights.m + 1)
+    keep = {}
+    for e, (u, v) in enumerate(host.graph.edges):
+        rows = []
+        for i in spins:
+            row = []
+            for j in spins:
+                counter = np.array([0, e, i, j], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+                shape = (host.block_size[u][i - 1], host.block_size[v][j - 1])
+                row.append(rng.random(shape) < float(host.weights.edge_weight(u, v, i, j).fraction))
+            rows.append(row)
+        keep[(u, v)] = np.block(rows)
+    return SimpleNamespace(keep=keep, cfg=None)
+
+
+def full_sample_block_homs(g, full, host, cfg, budget=10 ** 8):
+    """``count_block_homs`` on a full sample: the configured blocks sliced
+    out of each edge's matrix."""
+    from spinz.counting import contract
+
+    sizes = [host.block_size[v][cfg[v] - 1] for v in range(g.n)]
+    factors = [
+        ((u, v), full.keep[(u, v)][block_slice(host, u, cfg[u]), block_slice(host, v, cfg[v])])
+        for u, v in g.edges
+    ]
+    return contract(sizes, factors, budget)
+
+
 def count_all_block_homs(g, sub, host, budget=10 ** 8):
     """List-homomorphism count into the sampled subgraph with every vertex
     allowed anywhere in its own host segment (the union of its blocks).
-    Needs a full sample, drawn without a configuration."""
+    Needs a full sample (``full_sample``), drawn without a configuration."""
     from spinz.counting import contract
 
     if sub.cfg is not None:

@@ -1,11 +1,22 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import block_homs_brute, count_all_block_homs, kab_around
+from oracles import (
+    block_homs_brute,
+    block_slice,
+    count_all_block_homs,
+    full_sample,
+    full_sample_block_homs,
+    kab_around,
+)
 from spinz.blowup import (
+    _reset,
     build_blowup_host,
     concentration_experiment,
     count_block_homs,
@@ -75,21 +86,24 @@ def test_build_host_rejects_zero_and_oversized_weights():
 
 
 def test_sample_probability_one_keeps_everything():
+    import itertools
+
     g = cycle_graph(4)
     host = build_blowup_host(g, WeightSystem.build(g, 2), 3)
     for seed in (0, 1, 99):
-        sub = sample_subgraph(host, seed)
-        assert all(mat.all() for mat in sub.keep.values())
+        for cfg in itertools.product((1, 2), repeat=4):
+            sub = sample_subgraph(host, seed, cfg)
+            assert all(mat.all() for mat in sub.keep.values())
 
 
 def test_sample_fixed_seed_is_bit_identical():
     g = cycle_graph(4)
     host = build_blowup_host(g, uniform_half_weights(g), 4)
-    s1 = sample_subgraph(host, 1234)
-    s2 = sample_subgraph(host, 1234)
+    s1 = sample_subgraph(host, 1234, (1, 2, 1, 2))
+    s2 = sample_subgraph(host, 1234, (1, 2, 1, 2))
     for e in host.graph.edges:
         assert np.array_equal(s1.keep[e], s2.keep[e])
-    s3 = sample_subgraph(host, 1235)
+    s3 = sample_subgraph(host, 1235, (1, 2, 1, 2))
     assert any(not np.array_equal(s1.keep[e], s3.keep[e]) for e in host.graph.edges)
 
 
@@ -100,9 +114,10 @@ def test_sample_edge_retention_rate():
     total = 0
     draws = 0
     for seed in range(300):
-        keep = sample_subgraph(host, seed).keep[(0, 1)]
-        total += int(keep.sum())
-        draws += keep.size
+        for cfg in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            keep = sample_subgraph(host, seed, cfg).keep[(0, 1)]
+            total += int(keep.sum())
+            draws += keep.size
     p = 0.5
     se = math.sqrt(draws * p * (1 - p))
     assert abs(total - draws * p) <= 4 * se
@@ -112,8 +127,8 @@ def test_count_block_homs_full_host_product_formula():
     g = cycle_graph(4)
     w = WeightSystem.build(g, 2, vertex={(0, 1): 2, (2, 2): 3})
     host = build_blowup_host(g, w, 2)
-    sub = sample_subgraph(host, 7)  # probabilities 1: identical to the host
     for cfg in [(1, 1, 1, 1), (1, 2, 2, 1), (2, 2, 2, 2)]:
+        sub = sample_subgraph(host, 7, cfg)  # probabilities 1: identical to the host
         expected = 1
         for v in range(4):
             expected *= host.block_size[v][cfg[v] - 1]
@@ -123,25 +138,18 @@ def test_count_block_homs_full_host_product_formula():
 def test_count_block_homs_single_edge_counts_survivors():
     g = Graph(2, [(0, 1)])
     host = build_blowup_host(g, uniform_half_weights(g), 5)
-    sub = sample_subgraph(host, 3)
-    rows = host.local_block_slice(0, 1)
-    cols = host.local_block_slice(1, 1)
-    assert count_block_homs(g, sub, host, (1, 1)) == int(sub.keep[(0, 1)][rows, cols].sum())
+    sub = sample_subgraph(host, 3, (1, 1))
+    assert sub.keep[(0, 1)].shape == (5, 5)
+    assert count_block_homs(g, sub, host, (1, 1)) == int(sub.keep[(0, 1)].sum())
 
 
 def test_count_block_homs_matches_brute_force():
     g = cycle_graph(4)
     host = build_blowup_host(g, uniform_half_weights(g), 3)
     for seed in range(5):
-        sub = sample_subgraph(host, seed)
         for cfg in [(1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 2, 2)]:
-            blocks = {
-                v: range(
-                    host.local_block_slice(v, cfg[v]).start,
-                    host.local_block_slice(v, cfg[v]).stop,
-                )
-                for v in range(4)
-            }
+            sub = sample_subgraph(host, seed, cfg)
+            blocks = {v: range(host.block_size[v][cfg[v] - 1]) for v in range(4)}
             brute = block_homs_brute(4, g.edges, blocks, sub.keep)
             assert count_block_homs(g, sub, host, cfg) == brute
 
@@ -154,12 +162,11 @@ def test_block_homs_partition_the_list_homomorphisms():
         g = Graph(n, edges)
         w = uniform_half_weights(g)
         host = build_blowup_host(g, w, 3)
-        sub = sample_subgraph(host, 11)
         total = sum(
-            count_block_homs(g, sub, host, cfg)
+            count_block_homs(g, sample_subgraph(host, 11, cfg), host, cfg)
             for cfg in itertools.product((1, 2), repeat=n)
         )
-        assert total == count_all_block_homs(g, sub, host)
+        assert total == count_all_block_homs(g, full_sample(host, 11), host)
 
 
 def test_count_all_matches_backtracking_on_host_graph():
@@ -170,7 +177,7 @@ def test_count_all_matches_backtracking_on_host_graph():
     g = path_graph(3)
     w = uniform_half_weights(g)
     host = build_blowup_host(g, w, 2)
-    sub = sample_subgraph(host, 21)
+    sub = full_sample(host, 21)
     # host ids: the vertices' segments one after another
     vertex_size = [sum(row) for row in host.block_size]
     vertex_start = list(itertools.accumulate(vertex_size, initial=0))
@@ -206,14 +213,13 @@ def test_blowup_runs_on_restricted_kab_instances():
     cert = certify_biregular(g, bipartition(g))
     kab, weights = kab_around(w, cert, sorted(cert.odd)[0])
     host = build_blowup_host(kab, weights, 3)
-    sub = sample_subgraph(host, 42)
     import itertools
 
     total = sum(
-        count_block_homs(kab, sub, host, cfg)
+        count_block_homs(kab, sample_subgraph(host, 42, cfg), host, cfg)
         for cfg in itertools.product((1, 2), repeat=kab.n)
     )
-    assert total == count_all_block_homs(kab, sub, host)
+    assert total == count_all_block_homs(kab, full_sample(host, 42), host)
 
 
 def test_experiment_all_ones_is_deterministic_unity():
@@ -313,15 +319,15 @@ def test_configured_sample_is_the_block_of_the_full_sample():
         host = _random_host(rng)
         g = host.graph
         for seed in (rng.randrange(2 ** 32) for _ in range(2)):
-            full = sample_subgraph(host, seed)
+            full = full_sample(host, seed)
             for cfg in itertools.product(range(1, host.weights.m + 1), repeat=g.n):
                 sub = sample_subgraph(host, seed, cfg)
                 assert sub.cfg == cfg
                 for u, v in g.edges:
-                    rows = host.local_block_slice(u, cfg[u])
-                    cols = host.local_block_slice(v, cfg[v])
+                    rows = block_slice(host, u, cfg[u])
+                    cols = block_slice(host, v, cfg[v])
                     assert np.array_equal(sub.keep[(u, v)], full.keep[(u, v)][rows, cols])
-                assert count_block_homs(g, sub, host, cfg) == count_block_homs(g, full, host, cfg)
+                assert count_block_homs(g, sub, host, cfg) == full_sample_block_homs(g, full, host, cfg)
                 checked += 1
     assert checked > 50
 
@@ -329,9 +335,9 @@ def test_configured_sample_is_the_block_of_the_full_sample():
 def test_every_block_pair_has_its_own_stream():
     g = cycle_graph(4)
     host = build_blowup_host(g, uniform_half_weights(g), 8)  # 8 x 8 blocks, p = 1/2
-    sub = sample_subgraph(host, 99)
+    sub = full_sample(host, 99)
     blocks = [
-        sub.keep[e][host.local_block_slice(e[0], i), host.local_block_slice(e[1], j)]
+        sub.keep[e][block_slice(host, e[0], i), block_slice(host, e[1], j)]
         for e in g.edges
         for i in (1, 2)
         for j in (1, 2)
@@ -347,10 +353,10 @@ def test_experiment_samples_equal_counts_on_full_samples():
     edge = {(0, 1, 1, 2): Fraction(1, 3), (2, 3, 1, 1): Fraction(3, 4)}
     w = WeightSystem.build(g, 2, vertex, edge)
     host = build_blowup_host(g, w, 3)
-    full = [sample_subgraph(host, derive_seed("blowup-trial", 31, t)) for t in range(12)]
+    full = [full_sample(host, derive_seed("blowup-trial", 31, t)) for t in range(12)]
     for cfg in [(1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2)]:
         stats = concentration_experiment(g, w, cfg, 3, 12, seed=31)
-        assert stats.samples == tuple(count_block_homs(g, sub, host, cfg) for sub in full)
+        assert stats.samples == tuple(full_sample_block_homs(g, sub, host, cfg) for sub in full)
 
 
 def test_block_samples_serve_only_their_configuration():
@@ -366,3 +372,38 @@ def test_block_samples_serve_only_their_configuration():
         sample_subgraph(host, 5, (1, 2, 1))
     with pytest.raises(ValueError, match="out of range"):
         sample_subgraph(host, 5, (1, 2, 1, 3))
+
+
+@given(
+    st.integers(0, 2 ** 128 - 1),
+    st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2 ** 64 - 1)] * 4),
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_a_reset_generator_draws_what_a_fresh_one_draws(key, blocks):
+    key = np.array([key & (2 ** 64 - 1), key >> 64], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng, state = np.random.Generator(bitgen), bitgen.state
+    for counter, shape in blocks:  # successive blocks of different shapes
+        _reset(bitgen, state, counter)
+        fresh = np.random.Generator(np.random.Philox(key=key, counter=np.array(counter, dtype=np.uint64)))
+        assert np.array_equal(rng.random(shape), fresh.random(shape))
+
+
+@pytest.mark.parametrize(
+    "C, digest",
+    [
+        (10, "f2e1cf9d46d3598ef91630a690a6b3cbe74a52335ae492a26ddcf50d18dd235a"),
+        (100, "e2dccd43a688f7720a04eb1a4b60db73c11b9d177cd5e7aa3e55ee5abf1e06f8"),
+    ],
+)
+def test_experiment_samples_are_pinned(C, digest):
+    # the benchmark's blow-up instance: C_4, every edge weight 1/2
+    g = cycle_graph(4)
+    stats = concentration_experiment(g, uniform_half_weights(g), (1, 1, 1, 1), C, 5, seed=20240901)
+    assert hashlib.sha256(repr(stats.samples).encode()).hexdigest() == digest

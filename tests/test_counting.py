@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -544,14 +545,16 @@ def test_parse_cover_family_errors_name_the_line(text, message):
         parse_cover_family(text)
 
 
-# Large exact float64 steps go through BLAS (einsum's optimize=True).
+# Large exact float64 steps go through BLAS: one np.matmul for two
+# operands, einsum's optimize=True for more.
 
 
 def _einsum_calls(monkeypatch):
-    """Record (optimize, operand dtypes) of every einsum call: np.einsum
-    and the kernel the engine calls directly for unoptimised steps."""
+    """Record (through BLAS, operand dtypes) of every einsum and matmul
+    call: np.einsum, the kernel the engine calls directly for unoptimised
+    steps, and np.matmul, which always goes through BLAS."""
     calls = []
-    real, kernel = np.einsum, counting_mod._c_einsum
+    real, kernel, matmul = np.einsum, counting_mod._c_einsum, np.matmul
 
     def spy(*args, optimize=False):
         calls.append((optimize, {a.dtype for a in args if isinstance(a, np.ndarray)}))
@@ -561,7 +564,12 @@ def _einsum_calls(monkeypatch):
         calls.append((False, {a.dtype for a in args if isinstance(a, np.ndarray)}))
         return kernel(*args)
 
+    def matmul_spy(a, b):
+        calls.append((True, {a.dtype, b.dtype}))
+        return matmul(a, b)
+
     monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
     monkeypatch.setattr(counting_mod, "_c_einsum", kernel_spy)
     return calls
 
@@ -633,6 +641,86 @@ def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
     dtypes = set().union(*(d for _, d in calls))
     assert {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)} <= dtypes
     assert isinstance(before[0], float) and before[1] < before[2]
+
+
+def _random_factor_graph(data, batch=None):
+    """Sizes and 0/1 factors of a random factor graph on at most 4
+    variables; with ``batch``, each factor's table is shared or stacked
+    (one table per instance on a leading axis) at random."""
+    n = data.draw(st.integers(1, 4))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    scope = st.lists(st.integers(0, n - 1), max_size=3, unique=True).map(tuple)
+    scopes = data.draw(st.lists(scope, min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    factors = []
+    for vars_ in scopes:
+        shape = tuple(sizes[x] for x in vars_)
+        if batch is not None and data.draw(st.booleans()):
+            shape = (batch, *shape)
+        factors.append((vars_, rng.random(shape) < data.draw(st.sampled_from([0.3, 0.7, 1.0]))))
+    return sizes, factors
+
+
+def _contract_both_ways(sizes, factors, batch=None):
+    """``contract`` with every float64 step of two or more operands
+    through BLAS, and with none; also the matmul calls of the first."""
+    calls = []
+    matmul = counting_mod._MatmulStep.__call__
+
+    def spy(pair, a, b):
+        calls.append(pair)
+        return matmul(pair, a, b)
+
+    with mock.patch.object(counting_mod, "_BLAS_MIN_CELLS", 1), mock.patch.object(
+        counting_mod._MatmulStep, "__call__", spy
+    ):
+        blas = contract(sizes, factors, DEFAULT_BUDGET, batch=batch)
+    with mock.patch.object(counting_mod, "_BLAS_MIN_CELLS", 2 ** 62):
+        plain = contract(sizes, factors, DEFAULT_BUDGET, batch=batch)
+    return blas, plain, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matmul_steps_equal_einsum_and_brute_force(data):
+    sizes, factors = _random_factor_graph(data)
+    blas, plain, calls = _contract_both_ways(sizes, factors)
+    nested = [(vars_, table.astype(int).tolist()) for vars_, table in factors]
+    assert blas == plain == brute_factor_sum(sizes, nested)
+    _, _, steps = counting_mod._plan(tuple(sizes), counting_mod._narrow(sizes, [v for v, _ in factors]))
+    assert len(calls) == sum(pair is not None for *_, pair in steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_matmul_steps_equal_einsum_and_brute_force(data):
+    batch = data.draw(st.integers(1, 3))
+    sizes, factors = _random_factor_graph(data, batch)
+    blas, plain, _ = _contract_both_ways(sizes, factors, batch)
+    want = [
+        brute_factor_sum(
+            sizes,
+            [(v, (t[k] if t.ndim > len(v) else t).astype(int).tolist()) for v, t in factors],
+        )
+        for k in range(batch)
+    ]
+    assert blas == plain == want
+
+
+def test_matmul_step_transposes_its_product_to_the_plan_labels(monkeypatch):
+    # eliminating 0 from (0, 2) and (0, 1) leaves the product's axes as
+    # (2, 1), transposed to the plan's (1, 2); the step has 32^3 cells
+    sizes = [32, 32, 32]
+    rng = np.random.default_rng(11)
+    scopes = ((0, 2), (0, 1), (1,), (1, 2))
+    factors = [(v, rng.random([sizes[x] for x in v]) < 0.6) for v in scopes]
+    _, _, steps = counting_mod._plan(tuple(sizes), scopes)
+    _, _, _, cells, pair = steps[0]
+    assert cells >= counting_mod._BLAS_MIN_CELLS and pair.compile()[2][0][0] == (1, 0)
+    calls = _einsum_calls(monkeypatch)
+    nested = [(v, t.astype(int).tolist()) for v, t in factors]
+    assert contract(sizes, factors, DEFAULT_BUDGET) == brute_factor_sum(sizes, nested)
+    assert (True, {np.dtype(np.float64)}) in calls
 
 
 # Batched contraction: K_{a,b} restrictions, list-hom counts, cover sums.

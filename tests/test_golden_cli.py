@@ -131,6 +131,7 @@ def outcome(case: str) -> tuple:
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it; digests are at 80
     write_inputs(tmp_path)
     return tmp_path
 
@@ -216,6 +217,7 @@ def test_every_campaign_witness_rechecks_as_violated(inputs):
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_inputs(Path(tmp))
