@@ -5,7 +5,9 @@ Partition functions are sums of products over a factor graph.  All but
 the exact K_{a,b} instances with one shared edge table (EXACT conj1
 factors; ``uniform_kab_sums``) run on one engine, ``contract``: greedy
 variable elimination over ``np.einsum``, planned in full and checked
-against the budget before it contracts anything.  So do list-homomorphism
+against the budget before it contracts anything.  The plan (``_plan``,
+cached per structure) also fixes the kernel each step runs with in an
+exact float64 call, BLAS for the large ones.  So do list-homomorphism
 counts (0/1 list rows, adjacency-matrix edge tables).  One call can
 contract a batch of instances of one structure, such as the factors of
 one bound: the right side of thm3, thm4 or thm5 is one ``cover_sums``
@@ -21,8 +23,9 @@ rows and tables into arrays once per dtype (``WeightArrays``) for its
 left side and every right side.
 Log-backend weights are the floats a LOG system stores, contracted
 max-shifted with the shifts carried in the log domain; a contraction
-that would lose terms to float64 underflow runs its plan in the log
-domain instead (``_log_elimination``), so float range never stops one.
+that would lose terms to float64 underflow runs the same plan on the
+same tables in the log domain instead (``_log_elimination``), so float
+range never stops one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,20 +59,20 @@ _LOG_TINY = math.log(_TINY)
 # Operands per einsum call: numpy accepts fewer than NPY_MAXARGS (32 on
 # numpy 1.x, 64 on 2.x).
 _MAX_OPERANDS = 31
-# Exact float64 steps whose label space has at least this many cells go
-# through BLAS: a step of two operands as one ``np.matmul``
-# (``_MatmulStep``), a step of more through einsum's optimize=True path,
-# which never builds an intermediate larger than the step's largest
-# operand or output, so the budget still bounds memory (folding pairs
-# could exceed it).
+# Exact float64 steps whose label space, in one instance, has at least
+# this many cells go through BLAS (``_plan`` fixes each step's kernel): a
+# step of two operands as one ``np.matmul`` (``_matmul``), a step of more
+# through einsum's optimize=True path, which never builds an intermediate
+# larger than the step's largest operand or output, so the budget still
+# bounds memory (folding pairs could exceed it).
 # Measured on 0/1 blocks, matmul against the unoptimised kernel: a k^3
 # matrix product wins from about 2^10 cells (k = 10: 2.3 against 2.5 us;
 # 32: 3.1 against 12 us; 100: 26 against 235 us), but a step whose
-# output keeps a label of both operands (100 dot products of length 100)
-# loses at 10^4 cells (6.9 against 5.1 us), and that is the only float64
-# step of two operands between 2^10 and 2^15 cells in the benchmark
-# workloads (C = 100 in the blow-up).  The path search behind
-# optimize=True costs about 20 us a call.
+# output keeps only labels of both operands (a batch of dot products)
+# loses at every size: 100 x 100 6.9 against 5.1 us, 182 x 182 24.3
+# against 12.9 us, 300 x 300 69.3 against 32.3 us, so such a step keeps
+# the unoptimised kernel.  The path search behind optimize=True costs
+# about 20 us a call.
 _BLAS_MIN_CELLS = 1 << 15
 
 
@@ -113,11 +116,11 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
     scope, the cell count of the largest intermediate tensor, and per
     step the einsum operands as (tensor index, labels) pairs, the output
     labels, the number of products summed into each output cell, the
-    cell count of the step's whole label space and, for a step of two
-    operands, its ``_MatmulStep`` (step k appends tensor
+    cell count of the step's whole label space and the kernel an exact
+    float64 call runs it with (``_kernel``; step k appends tensor
     len(scopes) + k).  Every label tuple is led by ``Ellipsis``, the
     batch axis.  The last tensor is the scalar sum.  It depends only on
-    the structure, so it is cached.
+    the structure, so it is cached, and nothing changes it once made.
     """
     size_of = sizes.__getitem__
     scoped = {x for scope in scopes for x in scope}
@@ -165,83 +168,83 @@ def _plan(sizes: tuple[int, ...], scopes: tuple[tuple[int, ...], ...]):
         operands = [
             (i, (..., *[labels.setdefault(x, len(labels)) for x in scope_of[i]])) for i in bucket
         ]
+        size = {label: sizes[x] for x, label in labels.items()}
         while len(operands) > _MAX_OPERANDS:
             chunk = operands[:_MAX_OPERANDS]
             part = tuple(sorted({x for i, _ in chunk for x in scope_of[i]}))
             cells = math.prod(map(size_of, part))
             largest = max(largest, cells)
-            steps.append((tuple(chunk), (..., *[labels[x] for x in part]), 1, cells, None))
+            out = (..., *[labels[x] for x in part])
+            steps.append((tuple(chunk), out, 1, cells, _kernel(chunk, out, cells, size)))
             scope_of.append(part)
-            operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, steps[-1][1])]
+            operands[:_MAX_OPERANDS] = [(len(scope_of) - 1, out)]
         terms = 1 if v is None else sizes[v]
         cells = math.prod(map(size_of, labels))  # every label is in some operand
         out = (..., *[labels[x] for x in kept])
-        pair = None
-        if len(operands) == 2:
-            pair = _MatmulStep(operands[0][1][1:], operands[1][1][1:], out[1:], sizes, labels)
-        steps.append((tuple(operands), out, terms, cells, pair))
+        steps.append((tuple(operands), out, terms, cells, _kernel(operands, out, cells, size)))
         scope_of.append(kept)
         if v is not None:
             place(len(scope_of) - 1)
     return free, largest, tuple(steps)
 
 
-class _MatmulStep:
-    """A plan step of two operands run as one ``np.matmul``: the operands
-    are transposed and reshaped to (shared, free, summed) and (shared,
-    summed, free), the shared labels being those in both operands and the
-    output, and the product is reshaped and transposed to the output
-    labels.  Those transposes and shapes are worked out on the step's
-    first matrix product and kept with the cached plan, so a plan that
-    never reaches BLAS never pays for them.  An operand with one more
-    axis than its labels carries the batch, and the product does when
-    either operand does.  In a plan step every label outside the output
-    is in both operands: each tensor of a bucket holds its eliminated
-    variable, and the step keeps every other variable."""
-
-    __slots__ = ("step", "program")
-
-    def __init__(self, a, b, out, sizes, labels):
-        # a, b and out without their leading Ellipsis; labels maps each
-        # variable to its label, sizes each variable to its size
-        self.step = a, b, out, sizes, labels
-        self.program = None
-
-    def compile(self) -> tuple:
-        """Per operand and for the product, the (axes, shape) pair without
-        and with a leading batch axis."""
-        a, b, out, sizes, labels = self.step
-        size = {label: sizes[x] for x, label in labels.items()}
-        shared = [x for x in out if x in a and x in b]
-        free_a = [x for x in out if x not in b]
-        free_b = [x for x in out if x not in a]
-        summed = [x for x in a if x not in out]
-        p, fa, fb, s = (math.prod(size[x] for x in part) for part in (shared, free_a, free_b, summed))
-        middle = shared + free_a + free_b
-        return tuple(
-            ((tuple(axes), shape), ((0, *[k + 1 for k in axes]), (-1, *shape)))
-            for axes, shape in (
-                ([a.index(x) for x in shared + free_a + summed], (p, fa, s)),
-                ([b.index(x) for x in shared + summed + free_b], (p, s, fb)),
-                ([middle.index(x) for x in out], tuple(size[x] for x in middle)),
-            )
-        )
-
-    def __call__(self, a, b):
-        if self.program is None:
-            self.program = self.compile()
-        (unbatched_a, batched_a), (unbatched_b, batched_b), (unbatched, batched) = self.program
-        axes, shape = batched_a if a.ndim > len(unbatched_a[0]) else unbatched_a
-        a = a.transpose(axes).reshape(shape)
-        axes, shape = batched_b if b.ndim > len(unbatched_b[0]) else unbatched_b
-        product = np.matmul(a, b.transpose(axes).reshape(shape))
-        axes, shape = batched if product.ndim > 3 else unbatched
-        return product.reshape(shape).transpose(axes)
-
-
 def _einsum(tensors, operands, out, optimize=False):
     args = [x for i, labels in operands for x in (tensors[i], labels)]
     return np.einsum(*args, out, optimize=True) if optimize else _c_einsum(*args, out)
+
+
+def _kernel(operands, out, cells, size):
+    """How an exact float64 call runs a plan step over ``cells`` cells
+    (one instance), ``size`` mapping each label to its size: through
+    BLAS from ``_BLAS_MIN_CELLS`` cells, as one ``_matmul`` for two
+    operands of which one has a kept label the other lacks, and through
+    einsum's optimize=True path for more operands; else, and for a batch
+    of dot products, the unoptimised kernel."""
+    if cells < _BLAS_MIN_CELLS or len(operands) < 2:
+        return _einsum
+    if len(operands) > 2:
+        return partial(_einsum, optimize=True)
+    (_, (_, *a)), (_, (_, *b)) = operands
+    out = out[1:]
+    free_a = [x for x in out if x not in b]
+    free_b = [x for x in out if x not in a]
+    if not free_a and not free_b:  # a batch of dot products
+        return _einsum
+    # In a plan step every label outside the output is in both operands:
+    # each tensor of a bucket holds its eliminated variable, and the step
+    # keeps every other variable.
+    shared = [x for x in out if x in a and x in b]
+    summed = [x for x in a if x not in out]
+    p, fa, fb, s = (math.prod(size[x] for x in part) for part in (shared, free_a, free_b, summed))
+    middle = shared + free_a + free_b
+    program = tuple(  # per operand and for the product, (axes, shape) without and with the batch
+        ((tuple(axes), shape), ((0, *[k + 1 for k in axes]), (-1, *shape)))
+        for axes, shape in (
+            ([a.index(x) for x in shared + free_a + summed], (p, fa, s)),
+            ([b.index(x) for x in shared + summed + free_b], (p, s, fb)),
+            ([middle.index(x) for x in out], tuple(size[x] for x in middle)),
+        )
+    )
+    return partial(_matmul, program)
+
+
+def _matmul(program, tensors, operands, out):
+    """A plan step of two operands as one ``np.matmul``: the operands are
+    transposed and reshaped to (shared, free, summed) and (shared,
+    summed, free), the shared labels being those in both operands and the
+    output, and the product is reshaped and transposed to the output
+    labels, as ``_kernel``'s program says.  An operand with one more axis
+    than its labels carries the batch, and the product does when either
+    operand does."""
+    (unbatched_a, batched_a), (unbatched_b, batched_b), (unbatched, batched) = program
+    (i, _), (j, _) = operands
+    a, b = tensors[i], tensors[j]
+    axes, shape = batched_a if a.ndim > len(unbatched_a[0]) else unbatched_a
+    a = a.transpose(axes).reshape(shape)
+    axes, shape = batched_b if b.ndim > len(unbatched_b[0]) else unbatched_b
+    product = np.matmul(a, b.transpose(axes).reshape(shape))
+    axes, shape = batched if product.ndim > 3 else unbatched
+    return product.reshape(shape).transpose(axes)
 
 
 def _exact_dtype(bound: int):
@@ -293,18 +296,16 @@ def contract(
     every intermediate, so nothing rounds or overflows; ``maxima``, when
     given, holds each table's largest entry, which is otherwise read off
     the tables.  The bound covers every partial product and partial sum
-    in any order, so float64 steps over at least ``_BLAS_MIN_CELLS``
-    cells go through BLAS (a step of two operands as one matrix product
-    whose transposes and shapes are compiled with the plan) and stay
-    exact.  LOG tables hold natural logs with -inf for zero and the
-    result is the log of the sum, -inf when it is zero; each table and
-    each intermediate is divided by its maximum, so sums far outside
-    the float range stay finite.  A
-    nonzero entry that falls below the float64 range after that shift
-    would be lost, so the whole call then runs in the log domain
-    (``_log_elimination``), whose cost, the largest step label space,
-    is checked against the budget first: every log result is within
-    float rounding of the exact sum.
+    in any order, so a float64 call runs each step with the kernel its
+    plan fixed (``_kernel``: BLAS for the large steps) and stays exact.
+    LOG tables hold natural logs with -inf for zero and the result is the
+    log of the sum, -inf when it is zero; each table and each
+    intermediate is divided by its maximum, so sums far outside the float
+    range stay finite.  A nonzero entry that falls below the float64
+    range after that shift would be lost, so the whole call then runs the
+    same plan in the log domain (``_log_elimination``), whose cost, the
+    largest step label space, is checked against the budget first: every
+    log result is within float rounding of the exact sum.
 
     With ``batch`` = B it sums B instances of one structure and returns
     a list of B results: a table with one more axis than its variables
@@ -345,10 +346,17 @@ def contract(
     # which tables carry the batch axis
     stacked = [batch is not None and t.ndim > len(v) for t, (v, _) in zip(tensors, factors)]
     n_all = 1 if batch is None else batch
+    if 1 in sizes:
+        for k, ((vars_, _), scope) in enumerate(zip(factors, scopes)):
+            if len(scope) != len(vars_):
+                shape = tensors[k].shape[: stacked[k]] + tuple(sizes[x] for x in scope)
+                tensors[k] = tensors[k].reshape(shape)
     if log:
-        shifts = {}  # id(array) -> (its maximum, per instance when stacked; exp of the rest)
-        for k, arr in enumerate(tensors):
-            if id(arr) not in shifts:
+        logs = list(tensors)  # unshifted, for the log domain
+        shifts = {}  # id(table) -> (its maximum, per instance when stacked; exp of the rest)
+        for k, (_, table) in enumerate(factors):
+            if id(table) not in shifts:
+                arr = tensors[k]
                 top = arr.max(axis=tuple(range(1, arr.ndim))) if stacked[k] else float(arr.max())
                 if (top == NEG_INF).all() if stacked[k] else top == NEG_INF:
                     return NEG_INF if batch is None else [NEG_INF] * batch
@@ -357,15 +365,10 @@ def contract(
                 else:
                     arr = arr - top
                 if arr.min() < _LOG_TINY and (arr[arr < _LOG_TINY] > NEG_INF).any():
-                    return _log_elimination(sizes, factors, budget, batch)
-                shifts[id(tensors[k])] = top, np.exp(arr)
-            top, tensors[k] = shifts[id(tensors[k])]
+                    return _log_elimination(steps, free, logs, stacked, budget, batch)
+                shifts[id(table)] = top, np.exp(arr)
+            top, tensors[k] = shifts[id(table)]
             total = total + top
-    if 1 in sizes:
-        for k, ((vars_, _), scope) in enumerate(zip(factors, scopes)):
-            if len(scope) != len(vars_):
-                shape = tensors[k].shape[: stacked[k]] + tuple(sizes[x] for x in scope)
-                tensors[k] = tensors[k].reshape(shape)
 
     out, chunk = [], budget // largest  # at least 1
     for lo in range(0, n_all, chunk):
@@ -375,9 +378,9 @@ def contract(
         else:
             part = [t[lo : lo + n] if b else t for t, b in zip(tensors, stacked)]
             shift = total[lo : lo + n] if np.ndim(total) else total
-        shift, last = _run(steps, part, shift, log, dtype, n)
+        shift, last = _run(steps, part, shift, log, dtype)
         if shift is None:  # a LOG step underflowed
-            return _log_elimination(sizes, factors, budget, batch)
+            return _log_elimination(steps, free, logs, stacked, budget, batch)
         if log:
             out += shift.tolist() if np.ndim(shift) else [shift] * n
         elif last is None or last.ndim == 0:  # every table was shared
@@ -387,22 +390,16 @@ def contract(
     return out[0] if batch is None else out
 
 
-def _run(steps, tensors, total, log, dtype, n):
-    """Run a plan's steps on its tensors (n instances); return the LOG
-    shift carried so far and the last tensor (None if none), or
-    (None, None) if a LOG step would lose a nonzero term to underflow.
-    A float64 EXACT step over at least ``_BLAS_MIN_CELLS`` cells (counting
-    every instance) runs as its ``_MatmulStep`` when it has two operands
-    and through einsum's optimize=True path when it has more; batched and
-    unbatched calls run the same code."""
-    blas = not log and dtype is np.float64
-    for operands, out, terms, cells, pair in steps:
-        if not blas or cells * n < _BLAS_MIN_CELLS or len(operands) < 2:
-            result = _einsum(tensors, operands, out)
-        elif pair is None:  # more than two operands
-            result = _einsum(tensors, operands, out, optimize=True)
-        else:
-            result = pair(tensors[operands[0][0]], tensors[operands[1][0]])
+def _run(steps, tensors, total, log, dtype):
+    """Run a plan's steps on its tensors; return the LOG shift carried so
+    far and the last tensor (None if none), or (None, None) if a LOG step
+    would lose a nonzero term to underflow.  An EXACT float64 call runs
+    each step with the kernel its plan fixed, any other call with the
+    unoptimised einsum kernel; batched and unbatched calls run the same
+    code."""
+    exact64 = not log and dtype is np.float64
+    for operands, out, terms, _, kernel in steps:
+        result = (kernel if exact64 else _einsum)(tensors, operands, out)
         if dtype is object:  # object einsum returns a bare int for a scalar
             result = np.asarray(result, dtype=object)
         if log:
@@ -430,23 +427,23 @@ def _run(steps, tensors, total, log, dtype, n):
     return total, tensors[-1] if tensors else None
 
 
-def _log_elimination(sizes: Sequence[int], factors, budget: int, batch: int | None = None):
-    """``contract``'s LOG sum with every step in the log domain: a step adds
-    its operands' logs over its label space and log-sum-exps the eliminated
-    variable out, so no term underflows however far the logs spread.
-    Tables are batched as in ``contract``.  Slower than ``contract``.  The
-    cost is the largest step label space, checked before any step runs; a
-    batch runs in chunks of budget // cost instances."""
-    free, _, steps = _plan(tuple(sizes), tuple(vars_ for vars_, _ in factors))
+def _log_elimination(steps, free: int, tensors, stacked, budget: int, batch: int | None):
+    """``contract``'s LOG sum with every step of its plan (``steps``,
+    ``free``) in the log domain: a step adds its operands' logs over its
+    label space and log-sum-exps the eliminated variable out, so no term
+    underflows however far the logs spread.  ``tensors`` are ``contract``'s
+    narrowed, unshifted log tables and ``stacked`` says which carry the
+    batch axis.  Slower than ``contract``.  The cost is the largest step
+    label space, checked before any step runs; a batch runs in chunks of
+    budget // cost instances."""
     cost = max([cells for _, _, _, cells, _ in steps], default=1)
     if cost > budget:
         raise BudgetError(cost, budget)
-    tensors = [np.asarray(table, dtype=np.float64) for _, table in factors]
     # every tensor leads with a batch axis, of length 1 when it is shared
-    tensors = [t if t.ndim > len(v) else t[None] for t, (v, _) in zip(tensors, factors)]
+    tensors = [t if b else t[None] for t, b in zip(tensors, stacked)]
     n_all, chunk, out = 1 if batch is None else batch, budget // cost, []
     for lo in range(0, n_all, chunk):
-        part = [t[lo : lo + chunk] if len(t) > 1 else t for t in tensors]
+        part = [t[lo : lo + chunk] if b else t for t, b in zip(tensors, stacked)]
         for operands, (_, *out_labels), *_ in steps:
             space = sorted({x for _, (_, *labels) in operands for x in labels})
             full = sum(  # each operand over the whole label space, axes in label order

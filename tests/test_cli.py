@@ -1,5 +1,9 @@
+import importlib
 import json
 import math
+import re
+from pathlib import Path
+
 import pytest
 
 from spinz.cli import main
@@ -385,3 +389,16 @@ def test_every_subcommand_is_deterministic(capsys, files):
         code2, doc2 = _canonical(capsys, argv)
         assert code1 == code2 == 0
         assert doc1 == doc2
+
+
+def test_console_script_entry_point_runs(capsys):
+    # the callable pyproject.toml installs as `spinz` (read with a regex:
+    # Python 3.10 has no tomllib) imports and answers --help
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, func = re.search(r'^spinz\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    entry = getattr(importlib.import_module(module), func)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spinz ")

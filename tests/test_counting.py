@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -546,7 +547,21 @@ def test_parse_cover_family_errors_name_the_line(text, message):
 
 
 # Large exact float64 steps go through BLAS: one np.matmul for two
-# operands, einsum's optimize=True for more.
+# operands, einsum's optimize=True for more.  A step's kernel is fixed
+# when it is planned.
+
+
+@contextmanager
+def _blas_from(cells):
+    """Plans made inside run exact float64 steps of at least ``cells``
+    cells through BLAS.  The kernel is fixed when a step is planned, so
+    the plan cache is cleared on entry and on exit."""
+    counting_mod._plan.cache_clear()
+    try:
+        with mock.patch.object(counting_mod, "_BLAS_MIN_CELLS", cells):
+            yield
+    finally:
+        counting_mod._plan.cache_clear()
 
 
 def _einsum_calls(monkeypatch):
@@ -629,13 +644,13 @@ def test_log_and_integer_dtype_steps_never_go_through_blas(monkeypatch):
         contract(sizes, wide_obj, DEFAULT_BUDGET),
     ]
     # even with every step large enough for BLAS, only float64 EXACT steps take it
-    monkeypatch.setattr(counting_mod, "_BLAS_MIN_CELLS", 1)
-    calls = _einsum_calls(monkeypatch)
-    after = [
-        contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG),
-        contract(sizes, wide, DEFAULT_BUDGET),
-        contract(sizes, wide_obj, DEFAULT_BUDGET),
-    ]
+    with _blas_from(1):
+        calls = _einsum_calls(monkeypatch)
+        after = [
+            contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG),
+            contract(sizes, wide, DEFAULT_BUDGET),
+            contract(sizes, wide_obj, DEFAULT_BUDGET),
+        ]
     assert after == before  # bit for bit: the log value is compared with ==
     assert calls and not any(optimize for optimize, _ in calls)
     dtypes = set().union(*(d for _, d in calls))
@@ -661,34 +676,41 @@ def _random_factor_graph(data, batch=None):
     return sizes, factors
 
 
+def _matmul_steps(sizes, factors):
+    """The steps of ``contract``'s plan for these factors that run as one
+    ``np.matmul`` in an exact float64 call."""
+    scopes = counting_mod._narrow(sizes, [v for v, _ in factors])
+    _, _, steps = counting_mod._plan(tuple(sizes), scopes)
+    return [kernel for *_, kernel in steps if getattr(kernel, "func", None) is counting_mod._matmul]
+
+
 def _contract_both_ways(sizes, factors, batch=None):
     """``contract`` with every float64 step of two or more operands
-    through BLAS, and with none; also the matmul calls of the first."""
+    through BLAS, and with none; also the np.matmul calls of the first
+    and the matmul steps of its plan."""
     calls = []
-    matmul = counting_mod._MatmulStep.__call__
+    matmul = np.matmul
 
-    def spy(pair, a, b):
-        calls.append(pair)
-        return matmul(pair, a, b)
+    def spy(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
 
-    with mock.patch.object(counting_mod, "_BLAS_MIN_CELLS", 1), mock.patch.object(
-        counting_mod._MatmulStep, "__call__", spy
-    ):
+    with _blas_from(1), mock.patch.object(np, "matmul", spy):
         blas = contract(sizes, factors, DEFAULT_BUDGET, batch=batch)
-    with mock.patch.object(counting_mod, "_BLAS_MIN_CELLS", 2 ** 62):
+        planned = _matmul_steps(sizes, factors)
+    with _blas_from(2 ** 62):
         plain = contract(sizes, factors, DEFAULT_BUDGET, batch=batch)
-    return blas, plain, calls
+    return blas, plain, calls, planned
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_matmul_steps_equal_einsum_and_brute_force(data):
     sizes, factors = _random_factor_graph(data)
-    blas, plain, calls = _contract_both_ways(sizes, factors)
+    blas, plain, calls, planned = _contract_both_ways(sizes, factors)
     nested = [(vars_, table.astype(int).tolist()) for vars_, table in factors]
     assert blas == plain == brute_factor_sum(sizes, nested)
-    _, _, steps = counting_mod._plan(tuple(sizes), counting_mod._narrow(sizes, [v for v, _ in factors]))
-    assert len(calls) == sum(pair is not None for *_, pair in steps)
+    assert len(calls) == len(planned)
 
 
 @settings(max_examples=100, deadline=None)
@@ -696,7 +718,7 @@ def test_matmul_steps_equal_einsum_and_brute_force(data):
 def test_batched_matmul_steps_equal_einsum_and_brute_force(data):
     batch = data.draw(st.integers(1, 3))
     sizes, factors = _random_factor_graph(data, batch)
-    blas, plain, _ = _contract_both_ways(sizes, factors, batch)
+    blas, plain, _, _ = _contract_both_ways(sizes, factors, batch)
     want = [
         brute_factor_sum(
             sizes,
@@ -715,12 +737,29 @@ def test_matmul_step_transposes_its_product_to_the_plan_labels(monkeypatch):
     scopes = ((0, 2), (0, 1), (1,), (1, 2))
     factors = [(v, rng.random([sizes[x] for x in v]) < 0.6) for v in scopes]
     _, _, steps = counting_mod._plan(tuple(sizes), scopes)
-    _, _, _, cells, pair = steps[0]
-    assert cells >= counting_mod._BLAS_MIN_CELLS and pair.compile()[2][0][0] == (1, 0)
+    _, _, _, cells, kernel = steps[0]
+    assert cells >= counting_mod._BLAS_MIN_CELLS and kernel.func is counting_mod._matmul
+    program = kernel.args[0]
+    assert program[2][0][0] == (1, 0)
     calls = _einsum_calls(monkeypatch)
     nested = [(v, t.astype(int).tolist()) for v, t in factors]
     assert contract(sizes, factors, DEFAULT_BUDGET) == brute_factor_sum(sizes, nested)
     assert (True, {np.dtype(np.float64)}) in calls
+
+
+def test_dot_product_steps_keep_the_plain_kernel(monkeypatch):
+    # two factors over (0, 1): eliminating 0 keeps label 1, which both
+    # operands hold, so the 182^2-cell step is 182 dot products, which
+    # matmul runs about twice as slowly as the unoptimised kernel
+    sizes = [182, 182]
+    rng = np.random.default_rng(3)
+    factors = [((0, 1), rng.random((182, 182)) < 0.5) for _ in range(2)]
+    _, _, steps = counting_mod._plan(tuple(sizes), ((0, 1), (0, 1)))
+    assert steps[0][3] >= counting_mod._BLAS_MIN_CELLS
+    calls = _einsum_calls(monkeypatch)
+    a, b = (t.astype(object) for _, t in factors)
+    assert contract(sizes, factors, DEFAULT_BUDGET) == int((a * b).sum())
+    assert calls and not any(through_blas for through_blas, _ in calls)
 
 
 # Batched contraction: K_{a,b} restrictions, list-hom counts, cover sums.
@@ -876,25 +915,61 @@ def test_log_cover_sums_past_the_float_range():
         cover_sums(g, list_weights(g, h, lists), [pair], e, budget=63)
 
 
-def test_log_elimination_matches_contract():
-    from spinz.counting import _log_elimination
-
+def test_log_elimination_matches_contract(monkeypatch):
     rng = np.random.default_rng(5)
     star = [((0, k), rng.random((2, 3))) for k in range(1, 41)]  # a 40-operand bucket
-    cases = [([2] + [3] * 40, star + [((), np.array(0.5))])]
+    cases = [([2] + [3] * 40, star + [((), np.array(0.5))], None)]
     for n in range(1, 6):
         sizes = [int(x) for x in rng.integers(1, 4, size=n)]
         scopes = [(v,) for v in range(n)] + [(u, v) for u in range(n) for v in range(u + 1, n)]
         scopes = [s for s in scopes if rng.random() < 0.7]
-        tables = [rng.random([sizes[x] for x in s]) * (rng.random([sizes[x] for x in s]) < 0.8)
-                  for s in scopes]
-        cases.append((sizes, list(zip(scopes, tables))))
-    for sizes, factors in cases:
+        for batch in (None, 2):
+            tables = []
+            for s in scopes:
+                shape = [sizes[x] for x in s]
+                if batch and rng.random() < 0.5:
+                    shape = [batch, *shape]
+                tables.append(rng.random(shape) * (rng.random(shape) < 0.8))
+            cases.append((sizes, list(zip(scopes, tables)), batch))
+    wants = []
+    for sizes, factors, batch in cases:
         with np.errstate(divide="ignore"):
             logs = [(s, np.log(t)) for s, t in factors]
-        want = contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG)
-        got = _log_elimination(sizes, logs, DEFAULT_BUDGET)
-        assert got == want or got == pytest.approx(want, rel=1e-12)
+        wants.append(contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG, batch=batch))
+    # a shift threshold above every shifted entry sends each call to the
+    # log domain, through contract's own plan and tables, at its first
+    # table unless that table is all zero (the sum is then zero)
+    fallbacks = []
+    real = counting_mod._log_elimination
+    monkeypatch.setattr(counting_mod, "_LOG_TINY", math.inf)
+    monkeypatch.setattr(counting_mod, "_log_elimination", lambda *a: fallbacks.append(a) or real(*a))
+    for (sizes, factors, batch), want in zip(cases, wants):
+        with np.errstate(divide="ignore"):
+            logs = [(s, np.log(t)) for s, t in factors]
+        got = contract(sizes, logs, DEFAULT_BUDGET, Backend.LOG, batch=batch)
+        for z, w in zip(got if batch else [got], want if batch else [want]):
+            assert z == w or z == pytest.approx(w, rel=1e-12)
+    assert len(fallbacks) == sum(factors[0][1].any() for _, factors, _ in cases) == len(cases) - 1
+
+
+def test_log_fallback_runs_contracts_own_plan(monkeypatch):
+    # test_plans_match_brute_force's wide span: the last table's zeros are
+    # live entries 800 nats down, so the call runs in the log domain
+    sizes = [3, 2, 4]
+    rng = np.random.default_rng(29)
+    scopes = [(0, 1), (1, 2), (0, 2), (2,)]
+    tables = [np.log(rng.integers(1, 4, size=[sizes[x] for x in s]).astype(float)) for s in scopes]
+    tables[-1][0] = -800.0
+    plans, fallbacks = [], []
+    plan, log_elimination = counting_mod._plan, counting_mod._log_elimination
+    monkeypatch.setattr(counting_mod, "_plan", lambda *a: plans.append(a) or plan(*a))
+    monkeypatch.setattr(
+        counting_mod, "_log_elimination", lambda *a: fallbacks.append(a) or log_elimination(*a)
+    )
+    got = contract(sizes, list(zip(scopes, tables)), DEFAULT_BUDGET, Backend.LOG)
+    nested = [(s, t.tolist()) for s, t in zip(scopes, tables)]
+    assert got == pytest.approx(brute_factor_sum(sizes, nested, log=True), rel=1e-12)
+    assert len(fallbacks) == 1 and len(plans) == 1
 
 
 def test_plans_match_brute_force(monkeypatch):
