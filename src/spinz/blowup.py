@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, BudgetError, SpinConfig, contract, contract_cost, weight_of
+from .counting import DEFAULT_BUDGET, BudgetError, SpinConfig, check_config, contract, contract_cost, weight_of
 from .graphs import Graph, GraphError, bipartition, certify_biregular
 from .util import derive_key128, derive_seed
 from .values import Backend, log_of_fraction
@@ -66,11 +66,7 @@ class BlowupHost:
     def configured_sizes(self, cfg: SpinConfig) -> list[int]:
         """The size of each base vertex's configured block; ValueError
         unless cfg gives every base vertex a spin."""
-        if len(cfg) != self.graph.n:
-            raise ValueError(f"configuration has {len(cfg)} entries for {self.graph.n} vertices")
-        for s in cfg:
-            if not (1 <= s <= self.weights.m):
-                raise ValueError(f"spin {s} out of range 1..{self.weights.m}")
+        check_config(cfg, self.graph.n, self.weights.m)
         return [self.block_size[v][s - 1] for v, s in enumerate(cfg)]
 
 

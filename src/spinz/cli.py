@@ -16,18 +16,17 @@ from . import bounds as bounds_mod
 from .blowup import concentration_experiment
 from .counting import (
     DEFAULT_BUDGET,
-    BudgetError,
     ListAssignment,
     count_list_homs,
     parse_cover_family,
     parse_lists,
     partition_function,
 )
-from .graphs import Graph, GraphError, parse_graph
+from .graphs import Graph, parse_graph
 from .harness import parse_campaign_config, run_campaign
 from .util import dump_json, parse_fields
 from .values import Backend
-from .weights import WeightError, WeightSystem, parse_weights
+from .weights import WeightSystem, parse_weights
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,34 +90,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command's parser reports a flag it lacks (main), and its handler runs it
     p = sub.add_parser("compute", help="partition function of a graph + weight system")
+    p.set_defaults(parser=p, handler=_cmd_compute)
     p.add_argument("graph")
     p.add_argument("weights")
     _add_backend(p)
     _add_common(p)
 
     p = sub.add_parser("bound", help="evaluate one named bound")
+    p.set_defaults(parser=p, handler=_cmd_bound)
     p.add_argument("name", choices=list(bounds_mod.BOUND_NAMES))
     p.add_argument("graph")
     p.add_argument("--weights", help="weight file (thm3, conj1)")
     p.add_argument("--target", help="target graph file (thm4, thm5, conj2)")
-    p.add_argument("--lists", help="list file; defaults to full lists")
+    p.add_argument("--lists", help="list file (thm4, thm5, conj2); defaults to full lists")
     p.add_argument("--families", help="cover family file (thm5; default the neighbourhood family)")
     _add_backend(p)
     _add_common(p)
 
     p = sub.add_parser("listhom", help="count list homomorphisms")
+    p.set_defaults(parser=p, handler=_cmd_listhom)
     p.add_argument("graph")
     p.add_argument("target")
     p.add_argument("--lists")
     _add_common(p)
 
     p = sub.add_parser("ising", help="free-energy sandwich check at zero field")
+    p.set_defaults(parser=p, handler=_cmd_ising)
     p.add_argument("graph")
     p.add_argument("--beta", type=float, required=True)
     _add_common(p)
 
     p = sub.add_parser("blowup", help="block blow-up concentration experiment")
+    p.set_defaults(parser=p, handler=_cmd_blowup)
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("--scale", type=int, required=True, help="block scale C")
@@ -129,11 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("search", help="run a campaign from a config file")
+    p.set_defaults(parser=p, handler=_cmd_search)
     p.add_argument("config")  # holds the campaign's budget and seed
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)  # main reports a flag p lacks with p's usage
     return parser
 
 
@@ -158,8 +161,16 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    g = _load_graph(args.graph)
     reads = bounds_mod.BOUND_INPUTS[args.name]
+    unread = {"--weights": args.weights and reads != "weights",
+              "--backend log": args.backend == "log" and reads != "weights",
+              "--target": args.target and reads != "target",
+              "--lists": args.lists and reads != "target",
+              "--families": args.families and args.name != "thm5"}
+    for flag, given in unread.items():
+        if given:
+            raise CliError(f"bound {args.name} does not read {flag}")
+    g = _load_graph(args.graph)
     inputs = {}
     if reads == "weights":
         if not args.weights:
@@ -218,24 +229,14 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "bound": _cmd_bound,
-    "listhom": _cmd_listhom,
-    "ising": _cmd_ising,
-    "blowup": _cmd_blowup,
-    "search": _cmd_search,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _HANDLERS[args.command](args)
-    except (CliError, GraphError, WeightError, BudgetError, ValueError, OSError) as exc:
+        return args.handler(args)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -39,10 +39,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Bipartition, Graph
+from .graphs import Bipartition, Graph, complete_bipartite
 from .util import ParseError, parse_fields, records
 from .values import NEG_INF, Backend, NonNegValue
-from .weights import KabInstance, WeightSystem, _kab_layout, make_hardcore, uniform_edge
+from .weights import KabInstance, WeightSystem, make_hardcore, uniform_edge
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -84,13 +84,18 @@ class BudgetError(ValueError):
         )
 
 
+def check_config(cfg: SpinConfig, n: int, m: int) -> None:
+    """ValueError unless cfg gives each of n vertices a spin in 1..m."""
+    if len(cfg) != n:
+        raise ValueError(f"configuration has {len(cfg)} entries for {n} vertices")
+    for s in cfg:
+        if not (1 <= s <= m):
+            raise ValueError(f"spin {s} out of range 1..{m}")
+
+
 def weight_of(g: Graph, w: WeightSystem, cfg: SpinConfig) -> NonNegValue:
     """Product of vertex weights and edge weights for one configuration."""
-    if len(cfg) != g.n:
-        raise ValueError(f"configuration has {len(cfg)} entries for {g.n} vertices")
-    for s in cfg:
-        if not (1 <= s <= w.m):
-            raise ValueError(f"spin {s} out of range 1..{w.m}")
+    check_config(cfg, g.n, w.m)
     acc = NonNegValue.one(w.backend)
     for v in g.vertices():
         acc = acc * w.vertex_weight(v, cfg[v])
@@ -465,7 +470,8 @@ def _log_elimination(steps, free: int, tensors, stacked, budget: int, batch: int
     return out[0] if batch is None else out
 
 
-# _int_tables and partition_kab run in no bound; perfbench's tracer wraps them by name.
+# Nothing calls _int_tables, and no bound calls partition_kab; both keep their names, which
+# perfbench's tracer wraps, until the restriction layer goes.
 def _int_tables(w: WeightSystem):
     """Cleared (entries, denominator, maximum) rows and tables of an EXACT
     system and the scale they carry: the product of their denominators."""
@@ -645,7 +651,7 @@ def edge_kab_sums(g: Graph, rows: np.ndarray, table: np.ndarray, budget: int, ba
     m = rows.shape[2]
     out = [[None] * g.num_edges for _ in range(len(rows))]
     for (a, b), ids in groups.items():
-        kab, _, _ = _kab_layout(a, b)
+        kab = complete_bipartite(b, a)  # w side on 0..b-1, z side on b..b+a-1
         sources = [(*g.neighbors(v), *g.neighbors(u)) for u, v in (g.edges[k] for k in ids)]
         picked = rows[:, sources].reshape(-1, a + b, m)
         edge = table if table.ndim == 2 else table.repeat(len(ids), axis=0)
@@ -683,20 +689,10 @@ def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFA
 
 
 def partition_kab(inst: KabInstance, budget: int = DEFAULT_BUDGET) -> NonNegValue:
-    """Partition function of one labeled K_{a,b} instance, equal to
-    ``partition_function``.  An EXACT instance whose edges share one
-    table runs ``uniform_kab_sums`` over its smaller side, whose cost
-    (the number of count vectors, polynomial in min(a, b)) the budget
-    bounds; any other is ``partition_function`` (largest tensor
-    m^min(a,b)) over the rows and tables it shares with its parent."""
-    w = inst.weights
-    if w.backend is Backend.LOG or w.uniform_edge_table() is None:
-        return partition_function(inst.graph, w, budget)
-    rows, tables, scale = _int_tables(w)
-    sides = (inst.z_ids, inst.w_ids) if inst.a <= inst.b else (inst.w_ids, inst.z_ids)
-    table = tables[inst.graph.edges[0]][0]
-    (z,) = uniform_kab_sums([(table, *[[rows[x][0] for x in side] for side in sides])], budget)
-    return NonNegValue.exact(Fraction(z, scale))
+    """Partition function of one labeled K_{a,b} instance: its
+    ``partition_function``, whose largest tensor has m^min(a,b) cells,
+    over the rows and tables it shares with its parent."""
+    return partition_function(inst.graph, inst.weights, budget)
 
 
 def independent_set_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

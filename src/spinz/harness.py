@@ -262,6 +262,11 @@ def _enumerate_biregular(n_max, connected_only, a_pin, b_pin, max_degree):
                     yield g
 
 
+def _check_pin(a: int | None, b: int | None) -> None:
+    if (a is None) != (b is None):
+        raise EnumerationError(f"a degree pin needs both a and b, got a={a}, b={b}")
+
+
 def enumerate_graphs(
     n_max: int,
     mode: str = "all",
@@ -274,9 +279,9 @@ def enumerate_graphs(
     isomorphism class in the mode at least once, in deterministic order.
 
     Modes: ``all`` (every graph), ``bipartite``, ``biregular`` (optionally
-    pinned to one (a,b) pair or capped by max_degree).  Deduplication is
-    exact here, but callers must tolerate duplicates by contract.
-    ``all``/``bipartite`` keep the edge sets that are the smallest of
+    pinned to one (a,b) pair, both given, or capped by max_degree).
+    Deduplication is exact here, but callers must tolerate duplicates by
+    contract.  ``all``/``bipartite`` keep the edge sets that are the smallest of
     their class over the n! vertex permutations: n = 7 takes about 0.5 s
     and 130 MB, and n = 8 would hold 2^28 masks against 8! permutations.
     ``biregular`` generates labelled graphs and keeps the first of each
@@ -288,6 +293,7 @@ def enumerate_graphs(
     """
     if n_max < 0:
         raise EnumerationError(f"n_max must be >= 0, got {n_max}")
+    _check_pin(a, b)
     ceiling = ENUMERATION_CEILINGS.get(mode)
     if ceiling is None:
         raise EnumerationError(f"unknown enumeration mode {mode!r}")
@@ -428,6 +434,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _check_pin(self.a, self.b)
         _check_cap(self.cap)
         for name in self.bounds:
             if name not in BOUND_NAMES:
@@ -615,12 +622,12 @@ def _evaluate_graph(cfg: CampaignConfig, g: Graph, gi: int):
             batch = trials if BOUND_INPUTS[name] else trials[:1]
             try:
                 outcomes = evaluate_trials(name, g, batch, cfg.budget)
-            except (GraphError, ValueError):
+            except ValueError:
                 outcomes = []
                 for trial in batch:
                     try:
                         outcomes.append(evaluate_bound(name, g, budget=cfg.budget, **trial))
-                    except (GraphError, ValueError) as exc:
+                    except ValueError as exc:
                         outcomes.append(str(exc))
             for si, (outcome, trial) in enumerate(zip(outcomes, batch), start=first):
                 yield name, si, outcome, trial

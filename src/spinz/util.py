@@ -38,25 +38,22 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def derive_seed(*parts) -> int:
-    """Derive a 64-bit child seed from integer/string parts, reproducibly.
+def _digest(parts) -> bytes:
+    """SHA-256 of the parts joined by colons, so the derivation is stable
+    across platforms and Python versions, and distinct part tuples give
+    independent child streams."""
+    return hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
 
-    SHA-256 based so the derivation is stable across platforms and Python
-    versions, and child streams for distinct part tuples are independent.
-    """
-    token = ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+
+def derive_seed(*parts) -> int:
+    """Derive a 64-bit child seed from integer/string parts, reproducibly."""
+    return int.from_bytes(_digest(parts)[:8], "big")
 
 
 def derive_key128(*parts) -> tuple[int, int]:
-    """Like derive_seed but returns two 64-bit words (counter-RNG key)."""
-    token = ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return (
-        int.from_bytes(digest[:8], "big"),
-        int.from_bytes(digest[8:16], "big"),
-    )
+    """derive_seed's word and the next 64 bits: a counter-RNG key."""
+    digest = _digest(parts)
+    return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")
 
 
 def dump_json(doc) -> str:

@@ -390,6 +390,8 @@ class KabInstance:
     z_ids: tuple[int, ...]
 
 
+# No bound runs the restriction layer, from here to restrict_to_edge; perfbench's
+# tracer wraps its functions by name.
 @lru_cache(maxsize=1024)
 def _kab_layout(a: int, b: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """K_{a,b} with w side on ids 0..b-1 and z side on ids b..b+a-1.
@@ -400,7 +402,6 @@ def _kab_layout(a: int, b: int) -> tuple[Graph, tuple[int, ...], tuple[int, ...]
     return graph, tuple(range(b)), tuple(range(b, b + a))
 
 
-# No bound runs the restriction layer; perfbench's tracer wraps its functions by name.
 def _induced(w: WeightSystem, a: int, b: int, rows: Sequence[int], sources):
     """K_{a,b} instance whose vertex k has w's row rows[k] and whose edges
     at w-side vertex k have w's table sources[k], shared by reference."""

@@ -23,8 +23,9 @@ from spinz.blowup import (
     sample_subgraph,
     scale_edge_weights,
 )
-from spinz.counting import count_list_homs, ListAssignment
+from spinz.counting import count_list_homs, ListAssignment, weight_of
 from spinz.graphs import Graph, cycle_graph, path_graph
+from spinz.util import derive_key128, derive_seed
 from spinz.weights import WeightError, WeightSystem, make_hardcore
 
 
@@ -66,6 +67,24 @@ def test_build_host_trivial_blowup():
     host = build_blowup_host(g, w, 1)
     assert sum(map(sum, host.block_size)) == 8  # two singleton blocks per vertex
     assert host.block_size == ((1, 1),) * 4
+
+
+@pytest.mark.parametrize("cfg", [(1, 2, 1), (1, 2, 1, 2, 1), (1, 3, 1, 2), (0, 1, 1, 1), (1, 1, -1, 1)])
+def test_host_and_weight_of_reject_a_configuration_alike(cfg):
+    g = cycle_graph(4)
+    w = WeightSystem.build(g, 2)
+    host = build_blowup_host(g, w, 1)
+    with pytest.raises(ValueError) as by_weight:
+        weight_of(g, w, cfg)
+    with pytest.raises(ValueError) as by_host:
+        host.configured_sizes(cfg)
+    assert type(by_host.value) is type(by_weight.value)
+    assert str(by_host.value) == str(by_weight.value)
+
+
+@given(st.lists(st.one_of(st.integers(), st.text(max_size=8)), max_size=5))
+def test_key128_leads_with_the_derived_seed(parts):
+    assert derive_key128(*parts)[0] == derive_seed(*parts)
 
 
 def test_build_host_rejects_fractional_blocks():
@@ -346,8 +365,6 @@ def test_every_block_pair_has_its_own_stream():
 
 
 def test_experiment_samples_equal_counts_on_full_samples():
-    from spinz.util import derive_seed
-
     g = cycle_graph(4)
     vertex = {(0, 2): 2, (3, 1): 3}
     edge = {(0, 1, 1, 2): Fraction(1, 3), (2, 3, 1, 1): Fraction(3, 4)}

@@ -250,6 +250,32 @@ def test_bound_names_the_missing_input(capsys, files):
         assert capsys.readouterr().err == f"error: bound {name} needs {flag}\n"
 
 
+_READS = {
+    "thm3": {"--weights", "--backend log"},
+    "conj1": {"--weights", "--backend log"},
+    "thm4": {"--target", "--lists"},
+    "conj2": {"--target", "--lists"},
+    "thm5": {"--target", "--lists", "--families"},
+    "ind": set(),
+    "indconj": set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READS))
+def test_bound_rejects_every_flag_it_does_not_read(capsys, files, name):
+    lists, fam = files["tmp"] / "c4.lists", files["tmp"] / "c4.families"
+    lists.write_text("l 0 0 1\n")
+    fam.write_text("t 1 1\nA 0\nB 1 3\nA 2\nB 1 3\n")
+    flags = {"--weights": ["--weights", files["uniform"]], "--target": ["--target", files["k3"]],
+             "--lists": ["--lists", lists], "--families": ["--families", fam],
+             "--backend log": ["--backend", "log"]}
+    needed = [x for flag in sorted(_READS[name] & {"--weights", "--target"}) for x in flags[flag]]
+    assert run_cli(capsys, "bound", name, files["c4"], *needed)[0] == 0
+    for flag in sorted(set(flags) - _READS[name]):
+        assert main([str(x) for x in ("bound", name, files["c4"], *needed, *flags[flag])]) == 2
+        assert capsys.readouterr() == ("", f"error: bound {name} does not read {flag}\n")
+
+
 def test_search_rejects_a_malformed_config(capsys, files):
     cfg = files["tmp"] / "bad.cfg"
     for text in ("connected = ture\n", "n_max = x\n", "seed = 1\nseed = 2\n"):

@@ -189,8 +189,8 @@ def test_partition_kab_matches_brute_on_random_systems():
                 assert partition_kab(inst).fraction == partition_brute(inst.graph, inst.weights).fraction
 
 
-def test_partition_kab_uniform_table_fast_path_agrees():
-    # shared edge table triggers the grouped evaluation; compare to brute
+def test_partition_kab_shared_table_agrees_with_brute():
+    # a restriction whose edges all share one table, against brute force
     for trial in range(10):
         g = complete_bipartite(3, 3)
         w = sample_weights(g, 3, seed=trial, cap=7, style="uniform_edge")

@@ -82,6 +82,14 @@ CASES = {
     "bound-ind-q3": ("bound ind q3.graph", False),
     "bound-indconj-p4": ("bound indconj p4.graph", False),
     "bound-missing-weights": ("bound conj1 p4.graph", False),
+    # a flag the bound does not read is an input error, named before any file is read
+    "bound-thm3-target": ("bound thm3 k33.graph --weights hc33.weights --target k3.graph", False),
+    "bound-conj1-families": ("bound conj1 p4.graph --weights p4.weights --families c4.families", False),
+    "bound-thm4-weights": ("bound thm4 c4.graph --target k3.graph --weights nothere.w", False),
+    "bound-conj2-log": ("bound conj2 k33.graph --target k3.graph --backend log", False),
+    "bound-thm4-families": ("bound thm4 c4.graph --target k3.graph --families c4.families", False),
+    "bound-ind-lists": ("bound ind q3.graph --lists c4k3.lists", False),
+    "bound-indconj-log": ("bound indconj p4.graph --backend log", False),
     "listhom-c4-k3": ("listhom c4.graph k3.graph", False),
     "listhom-c4-k3-lists": ("listhom c4.graph k3.graph --lists c4k3.lists", False),
     "ising-c30": ("ising c30.graph --beta 400", True),
@@ -138,16 +146,23 @@ def inputs(tmp_path, monkeypatch):
 
 GOLDEN = {
     "blowup-c4": (0, 'b584d7c0f614d73f49d63d4304667446d6b29de9062033ba71a2661857989c45', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-conj1-families": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '87842f66965f1275f6aa00a69f1d44c7fef22808f828f99b4b077447a6389fa1'),
     "bound-conj1-headline": (3, '058a9ef79603804e2896b1d2ab73ef3e99c2d5221274df872e8f6c57d474746b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-conj1-headline-log": (4, '244ffb0cdf3542e1d9fcf3a322547521e69782315b47301e44e19d5586e8143a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-conj1-k33-log": (0, 'b5332a79b4283da0d07493f1aed43ed53e974a28e06968c49c11ae0d5c7fcbc7', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-conj2-k33": (0, '21c049e922617524458f031cd30c1537ea8f23bc6ae6d9613cd4cae739b3cf36', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-conj2-log": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd8c6d66a3ba25f51d313d94fdea778c092b08b1ab0453c573339ba933b2d5175'),
+    "bound-ind-lists": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '32673c0ab5ea433c75d32d96b6eee01f0809eb23cfae3f1944414c9802015e64'),
     "bound-ind-q3": (0, 'ae51e3416472ade252868ae2a6cb36bca278e39cc58e689f68238d131de0cc45', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-indconj-log": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'f5bbfd9fcfedc90aac0976ce83d14c4f520be36081bed2240fb3a5472c1d1247'),
     "bound-indconj-p4": (0, 'afec1d1fc6e6bb054dcf62bdce4dae4cd201bd4be0d3926aac42dd6f65a5fd3b', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-missing-weights": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'fcb0860ff48319844adaaec890c81b0b4939a850e62683605b3057ef6a788874'),
     "bound-thm3-k33": (0, '0ebbaa2f4a6cd10a7f8f82b629b7ceac16cc362646dce7733895babe9547dc37', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-thm3-k33-log": (0, '63f54f3f8e3d12439e7ac2ae51e93228229e864d7bd30426d9bb4990a9a8e893', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-thm3-target": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bae4816e537d9fd225f3c5902a89f7090aababe90de91ee1ae8db4e599f53c00'),
+    "bound-thm4-families": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'd6cd957c45e716ff4dd0a250ad658972f6184b5a961c6f56ce22010d57267287'),
     "bound-thm4-k33": (0, 'd6b48060a43ec9b630eff9a3d7b2a0ddb614fcea152d256c16518974319ab7ca', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-thm4-weights": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6699b007949db19a6836a3d60f37033b6fddcdd175003a01364572b0401825d6'),
     "bound-thm5-families": (0, '2af81cf22e202213e687b7cc1be8e05cfddd8e60ae21c2fbaf42a09034a45ad5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-thm5-k33": (0, '929bc53b521eb10792d984e0dca57780ac10c2bcb9c4ef0fe89bc3371458856d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "compute-budget": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '16d942b75d338eb6ba60f386b346647ba503e459730f9d83a1f4078fd52224d2'),

@@ -103,6 +103,26 @@ def test_enumerate_biregular_with_degree_cap():
     assert any(are_isomorphic(g, cycle_graph(10)) for g in got)
 
 
+def test_a_degree_pin_needs_both_degrees():
+    for pin in ({"a": 2}, {"b": 2}):
+        with pytest.raises(EnumerationError, match="a degree pin needs both a and b"):
+            next(enumerate_graphs(8, "biregular", **pin))
+
+
+def test_search_with_one_degree_pin_exits_before_enumerating(tmp_path, monkeypatch, capsys):
+    from spinz import harness
+    from spinz.cli import main
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a campaign whose config is invalid")
+
+    monkeypatch.setattr(harness, "enumerate_graphs", no_enumeration)
+    cfg = tmp_path / "pin.cfg"
+    cfg.write_text("source = biregular\nn_max = 8\na = 2\n")
+    assert main(["search", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: a degree pin needs both a and b, got a=2, b=None\n"
+
+
 def test_enumerate_bipartite_mode_filters():
     got = list(enumerate_graphs(4, "bipartite", connected_only=True))
     assert all(is_bipartite(g) for g in got)
@@ -331,6 +351,9 @@ def test_campaign_config_parsing():
         ("connected = YES\nallow_zero = 1\n", {"connected": True, "allow_zero": True}),
         ("connected = False\nallow_zero = No\n", {"connected": False, "allow_zero": False}),
         ("connected = 0\nallow_zero = TRUE\n", {"connected": False, "allow_zero": True}),
+        ("a = 2\n", "a degree pin needs both a and b, got a=2, b=None"),
+        ("b = 3\n", "a degree pin needs both a and b, got a=None, b=3"),
+        ("a = 2\nb = 2\n", {"a": 2, "b": 2}),
     ],
 )
 def test_campaign_config_values_are_strict(text, expect):
