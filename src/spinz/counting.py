@@ -35,6 +35,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -492,20 +493,22 @@ class WeightArrays:
     and ``row_top``/``edge_top`` each row's and table's denominator and
     maximum (or an upper bound); ``top_r``/``top_t`` are the largest
     maxima (at least 1) and ``scaled`` says whether any denominator is
-    not 1.  LOG arrays hold natural logs.  ``shared`` says whether every
-    edge (of at least two) carries one stored table.
+    not 1.  LOG arrays hold natural logs.  ``shared_rows`` and
+    ``shared_tables`` say whether every vertex (of at least two) carries
+    one stored row and every edge (of at least two) one stored table
+    (``_one_object``).
     """
 
     __slots__ = ("backend", "m", "row_den", "edge_den", "row_top", "edge_top", "top_r", "top_t",
-                 "scaled", "shared", "_stored", "_arrays")
+                 "scaled", "shared_rows", "shared_tables", "_stored", "_arrays")
 
     def __init__(self, backend, m, stored, den=None, top=None, arrays=None):
         self.backend = backend
         self.m = m
         self._stored = stored  # (row entries, table entries) to convert, or None
         self._arrays = arrays or {}
-        tables = stored[1] if stored else ()
-        self.shared = len(tables) > 1 and all([t is tables[0] for t in tables])
+        rows, tables = stored or ((), ())
+        self.shared_rows, self.shared_tables = _one_object(rows), _one_object(tables)
         self.row_den, self.edge_den = den or ((), ())
         self.row_top, self.edge_top = top or ((), ())
         self.top_r = max(self.row_top, default=1) or 1
@@ -513,19 +516,29 @@ class WeightArrays:
         self.scaled = any([d != 1 for d in self.row_den]) or any([d != 1 for d in self.edge_den])
 
     def arrays(self, dtype) -> tuple:
-        """(vertex rows, edge tables) in dtype; a table every edge shares
-        converts once."""
+        """(vertex rows, edge tables) in dtype; a row every vertex shares
+        and a table every edge shares convert once."""
         got = self._arrays.get(dtype)
         if got is None:
-            rows, tables = self._stored
-            m = self.m
-            vertex = np.array([x for r in rows for x in r], dtype).reshape(len(rows), m)
-            edge = np.array([x for t in tables[: 1 if self.shared else None] for r in t for x in r], dtype)
-            edge = edge.reshape(-1, m, m)
-            if self.shared:
-                edge = edge.repeat(len(tables), axis=0)
-            got = self._arrays[dtype] = vertex, edge
+
+            def convert(items, one, shape):  # items as a (len(items), *shape) array
+                kept = items[: 1 if one else None]
+                for _ in shape:
+                    kept = chain.from_iterable(kept)
+                out = np.array(list(kept), dtype).reshape(-1, *shape)
+                return out.repeat(len(items), axis=0) if one else out
+
+            (rows, tables), m = self._stored, self.m
+            got = self._arrays[dtype] = (convert(rows, self.shared_rows, (m,)),
+                                         convert(tables, self.shared_tables, (m, m)))
         return got
+
+
+def _one_object(items) -> bool:
+    """Whether items (of at least two) are all one object: the rows or
+    tables a weight system shares, which the kernels convert once.  The
+    second item settles most unshared systems without a scan."""
+    return len(items) > 1 and items[1] is items[0] and all([x is items[0] for x in items])
 
 
 def weight_arrays(g: Graph, w: WeightSystem) -> WeightArrays:
@@ -560,8 +573,10 @@ def _partitions(g: Graph, arrays: Sequence[WeightArrays], budget: int) -> list:
     else:  # stacked by system, then indexed by factor: each factor's tables lead with the batch
         vertex, edge = (np.stack(t, axis=1) for t in zip(*tables))
         batch = len(arrays)
-    # one table object for a table every edge shares, so contract converts and shifts it once
-    edge = [edge[0]] * len(edge) if all([a.shared for a in arrays]) else list(edge)
+    # one object for a row every vertex or a table every edge shares, so contract
+    # converts and shifts it once
+    vertex = [vertex[0]] * g.n if all([a.shared_rows for a in arrays]) else list(vertex)
+    edge = [edge[0]] * len(edge) if all([a.shared_tables for a in arrays]) else list(edge)
     factors = [((v,), vertex[v]) for v in range(g.n)] + list(zip(g.edges, edge))
     zs = contract(sizes, factors, budget, first.backend, maxima, batch)
     zs = zs if batch else [zs]
@@ -882,9 +897,8 @@ def cover_sums(
                     counts = np.logaddexp.reduce(terms, axis=-1) * power
                 factors.append((scope, counts))
             if to_log and exact:
-                with np.errstate(divide="ignore"):  # log 0 = -inf, a zero weight's log
-                    factors = [(x, np.log(t) * power if k >= size else np.log(t))
-                               for k, (x, t) in enumerate(factors)]
+                factors = [(x, _int_logs(t) * power if k >= size else _int_logs(t))
+                           for k, (x, t) in enumerate(factors)]
             backend_out = Backend.LOG if to_log else Backend.EXACT
             sums = contract([m] * size, factors, budget, backend_out, maxima, len(a_rows))
             for (k, a_set, b_edges), z in zip(members[part], sums):
@@ -896,6 +910,17 @@ def cover_sums(
                          else Fraction(z, a_scale * c_scale ** power))
                 out[k] = NonNegValue.from_log(z) if to_log else NonNegValue.exact(z)
     return out
+
+
+def _int_logs(table: np.ndarray) -> np.ndarray:
+    """Natural logs of an array of non-negative integers, -inf for 0 (a
+    zero weight's log).  Python ints (object dtype) go through
+    ``math.log``, which takes an int of any size."""
+    if table.dtype == object:
+        logs = [math.log(x) if x else NEG_INF for x in table.ravel().tolist()]
+        return np.array(logs, np.float64).reshape(table.shape)
+    with np.errstate(divide="ignore"):
+        return np.log(table)
 
 
 @lru_cache(maxsize=256)

@@ -267,6 +267,16 @@ def _check_pin(a: int | None, b: int | None) -> None:
         raise EnumerationError(f"a degree pin needs both a and b, got a={a}, b={b}")
 
 
+def _check_biregular_only(source: str, **pins) -> None:
+    """EnumerationError naming the given degree pins (a, b, max_degree),
+    which only biregular enumeration reads."""
+    given = [key for key, value in pins.items() if value is not None]
+    if given:
+        raise EnumerationError(
+            f"{source} takes no degree pins ({', '.join(given)} given): they apply to biregular only"
+        )
+
+
 def enumerate_graphs(
     n_max: int,
     mode: str = "all",
@@ -279,7 +289,8 @@ def enumerate_graphs(
     isomorphism class in the mode at least once, in deterministic order.
 
     Modes: ``all`` (every graph), ``bipartite``, ``biregular`` (optionally
-    pinned to one (a,b) pair, both given, or capped by max_degree).
+    pinned to one (a,b) pair, both given, or capped by max_degree; the
+    other modes raise EnumerationError when given a, b or max_degree).
     Deduplication is exact here, but callers must tolerate duplicates by
     contract.  ``all``/``bipartite`` keep the edge sets that are the smallest of
     their class over the n! vertex permutations: n = 7 takes about 0.5 s
@@ -297,6 +308,8 @@ def enumerate_graphs(
     ceiling = ENUMERATION_CEILINGS.get(mode)
     if ceiling is None:
         raise EnumerationError(f"unknown enumeration mode {mode!r}")
+    if mode != "biregular":
+        _check_biregular_only(f"mode {mode}", a=a, b=b, max_degree=max_degree)
     if n_max > ceiling:
         raise EnumerationError(f"n_max {n_max} exceeds the {mode} ceiling {ceiling}")
     if mode in ("all", "bipartite"):
@@ -407,7 +420,8 @@ class CampaignConfig:
     Read from a key-value file (``key = value`` per line, each key once,
     # comments on their own lines): source (biregular|general|bipartite|
     files), files (semicolon-separated paths; a relative path resolves from
-    the working directory), n_max, a, b, max_degree,
+    the working directory), n_max, a, b, max_degree (source biregular
+    only: any other source rejects them),
     connected and allow_zero (true/false, yes/no or 1/0, any case), m, cap,
     weights (general|uniform_edge|hardcore), bounds (comma-separated
     names), trials (samples per graph), seed, h_max, budget, out.
@@ -443,6 +457,8 @@ class CampaignConfig:
             raise ValueError(f"unknown weight style {self.weights!r}")
         if self.source not in ("biregular", "general", "bipartite", "files"):
             raise ValueError(f"unknown graph source {self.source!r}")
+        if self.source != "biregular":
+            _check_biregular_only(f"source {self.source}", a=self.a, b=self.b, max_degree=self.max_degree)
 
     def to_json_dict(self) -> dict:
         return asdict(self)  # tuples render as JSON lists

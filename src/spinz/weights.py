@@ -60,6 +60,9 @@ class WeightSystem:
     ``logs``), and restrictions share them by reference, so no weight is
     worked out again after ``build``; kernels read that form as arrays
     built per call (``counting.WeightArrays``), never kept here.
+    ``from_pairs`` stores a run of equal consecutive rows or tables (all
+    of a uniform system's) as one object, as ``make_ising`` does, and
+    kernels convert such a shared row or table once.
     """
 
     __slots__ = ("m", "n", "backend", "_rows", "_tables", "_text")
@@ -116,15 +119,8 @@ class WeightSystem:
         """
         if m < 1:
             raise WeightError(f"spin count must be >= 1, got {m}")
-        # A run of equal tables (every edge of a uniform system) is cleared
-        # once and shares its triple; comparing with the previous table
-        # keeps all-distinct systems at one cheap comparison per edge.
-        cleared, prev = {}, None
-        for e, t in tables.items():
-            if t != prev:
-                prev, triple = t, _clear(t, m)
-            cleared[e] = triple
-        return cls(m, n, Backend.EXACT, tuple(_clear(row) for row in rows), cleared)
+        cleared = dict(zip(tables, _clear_runs(tables.values(), m)))
+        return cls(m, n, Backend.EXACT, tuple(_clear_runs(rows)), cleared)
 
     def _value(self, stored, *index) -> NonNegValue:
         entry, den, _ = stored if self.backend is Backend.EXACT else (stored, None, None)
@@ -261,6 +257,19 @@ def _clear(pairs, m: int | None = None):
     return _cleared([p * (den // q) for p, q in pairs], den, m)
 
 
+def _clear_runs(flats, m: int | None = None) -> list:
+    """``_clear`` of each flat list of (p, q) pairs, in order.  A run of
+    equal lists (every vertex or edge of a uniform system) is cleared
+    once and shares its triple; comparing with the previous list keeps
+    all-distinct systems at one cheap comparison per list."""
+    out, prev = [], None
+    for flat in flats:
+        if flat != prev:
+            prev, triple = flat, _clear(flat, m)
+        out.append(triple)
+    return out
+
+
 def _pair(value: RationalLike) -> tuple[int, int]:
     """A non-negative rational input as its reduced (p, q)."""
     value = nonneg_rational(value)
@@ -343,7 +352,7 @@ def make_hardcore(g: Graph, lam: Mapping[int, RationalLike] | RationalLike) -> W
     ``lam[v]``; spin 2 is neutral.  Adjacent spin-1 pairs carry weight 0.
     """
     if not isinstance(lam, Mapping):
-        lam = {v: lam for v in g.vertices()}
+        return hardcore_from_pairs(g, [_pair(lam)] * g.n)
     missing = [v for v in g.vertices() if v not in lam]
     if missing:
         raise WeightError(f"activity missing for vertices {missing}")
@@ -370,7 +379,7 @@ def make_ising(g: Graph, beta: float, h: float) -> WeightSystem:
         raise WeightError("beta and h must be finite")
     same, diff = float(-beta), float(beta)
     table = ((same, diff), (diff, same))
-    rows = tuple((float(h), float(-h)) for _ in range(g.n))
+    rows = ((float(h), float(-h)),) * g.n  # one row object, so kernels convert it once
     return WeightSystem(2, g.n, Backend.LOG, rows, {e: table for e in g.edges})
 
 

@@ -315,6 +315,34 @@ def cover_sum_by_enumeration(g, h, lists, A, B, exponent):
     return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
+def _log_fraction(x):
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def weighted_cover_sum_log(g, w, A, B, exponent):
+    """log of the sum over the spin maps x on A of prod_{u in A} r_u(x_u) *
+    prod_{v in B} c_v(x) ** exponent, where c_v(x) = sum_s r_v(s) prod_{u in
+    N(v) & A} T_uv(x_u, s), by enumeration over the Fractions of the EXACT
+    system w; -inf when the sum is zero."""
+    a_sorted, spins = sorted(A), range(1, w.m + 1)
+    logs = []
+    for combo in itertools.product(spins, repeat=len(a_sorted)):
+        x = dict(zip(a_sorted, combo))
+        head = math.prod(w.vertex_weight(u, s).fraction for u, s in x.items())
+        cs = [
+            sum(w.vertex_weight(v, s).fraction
+                * math.prod(w.edge_weight(u, v, x[u], s).fraction for u in g.neighbors(v) if u in x)
+                for s in spins)
+            for v in sorted(B)
+        ]
+        if head and all(cs):
+            logs.append(_log_fraction(head) + float(exponent) * sum(map(_log_fraction, cs)))
+    if not logs:
+        return float("-inf")
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
 def value_zero(backend):
     """The zero NonNegValue of a backend."""
     from spinz.values import Backend, NonNegValue

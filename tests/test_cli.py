@@ -284,6 +284,31 @@ def test_search_rejects_a_malformed_config(capsys, files):
         assert capsys.readouterr().err.startswith("error: line ")
 
 
+@pytest.mark.parametrize(
+    "source, pins, err",
+    [
+        ("general", "a = 2\nb = 2\n", "source general takes no degree pins (a, b given)"),
+        ("bipartite", "max_degree = 3\n", "source bipartite takes no degree pins (max_degree given)"),
+        ("files", "max_degree = 3\n", "source files takes no degree pins (max_degree given)"),
+    ],
+)
+def test_search_with_degree_pins_outside_biregular_exits_before_enumerating(
+    capsys, monkeypatch, files, source, pins, err
+):
+    from spinz import harness
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a campaign whose config is invalid")
+
+    monkeypatch.setattr(harness, "enumerate_graphs", no_enumeration)
+    monkeypatch.setattr(harness, "parse_graph", no_enumeration)
+    cfg = files["tmp"] / "pins.cfg"
+    extra = f"files = {files['c4']}\n" if source == "files" else ""
+    cfg.write_text(f"source = {source}\n{extra}n_max = 4\nbounds = conj1\n{pins}")
+    assert main(["search", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {err}: they apply to biregular only\n"
+
+
 def test_search_rejects_cap_below_one(capsys, files):
     cfg = files["tmp"] / "cap.cfg"
     cfg.write_text("source = general\nn_max = 3\nbounds = conj1\ncap = 0\n")

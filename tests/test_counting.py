@@ -26,6 +26,7 @@ from oracles import (
     kab_on_edge,
     lists_for_vertex,
     partition_brute,
+    weighted_cover_sum_log,
     weighted_independent_set_sum,
     with_list,
     with_vertex_row,
@@ -1134,6 +1135,38 @@ def test_vertex_kernel_is_exact_on_every_dtype_path(monkeypatch, low, high, path
     assert [z.fraction for z in got] == want
     logs = cover_sums(g, weight_arrays(g, w.to_log()), _around(cert), Fraction(cert.a))
     assert [z.log() for z in logs] == pytest.approx([z.log() for z in got], rel=1e-12)
+
+
+@pytest.mark.parametrize("low, high", [(1, 9), (10 ** 12, 2 * 10 ** 12)])
+def test_log_cover_sums_of_python_int_tables(monkeypatch, low, high):
+    # A fractional exponent takes EXACT tables to logs.  Past int64 the row
+    # factors and c_v tables hold Python ints (object dtype), whose logs
+    # np.log cannot take: at 10^12 every table is such, and at 1..9 the
+    # object path is forced and must agree with the float64 one.
+    g = complete_bipartite(3, 3)
+    rng = random.Random(low)
+    w = WeightSystem.build(
+        g, 2, {(v, i): rng.randint(low, high) for v in g.vertices() for i in (1, 2)},
+        {(u, v, i, j): rng.randint(low, high) for u, v in g.edges for i in (1, 2) for j in (i, 2)},
+    )
+    bp = bipartition(g)
+    pairs = [(frozenset(g.neighbors(v)), frozenset({v})) for v in sorted(bp.odd)]
+    pairs += [(frozenset(bp.even), frozenset(bp.odd)), (frozenset(sorted(bp.even)[:2]), frozenset(bp.odd))]
+    e = Fraction(3, 2)
+    want = [weighted_cover_sum_log(g, w, a_set, b_set, e) for a_set, b_set in pairs]
+    got = [z.log() for z in cover_sums(g, weight_arrays(g, w), pairs, e)]
+    assert got == pytest.approx(want, rel=1e-12)
+    dtypes = []
+    exact_dtype = counting_mod._exact_dtype
+
+    def python_ints(bound):
+        dtypes.append(exact_dtype(bound))
+        return object
+
+    monkeypatch.setattr(counting_mod, "_exact_dtype", python_ints)
+    forced = [z.log() for z in cover_sums(g, weight_arrays(g, w), pairs, e)]
+    assert dtypes == [np.float64 if high < 10 else object]
+    assert forced == pytest.approx(got, rel=1e-14)
 
 
 def test_vertex_kernel_budget_is_the_c_v_table():

@@ -123,6 +123,17 @@ def test_search_with_one_degree_pin_exits_before_enumerating(tmp_path, monkeypat
     assert capsys.readouterr().err == "error: a degree pin needs both a and b, got a=2, b=None\n"
 
 
+@pytest.mark.parametrize("mode", ["all", "bipartite"])
+@pytest.mark.parametrize(
+    "pins, named", [({"a": 2, "b": 2}, "a, b"), ({"max_degree": 1}, "max_degree"),
+                    ({"a": 3, "b": 1, "max_degree": 3}, "a, b, max_degree")],
+)
+def test_degree_pins_outside_biregular_enumeration_are_rejected(mode, pins, named):
+    with pytest.raises(EnumerationError, match=re.escape(
+            f"mode {mode} takes no degree pins ({named} given): they apply to biregular only")):
+        next(enumerate_graphs(4, mode, **pins))
+
+
 def test_enumerate_bipartite_mode_filters():
     got = list(enumerate_graphs(4, "bipartite", connected_only=True))
     assert all(is_bipartite(g) for g in got)
@@ -354,6 +365,13 @@ def test_campaign_config_parsing():
         ("a = 2\n", "a degree pin needs both a and b, got a=2, b=None"),
         ("b = 3\n", "a degree pin needs both a and b, got a=None, b=3"),
         ("a = 2\nb = 2\n", {"a": 2, "b": 2}),
+        ("source = general\na = 2\nb = 2\n",
+         "source general takes no degree pins (a, b given): they apply to biregular only"),
+        ("source = bipartite\nmax_degree = 2\n",
+         "source bipartite takes no degree pins (max_degree given): they apply to biregular only"),
+        ("source = files\nfiles = x.graph\nmax_degree = 2\n",
+         "source files takes no degree pins (max_degree given): they apply to biregular only"),
+        ("source = biregular\nmax_degree = 2\n", {"max_degree": 2}),
     ],
 )
 def test_campaign_config_values_are_strict(text, expect):

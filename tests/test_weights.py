@@ -395,14 +395,17 @@ def test_build_clears_each_run_of_equal_tables_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(weights_mod, "_clear", counting_clear)
-    w = WeightSystem.build(g, 2, edge=edge)
-    assert len(calls) == g.n + 3  # every row, then one per run of equal tables
-    _, tables = w.cleared()
+    w = WeightSystem.build(g, 2, {(2, 1): Fraction(1, 2)}, edge)
+    assert len(calls) == 3 + 3  # one per run of equal tables, then one per run of equal rows
+    rows, tables = w.cleared()
     first, second, third, fourth = (tables[e] for e in g.edges)
     assert second is first and fourth is not first and fourth == first
+    assert rows[1] is rows[0] and rows[2] != rows[0] and rows[4] is rows[3] is not rows[0]
+    assert rows[3] == rows[0]
     for (u, v), x in zip(g.edges, values):
         assert w.edge_weight(v, u, 2, 1).fraction == x
         assert w.edge_weight(u, v, 1, 1).fraction == 1
+    assert [w.vertex_weight(v, 1).fraction for v in g.vertices()] == [1, 1, Fraction(1, 2), 1, 1]
 
 
 def _uniform_by_value(w):
