@@ -301,9 +301,10 @@ def cover_family_value(
 
 @lru_cache(maxsize=256)
 def _check_family(g: Graph, fam: CoverFamilyPair) -> None:
-    """``fam.validate`` against the bipartition of g, once per (graph,
-    family); both hash by content, and errors are not cached."""
-    fam.validate(bipartition(g))
+    """``fam.validate`` on g once per (graph, family), after g's odd closed walk if any;
+    both hash by content, and errors are not cached."""
+    bipartition(g)
+    fam.validate(g)
 
 
 def neighbourhood_family(g: Graph) -> CoverFamilyPair:
@@ -397,6 +398,8 @@ def list_edge_restriction_bound(
 
 
 def _regular_degree(g: Graph) -> int:
+    """The degree of a regular bipartite graph; raises for any other."""
+    bipartition(g)
     degrees = {g.degree(v) for v in g.vertices()}
     if len(degrees) != 1:
         raise GraphError(f"graph is not regular: degrees {sorted(degrees)}")
@@ -411,7 +414,6 @@ def kab_independent_sets(p: int, q: int) -> int:
 def independent_set_regular_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """For a d-regular bipartite graph on N vertices, the number of
     independent sets is at most (2^(d+1) - 1)^(N/2d)."""
-    bipartition(g)  # raises when not bipartite
     d = _regular_degree(g)
     if d < 1:
         raise GraphError("regular bipartite bound needs degree >= 1")
@@ -513,7 +515,6 @@ def ising_free_energy_check(g: Graph, beta: float, budget: int = DEFAULT_BUDGET)
     d-regular bipartite graph."""
     if beta <= 0:
         raise ValueError("the sandwich applies to the antiferromagnetic case beta > 0")
-    bipartition(g)
     d = _regular_degree(g)
     w = make_ising(g, beta, 0.0)
     log_z = partition_function(g, w, budget).log()

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Bipartition, Graph, complete_bipartite
+from .graphs import Graph, complete_bipartite
 from .util import ParseError, parse_fields, records
 from .values import NEG_INF, Backend, NonNegValue
 from .weights import KabInstance, WeightSystem, make_hardcore, uniform_edge
@@ -949,8 +950,9 @@ def _cover_layout(g: Graph, pairs: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class CoverFamilyPair:
-    """Indexed pairs (A_i, B_i) of subsets of the two bipartition classes
-    with cover multiplicities t1 (over A's) and t2 (over B's)."""
+    """Indexed pairs (A_i, B_i) with cover multiplicities t1 (over A's)
+    and t2 (over B's).  The family carries its own class split: the A-sets
+    make up one class of a bipartition and the B-sets the other."""
 
     pairs: tuple[tuple[frozenset, frozenset], ...]
     t1: int
@@ -960,26 +962,25 @@ class CoverFamilyPair:
         if self.t1 < 1 or self.t2 < 1:
             raise ValueError("cover multiplicities must be >= 1")
 
-    def validate(self, bp: Bipartition) -> None:
-        for idx, (a_i, b_i) in enumerate(self.pairs):
-            if not a_i <= bp.even:
-                bad = sorted(a_i - bp.even)[0]
-                raise ValueError(f"pair {idx}: vertex {bad} is not in the even class")
-            if not b_i <= bp.odd:
-                bad = sorted(b_i - bp.odd)[0]
-                raise ValueError(f"pair {idx}: vertex {bad} is not in the odd class")
-        for v in sorted(bp.even):
-            hits = sum(1 for a_i, _ in self.pairs if v in a_i)
-            if hits < self.t1:
-                raise ValueError(
-                    f"vertex {v} is covered by {hits} A-sets, fewer than t1={self.t1}"
-                )
-        for v in sorted(bp.odd):
-            hits = sum(1 for _, b_i in self.pairs if v in b_i)
-            if hits < self.t2:
-                raise ValueError(
-                    f"vertex {v} is covered by {hits} B-sets, fewer than t2={self.t2}"
-                )
+    def validate(self, g: Graph) -> None:
+        """Check the covering hypothesis on g, in the orientation the family is written."""
+        hits = a_hits, b_hits = [Counter(chain.from_iterable(p[k] for p in self.pairs)) for k in (0, 1)]
+        out = [v for v in sorted(a_hits.keys() | b_hits.keys()) if not 0 <= v < g.n]
+        if out:
+            raise ValueError(f"vertex {out[0]} out of range [0,{g.n})")
+        both = sorted(a_hits.keys() & b_hits.keys())
+        if both:
+            raise ValueError(f"vertex {both[0]} is in both an A-set and a B-set")
+        for v in range(g.n):
+            if v not in a_hits and v not in b_hits:
+                raise ValueError(f"vertex {v} is covered by no A-set and no B-set")
+        for u, v in g.edges:
+            if (u in a_hits) == (v in a_hits):
+                raise ValueError(f"edge ({u},{v}) has both ends in the {'A' if u in a_hits else 'B'}-sets")
+        for k, (side, t) in enumerate(zip(hits, (self.t1, self.t2))):
+            for v in sorted(side):
+                if side[v] < t:
+                    raise ValueError(f"vertex {v} is covered by {side[v]} {'AB'[k]}-sets, fewer than t{k + 1}={t}")
 
 
 def parse_cover_family(text: str) -> CoverFamilyPair:
@@ -987,7 +988,7 @@ def parse_cover_family(text: str) -> CoverFamilyPair:
     `A <ids...>` / `B <ids...>` lines, one pair per A/B couple."""
     t1 = t2 = None
     pairs: list[tuple[frozenset, frozenset]] = []
-    pending_a: frozenset | None = None
+    pending_a: tuple[int, frozenset] | None = None  # (line, ids) of an A awaiting its B
     for lineno, line in records(text):
         directive, *fields = line.split()
         if directive not in ("t", "A", "B"):
@@ -998,18 +999,20 @@ def parse_cover_family(text: str) -> CoverFamilyPair:
                 raise ParseError("expected 't <t1> <t2>'", lineno)
             if t1 is not None:
                 raise ParseError("duplicate 't' header", lineno)
+            if min(ids) < 1:
+                raise ParseError("cover multiplicities must be >= 1", lineno)
             t1, t2 = ids
         elif directive == "A":
             if pending_a is not None:
                 raise ParseError("A line without a matching B line", lineno)
-            pending_a = frozenset(ids)
+            pending_a = lineno, frozenset(ids)
         else:
             if pending_a is None:
                 raise ParseError("B line without a preceding A line", lineno)
-            pairs.append((pending_a, frozenset(ids)))
+            pairs.append((pending_a[1], frozenset(ids)))
             pending_a = None
-    if t1 is None or t2 is None:
-        raise ValueError("missing 't <t1> <t2>' header")
+    if t1 is None:
+        raise ParseError("missing 't <t1> <t2>' header", 1)
     if pending_a is not None:
-        raise ValueError("trailing A line without a matching B line")
+        raise ParseError("trailing A line without a matching B line", pending_a[0])
     return CoverFamilyPair(pairs=tuple(pairs), t1=t1, t2=t2)

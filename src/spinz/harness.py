@@ -412,6 +412,9 @@ def sample_list_assignment(g: Graph, h: Graph, seed: int) -> ListAssignment:
 # ---------------------------------------------------------------------------
 # Campaigns
 
+# each graph source's enumeration mode; None reads the config's files
+_SOURCE_MODES = {"biregular": "biregular", "general": "all", "bipartite": "bipartite", "files": None}
+
 
 @dataclass
 class CampaignConfig:
@@ -455,7 +458,7 @@ class CampaignConfig:
                 raise ValueError(f"unknown bound name {name!r}")
         if self.weights not in WEIGHT_STYLES:
             raise ValueError(f"unknown weight style {self.weights!r}")
-        if self.source not in ("biregular", "general", "bipartite", "files"):
+        if self.source not in _SOURCE_MODES:
             raise ValueError(f"unknown graph source {self.source!r}")
         if self.source != "biregular":
             _check_biregular_only(f"source {self.source}", a=self.a, b=self.b, max_degree=self.max_degree)
@@ -662,22 +665,11 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> CampaignReport:
     still passes ``threads=1``.
     """
     start = time.monotonic()
-    if cfg.source == "files":
+    mode = _SOURCE_MODES[cfg.source]
+    if mode is None:
         graphs = [parse_graph(Path(p).read_text()) for p in cfg.files]
-    elif cfg.source == "biregular":
-        graphs = list(
-            enumerate_graphs(
-                cfg.n_max,
-                "biregular",
-                connected_only=cfg.connected,
-                a=cfg.a,
-                b=cfg.b,
-                max_degree=cfg.max_degree,
-            )
-        )
     else:
-        mode = "bipartite" if cfg.source == "bipartite" else "all"
-        graphs = list(enumerate_graphs(cfg.n_max, mode, connected_only=cfg.connected))
+        graphs = list(enumerate_graphs(cfg.n_max, mode, cfg.connected, cfg.a, cfg.b, cfg.max_degree))
 
     per_bound: dict[str, BoundAggregate] = {name: BoundAggregate() for name in cfg.bounds}
     for gi, g in enumerate(graphs):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinz.bounds as bounds_mod
@@ -64,6 +64,7 @@ from spinz.graphs import (
     cycle_graph,
     disjoint_union,
     hypercube_graph,
+    is_connected,
     path_graph,
 )
 from spinz.harness import (
@@ -413,6 +414,67 @@ def test_thm5_cover_shortfall_names_vertex():
     fam = CoverFamilyPair(pairs=((frozenset({0}), frozenset({1})),), t1=1, t2=1)
     with pytest.raises(ValueError, match="vertex 2"):
         cover_family_value(g, h, ListAssignment.full(g, h), fam)
+
+
+def _permuted(g, lists, perm):
+    """g and its lists under the vertex map v -> perm[v]."""
+    rows = [None] * g.n
+    for v, row in enumerate(lists.lists):
+        rows[perm[v]] = row
+    return relabel(g, perm), ListAssignment(g.n, rows)
+
+
+def test_default_family_on_a_disconnected_biregular_graph():
+    # two cherries, the first centred on its lowest id 0 and the second on
+    # 4, so the second component's lowest id 3 has degree 1: the degree-2
+    # class {0, 4} is neither class of bipartition's lowest-id-even split
+    g, h = Graph(6, [(0, 1), (0, 2), (3, 4), (4, 5)]), complete_graph(3)
+    lists = ListAssignment(6, [[0, 1], [0, 2], [1], [0, 1, 2], [2], [1, 2]])
+    r4, r5 = (evaluate_bound(name, g, target=h, lists=lists) for name in ("thm4", "thm5"))
+    assert r5.verdict is Verdict.HOLDS
+    assert (r5.lhs, r5.rhs_log) == (r4.lhs, r4.rhs_log)
+
+
+def test_mirrored_family_is_accepted():
+    # A and B swapped, t1 and t2 swapped: the same cover, the other orientation
+    g, h = complete_bipartite(2, 3), complete_graph(3)
+    lists = sample_list_assignment(g, h, 7)
+    fam = neighbourhood_family(g)
+    mirror = CoverFamilyPair(tuple((b, a) for a, b in fam.pairs), t1=fam.t2, t2=fam.t1)
+    report = cover_family_report(g, h, lists, mirror)  # t1/t2 = 1/3: the LOG backend
+    assert report.verdict is Verdict.HOLDS
+    assert report.lhs_log == pytest.approx(math.log(count_list_homs(g, h, lists)), rel=1e-12)
+
+
+_BIREGULAR_8 = tuple(enumerate_graphs(8, "biregular"))
+
+
+@settings(max_examples=10)
+@given(st.randoms(use_true_random=False))
+def test_thm4_and_default_thm5_under_relabelling(rnd):
+    h = complete_graph(3)
+    for g in _BIREGULAR_8:
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        lists = sample_list_assignment(g, h, rnd.randrange(10 ** 6))
+        g2, lists2 = _permuted(g, lists, perm)
+        cert = _cert(g)
+        # with a == b each component has two orientations: thm4 takes the
+        # smaller product of two whole-graph orientations, and the default
+        # family puts each component's lowest id on its A side, so those
+        # right sides can move with the labelling; thm5's is never below thm4's
+        for name in ("thm4", "thm5"):
+            r, r2 = (evaluate_bound(name, x, target=h, lists=ls) for x, ls in ((g, lists), (g2, lists2)))
+            assert r.verdict is r2.verdict is Verdict.HOLDS
+            assert r.lhs.fraction == r2.lhs.fraction
+            if cert.a != cert.b or (name == "thm4" and is_connected(g)):
+                assert r2.rhs_log == pytest.approx(r.rhs_log, rel=1e-12, abs=1e-12)
+        for x, ls in ((g, lists), (g2, lists2)):
+            r4, r5 = (evaluate_bound(name, x, target=h, lists=ls) for name in ("thm4", "thm5"))
+            if cert.a != cert.b:
+                assert r5.rhs_log == r4.rhs_log
+            else:
+                assert r5.rhs_log >= r4.rhs_log - 1e-12 * abs(r4.rhs_log)
 
 
 # ----- per-edge restriction bounds (conj1, conj2) -----
@@ -957,9 +1019,15 @@ def test_list_and_family_checks_keep_their_messages():
         (lambda: count_list_homs(c6, k3, bad), "list of vertex 2 mentions unknown target 5"),
         (lambda: count_list_homs(c6, k3, short), "list assignment length does not match the graph"),
         (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({1, 3}, {0})])),
-         "pair 0: vertex 1 is not in the even class"),
+         "vertex 2 is covered by no A-set and no B-set"),
         (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({0, 2}, {2})])),
-         "pair 0: vertex 2 is not in the odd class"),
+         "vertex 2 is in both an A-set and a B-set"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({0, 1}, {2, 3, 4, 5})], t1=1)),
+         "edge (0,1) has both ends in the A-sets"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({0, 6}, {1})])),
+         "vertex 6 out of range [0,6)"),
+        (lambda: evaluate_bound("thm5", c6, target=k3, family=_family([({-1}, {1})])),
+         "vertex -1 out of range [0,6)"),
         (lambda: evaluate_bound("thm5", c6, target=k3, family=_family(triangle, t1=3)),
          "vertex 0 is covered by 2 A-sets, fewer than t1=3"),
         (lambda: evaluate_bound("thm5", c6, target=k3, family=_family(triangle, t2=2)),

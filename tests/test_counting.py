@@ -515,13 +515,13 @@ def test_cover_family_validation():
         t1=2,
         t2=1,
     )
-    good.validate(bp)
+    good.validate(g)
     bad = CoverFamilyPair(pairs=((frozenset({0}), frozenset({1})),), t1=1, t2=1)
     with pytest.raises(ValueError, match="covered by"):
-        bad.validate(bp)
+        bad.validate(g)
     wrong_side = CoverFamilyPair(pairs=((frozenset({1}), frozenset({0})),), t1=1, t2=1)
-    with pytest.raises(ValueError, match="not in the even class"):
-        wrong_side.validate(bp)
+    with pytest.raises(ValueError, match="vertex 2 is covered by no A-set and no B-set"):
+        wrong_side.validate(g)
 
 
 def test_cover_family_parse():

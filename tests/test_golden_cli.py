@@ -40,6 +40,9 @@ def write_inputs(root: Path) -> None:
     files = {
         "c4.graph": C4,
         "k3.graph": K3,
+        # P_3 with its centre on the highest id
+        "p3.graph": "p 3 2\ne 0 2\ne 1 2\n",
+        "k2.graph": "p 2 1\ne 0 1\n",
         "k33.graph": K33.to_text(),
         # hard-core at lambda = 1 on K_{3,3}: 15 independent sets
         "hc33.weights": "m 2\n" + "".join(f"ew {u} {v} 1 1 0\n" for u, v in K33.edges),
@@ -73,6 +76,7 @@ CASES = {
     "bound-thm3-k33-log": ("bound thm3 k33.graph --weights hc33.weights --backend log", True),
     "bound-thm4-k33": ("bound thm4 k33.graph --target k3.graph", False),
     "bound-thm5-k33": ("bound thm5 k33.graph --target k3.graph", False),
+    "bound-thm5-p3": ("bound thm5 p3.graph --target k2.graph", False),
     "bound-thm5-families": (
         "bound thm5 c4.graph --target k3.graph --lists c4k3.lists --families c4.families", False),
     "bound-conj2-k33": ("bound conj2 k33.graph --target k3.graph", False),
@@ -164,6 +168,7 @@ GOLDEN = {
     "bound-thm4-k33": (0, 'd6b48060a43ec9b630eff9a3d7b2a0ddb614fcea152d256c16518974319ab7ca', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-thm4-weights": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '6699b007949db19a6836a3d60f37033b6fddcdd175003a01364572b0401825d6'),
     "bound-thm5-families": (0, '2af81cf22e202213e687b7cc1be8e05cfddd8e60ae21c2fbaf42a09034a45ad5', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "bound-thm5-p3": (0, 'd3ce77abeb3ac8187a45e09332744ced56ea77511e62804b8acc9c9c71437db4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "bound-thm5-k33": (0, '929bc53b521eb10792d984e0dca57780ac10c2bcb9c4ef0fe89bc3371458856d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "compute-budget": (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '16d942b75d338eb6ba60f386b346647ba503e459730f9d83a1f4078fd52224d2'),
     "compute-exact": (0, '03ad34495bc63c9047a8c4f232c38c9fc163be210337ad71d1b4095b07d6ad0d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -209,6 +214,19 @@ def test_k33_bounds_are_equalities(inputs):
     assert docs[3]["lhs"] == {"num": "15", "den": "1"}
     code, log, _ = _report("bound conj1 k33.graph --weights hc33.weights --backend log")
     assert code == 0 and log["verdict"] == "HOLDS" and abs(log["log_slack"]) <= 1e-9
+
+
+def test_thm5_default_family_on_any_labelling(inputs):
+    # the default family's A-sets are the degree-2 class {2}, which holds
+    # no component's lowest id; a != b, so the family is thm4's pairs
+    code, thm5, err = _report("bound thm5 p3.graph --target k2.graph")
+    assert (code, thm5["verdict"], err) == (0, "HOLDS", "")
+    assert thm5["rhs_log"] == _report("bound thm4 p3.graph --target k2.graph")[1]["rhs_log"]
+    (inputs / "p3.cfg").write_text("source = files\nfiles = p3.graph\nbounds = thm4, thm5\ntrials = 3\n")
+    code, doc, _ = _report("search p3.cfg")
+    assert code == 0 and doc["graphs"] == 1
+    for name in ("thm4", "thm5"):
+        assert (doc["bounds"][name]["instances"], doc["bounds"][name]["errors"]) == (3, 0)
 
 
 def test_listhom_and_ising_values(inputs):

@@ -114,9 +114,9 @@ MALFORMED = [
     ("families", "t 1 1\nt 1 1\n", "line 2: duplicate 't' header"),
     ("families", "t 1 1\nA 0\nA 2\n", "line 3: A line without a matching B line"),
     ("families", "t 1 1\nB 1\n", "line 2: B line without a preceding A line"),
-    ("families", "A 0\nB 1\n", "missing 't <t1> <t2>' header"),
-    ("families", "t 1 1\nA 0\n", "trailing A line without a matching B line"),
-    ("families", "t 0 1\nA 0\nB 1\n", "cover multiplicities must be >= 1"),
+    ("families", "A 0\nB 1\n", "line 1: missing 't <t1> <t2>' header"),
+    ("families", "t 1 1\nA 0\n", "line 2: trailing A line without a matching B line"),
+    ("families", "t 0 1\nA 0\nB 1\n", "line 1: cover multiplicities must be >= 1"),
     ("config", "trials 3\n", "line 1: expected 'key = value'"),
     ("config", "seed = 1\nseed = 2\n", "line 2: duplicate config key 'seed'"),
     ("config", "n_max = x\n", "line 1: n_max takes an integer, got 'x'"),
