@@ -14,12 +14,9 @@ from .graphs import (
     bipartition,
     certify_biregular,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
-    disjoint_union,
     hypercube_graph,
     parse_graph,
-    path_graph,
 )
 from .weights import (
     WeightError,

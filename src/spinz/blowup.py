@@ -20,6 +20,7 @@ each trial is an independent stream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,6 +178,24 @@ def count_block_homs(
     return contract(sizes, factors, budget, maxima=[1] * len(factors))
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _float(x: Fraction, divisor: int = 1) -> float:
+    """float(x) / divisor; where x is past the float range, the exact
+    quotient rounded once, and inf where that is past it too."""
+    if x <= _FLOAT_MAX:
+        return float(x) / divisor
+    x /= divisor
+    return float(x) if x <= _FLOAT_MAX else math.inf
+
+
+def _moments(samples) -> tuple[Fraction, Fraction]:
+    """The exact sample mean and unbiased sample variance."""
+    n, s1, s2 = len(samples), sum(samples), sum(x * x for x in samples)
+    return Fraction(s1, n), (Fraction(s2) - Fraction(s1 * s1, n)) / (n - 1)
+
+
 @dataclass(frozen=True)
 class BlowupStats:
     """Results of one concentration experiment at fixed configuration."""
@@ -195,13 +214,14 @@ class BlowupStats:
     threshold_C: Fraction | None
 
     def relative_var(self) -> float:
-        return self.emp_var / float(self.mu) ** 2
+        """The sample variance over mu^2, rounded once (inf past the float range)."""
+        return _float(_moments(self.samples)[1] / self.mu ** 2)
 
     def error_guarantee(self) -> float | None:
         """The relative-error level sqrt(alpha) / (sqrt(C) - sqrt(alpha))
         that a large-enough block scale certifies; None when C is still
         below alpha and the guarantee is vacuous."""
-        root_alpha = math.sqrt(float(self.alpha))
+        root_alpha = math.sqrt(_float(self.alpha))
         root_c = math.sqrt(self.C)
         if root_c <= root_alpha:
             return None
@@ -218,10 +238,10 @@ class BlowupStats:
             "mu": {"num": str(self.mu.numerator), "den": str(self.mu.denominator)},
             "emp_mean": self.emp_mean,
             "emp_var": self.emp_var,
-            "alpha": float(self.alpha),
+            "alpha": _float(self.alpha),
             "cheb_budget": self.cheb_budget,
             "edge_scale": str(self.edge_scale),
-            "threshold_C": None if self.threshold_C is None else float(self.threshold_C),
+            "threshold_C": None if self.threshold_C is None else _float(self.threshold_C),
             "samples_path": samples_path,
         }
 
@@ -284,10 +304,7 @@ def concentration_experiment(
 
     samples = tuple(run_trial(t) for t in range(trials))
     mu = Fraction(C) ** g.n * weight_of(g, scaled, cfg).fraction
-    s1 = sum(samples)
-    s2 = sum(x * x for x in samples)
-    mean = Fraction(s1, trials)
-    var = (Fraction(s2) - Fraction(s1 * s1, trials)) / (trials - 1)
+    mean, var = _moments(samples)
     alpha = _alpha_bound(g, scaled)
     return BlowupStats(
         config=tuple(cfg),
@@ -296,10 +313,10 @@ def concentration_experiment(
         seed=seed,
         mu=mu,
         samples=samples,
-        emp_mean=float(mean),
-        emp_var=float(var),
+        emp_mean=_float(mean),
+        emp_var=_float(var),
         alpha=alpha,
-        cheb_budget=float(alpha) / (C * C),
+        cheb_budget=_float(alpha, C * C),
         edge_scale=edge_scale,
         threshold_C=_existence_threshold(g, w.m),
     )

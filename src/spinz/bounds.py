@@ -172,35 +172,61 @@ def finish_report(
 
 
 @lru_cache(maxsize=256)
-def _orientations(g: Graph) -> tuple:
-    """(pairs per class orientation, a) for g's biregularity certificate:
-    both orientations when a == b, each the pairs (N(v), {v}) over the
-    degree-b vertices v, ascending.  Once per graph (graphs hash by
-    content); errors are not cached."""
+def _neighbourhood_families(g: Graph) -> tuple:
+    """g's neighbourhood family, the pairs (N(v), {v}) over the degree-b
+    vertices v ascending with t1 = a and t2 = 1, and when a == b the same
+    over the other class.  Once per graph; errors are not cached."""
     cert = certify_biregular(g, bipartition(g))
-    certs = (cert, cert.swapped()) if cert.a == cert.b else (cert,)
-    return tuple(tuple((frozenset(c.neighbor_order(v)), frozenset({v})) for v in sorted(c.odd))
-                 for c in certs), Fraction(cert.a)
+    classes = (cert.odd, cert.even) if cert.a == cert.b else (cert.odd,)
+    pairs = ([(frozenset(g.neighbors(v)), frozenset({v})) for v in sorted(c)] for c in classes)
+    return tuple(CoverFamilyPair(tuple(p), cert.a, 1) for p in pairs)
 
 
-def _per_vertex_rhs(g: Graph, sums_of) -> PowerProduct:
-    """The product over the degree-b class of the K_{a,b} restriction
-    around each vertex v, each to the 1/a; when a == b, the smaller of
-    both orientations' products.  A restriction's a copies of v each
-    contribute the same factor, so the right side is one covering sum,
-    sums_of(pairs, a), over the pairs (N(v), {v}) of every orientation
-    (when a == b they all have one shape, so they are one batch)."""
-    orientations, a = _orientations(g)
-    sums = sums_of(sum(orientations, ()), a)
-    k, inverse = len(orientations[0]), 1 / a
-    p = PowerProduct(tuple((z, inverse) for z in sums[:k]))
-    if len(orientations) == 1:
-        return p
-    q = PowerProduct(tuple((z, inverse) for z in sums[k:]))
-    logs = p.log(), q.log()
-    if p.backend is Backend.EXACT:
-        return p if compare_product(p.factors, q.factors, logs) <= 0 else q
-    return p if logs[0] <= logs[1] else q
+def _smallest_cover(families, sums_of) -> PowerProduct:
+    """The smallest of the families' covering products (one t1, t2 for
+    all), prod_i s_i^(1/t1), the inner sums s_i of every family's pairs
+    from one call sums_of(pairs, t1/t2).  EXACT products are compared by
+    ``compare_product``, LOG ones by their logs; a tie keeps the first."""
+    t1, t2 = families[0].t1, families[0].t2
+    sums = iter(sums_of(sum((fam.pairs for fam in families), ()), Fraction(t1, t2)))
+    inverse = Fraction(1, t1)
+    best, *others = (PowerProduct(tuple((next(sums), inverse) for _ in f.pairs)) for f in families)
+    for p in others:
+        logs = best.log(), p.log()
+        exact = p.backend is Backend.EXACT
+        if (compare_product(best.factors, p.factors, logs) > 0) if exact else logs[0] > logs[1]:
+            best = p
+    return best
+
+
+# The report tails, one per kind of input in ``BOUND_INPUTS``.
+
+
+def _weights_reports(bound: str, g: Graph, ws, right_sides, budget: int) -> list:
+    """Every left side in one contraction, then right_sides(the systems'
+    ``WeightArrays``), then each system's verdict."""
+    arrays = [weight_arrays(g, w) for w in ws]
+    lhs = _partitions(g, arrays, budget)
+    sha = g.sha()
+    rhs = right_sides(arrays)
+    return [finish_report(bound, z, r, sha, w.sha()) for w, z, r in zip(ws, lhs, rhs)]
+
+
+def _target_report(
+    bound: str, g: Graph, h: Graph, lists: ListAssignment, right_side, budget: int
+) -> BoundReport:
+    """The list-homomorphism count, then right_side(), the count lifted
+    to LOG when that is LOG."""
+    lhs = NonNegValue.exact(count_list_homs(g, h, lists, budget))
+    rhs = right_side()
+    if rhs.backend is Backend.LOG:
+        lhs = lhs.to_log()
+    return finish_report(bound, lhs, rhs, g.sha(), sha256_text(h.to_text() + lists.to_text()))
+
+
+def _independent_set_report(bound: str, g: Graph, rhs: PowerProduct, budget: int) -> BoundReport:
+    lhs = NonNegValue.exact(independent_set_count(g, budget))
+    return finish_report(bound, lhs, rhs, g.sha(), sha256_text("independent-sets"))
 
 
 def vertex_restriction_bound(
@@ -224,18 +250,11 @@ def vertex_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> lis
     """``vertex_restriction_bound`` for each system of ws (one spin count
     and backend), the left sides in one contraction.  Each system's
     arrays are converted once for its left side and right sides."""
-    _orientations(g)  # a graph that is not biregular fails before any contraction
-    sha = g.sha()
-    arrays = [weight_arrays(g, w) for w in ws]
-    reports = []
-    for w, a, lhs in zip(ws, arrays, _partitions(g, arrays, budget)):
-        rhs = _per_vertex_rhs(g, lambda pairs, e: cover_sums(g, a, pairs, e, budget))
-        reports.append(finish_report("thm3", lhs, rhs, sha, w.sha()))
-    return reports
-
-
-def _hom_instance_sha(h: Graph, lists: ListAssignment) -> str:
-    return sha256_text(h.to_text() + lists.to_text())
+    families = _neighbourhood_families(g)  # not biregular: fails before any contraction
+    return _weights_reports("thm3", g, ws, lambda arrays: [
+        _smallest_cover(families, lambda pairs, e: cover_sums(g, a, pairs, e, budget))
+        for a in arrays
+    ], budget)
 
 
 @lru_cache(maxsize=64)
@@ -265,15 +284,14 @@ def list_vertex_restriction_bound(
 ) -> BoundReport:
     """Bound the list-homomorphism count of an (a,b)-biregular graph by
     the product over the degree-b class of K_{a,b} list-homomorphism
-    counts, each raised to 1/a.  Always exact integer arithmetic."""
-    _orientations(g)
+    counts, each raised to 1/a (thm5 on the neighbourhood families, in
+    both orientations when a == b).  Always exact integer arithmetic."""
+    families = _neighbourhood_families(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
-    lhs_count = count_list_homs(g, h, lists, budget)
-    rhs = _per_vertex_rhs(g, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
-    return finish_report(
-        "thm4", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
-    )
+    return _target_report("thm4", g, h, lists, lambda: _smallest_cover(
+        families, lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget)
+    ), budget)
 
 
 def cover_family_value(
@@ -294,9 +312,7 @@ def cover_family_value(
     the neighbourhood family after thm4 there is no call at all.
     """
     _check_family(g, fam)
-    sums = _list_cover_sums(g, h, lists, fam.pairs, Fraction(fam.t1, fam.t2), budget)
-    inverse = Fraction(1, fam.t1)
-    return PowerProduct(tuple((f, inverse) for f in sums))
+    return _smallest_cover((fam,), lambda pairs, e: _list_cover_sums(g, h, lists, pairs, e, budget))
 
 
 @lru_cache(maxsize=256)
@@ -311,8 +327,7 @@ def neighbourhood_family(g: Graph) -> CoverFamilyPair:
     """The neighbourhoods-and-singletons family of a biregular graph: the
     A's are the neighbourhoods of the degree-b vertices, the B's those
     vertices as singletons, t1 = a, t2 = 1."""
-    orientations, a = _orientations(g)
-    return CoverFamilyPair(pairs=orientations[0], t1=a.numerator, t2=1)
+    return _neighbourhood_families(g)[0]
 
 
 def cover_family_report(
@@ -324,10 +339,7 @@ def cover_family_report(
 ) -> BoundReport:
     """Compare the list-homomorphism count against the covering-family value."""
     rhs = cover_family_value(g, h, lists, fam, budget)
-    lhs = NonNegValue.exact(count_list_homs(g, h, lists, budget))
-    if rhs.backend is Backend.LOG:
-        lhs = lhs.to_log()
-    return finish_report("thm5", lhs, rhs, g.sha(), _hom_instance_sha(h, lists))
+    return _target_report("thm5", g, h, lists, lambda: rhs, budget)
 
 
 def _require_min_degree(g: Graph) -> None:
@@ -367,13 +379,9 @@ def edge_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     and backend): the left sides in one contraction, every system's
     K_{d(u),d(v)} factors in one ``edge_kab_partitions`` call."""
     _require_min_degree(g)
-    lhs = _partitions(g, [weight_arrays(g, w) for w in ws], budget)
-    factors = edge_kab_partitions(g, ws, budget)
-    sha = g.sha()
-    return [
-        finish_report("conj1", z, _per_edge_rhs(g, f), sha, w.sha())
-        for w, z, f in zip(ws, lhs, factors)
-    ]
+    return _weights_reports("conj1", g, ws, lambda arrays: [
+        _per_edge_rhs(g, f) for f in edge_kab_partitions(g, ws, budget)
+    ], budget)
 
 
 def list_edge_restriction_bound(
@@ -388,13 +396,13 @@ def list_edge_restriction_bound(
     _require_min_degree(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
-    lhs_count = count_list_homs(g, h, lists, budget)
-    rows = lists.indicator_rows(h.n)[None]
-    (counts,) = edge_kab_sums(g, rows, h.adjacency_matrix(), budget, Backend.EXACT)
-    rhs = _per_edge_rhs(g, [NonNegValue.exact(z) for z in counts])
-    return finish_report(
-        "conj2", NonNegValue.exact(lhs_count), rhs, g.sha(), _hom_instance_sha(h, lists)
-    )
+
+    def right_side():
+        rows = lists.indicator_rows(h.n)[None]
+        (counts,) = edge_kab_sums(g, rows, h.adjacency_matrix(), budget, Backend.EXACT)
+        return _per_edge_rhs(g, [NonNegValue.exact(z) for z in counts])
+
+    return _target_report("conj2", g, h, lists, right_side, budget)
 
 
 def _regular_degree(g: Graph) -> int:
@@ -417,23 +425,19 @@ def independent_set_regular_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> Bou
     d = _regular_degree(g)
     if d < 1:
         raise GraphError("regular bipartite bound needs degree >= 1")
-    lhs = NonNegValue.exact(independent_set_count(g, budget))
-    rhs = PowerProduct(
-        ((NonNegValue.exact(kab_independent_sets(d, d)), Fraction(g.n, 2 * d)),)
-    )
-    return finish_report("ind", lhs, rhs, g.sha(), sha256_text("independent-sets"))
+    rhs = PowerProduct(((NonNegValue.exact(kab_independent_sets(d, d)), Fraction(g.n, 2 * d)),))
+    return _independent_set_report("ind", g, rhs, budget)
 
 
 def independent_set_edge_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Conjectured per-edge bound on independent sets of arbitrary graphs:
     |I(G)| <= prod_uv (2^d(u) + 2^d(v) - 1)^(1/(d(u)d(v)))."""
     _require_min_degree(g)
-    lhs = NonNegValue.exact(independent_set_count(g, budget))
     rhs = _per_edge_rhs(
         g,
         [NonNegValue.exact(kab_independent_sets(g.degree(u), g.degree(v))) for u, v in g.edges],
     )
-    return finish_report("indconj", lhs, rhs, g.sha(), sha256_text("independent-sets"))
+    return _independent_set_report("indconj", g, rhs, budget)
 
 
 def evaluate_bound(

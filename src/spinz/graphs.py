@@ -245,12 +245,6 @@ class BiregularCert:
     def neighbor_order(self, v: int) -> tuple[int, ...]:
         return self.graph.neighbors(v)
 
-    def swapped(self) -> "BiregularCert":
-        """The opposite class labeling; only valid when a == b."""
-        if self.a != self.b:
-            raise GraphError("orientation swap requires a == b")
-        return BiregularCert(self.a, self.b, self.odd, self.even, self.graph)
-
 
 def certify_biregular(g: Graph, bp: Bipartition) -> BiregularCert:
     """Check (a,b)-biregularity and return the certificate.
@@ -327,16 +321,6 @@ def cycle_graph(k: int) -> Graph:
     return Graph(k, ((i, (i + 1) % k) for i in range(k)))
 
 
-def path_graph(k: int) -> Graph:
-    if k < 2:
-        raise GraphError("path needs at least 2 vertices")
-    return Graph(k, ((i, i + 1) for i in range(k - 1)))
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, ((i, j) for i in range(k) for j in range(i + 1, k)))
-
-
 def hypercube_graph(dim: int) -> Graph:
     n = 1 << dim
     edges = []
@@ -346,16 +330,6 @@ def hypercube_graph(dim: int) -> Graph:
             if v < u:
                 edges.append((v, u))
     return Graph(n, edges)
-
-
-def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    """Disjoint union, relabeling each part onto a fresh id block."""
-    offset = 0
-    edges: list[tuple[int, int]] = []
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph(offset, edges)
 
 
 def _component_walk(g: Graph) -> list[list[int]]:

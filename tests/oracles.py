@@ -3,9 +3,9 @@
 The oracles are deliberately naive (raw Fractions, full enumeration,
 no shared kernels with the package) so the tests check two independent
 routes to the same number.  The last few helpers (the blow-up lab's
-full sample, ``count_all_block_homs`` and the like) are test-only
-conveniences, some built on package kernels, kept here because no
-package code calls them.
+full sample, ``count_all_block_homs``, the graph builders and the like)
+are test-only conveniences, some built on package kernels, kept here
+because no package code calls them.
 """
 
 from __future__ import annotations
@@ -746,3 +746,32 @@ def fraction_sample_weights(g, m, seed, cap=16, allow_zero=False, style="general
     else:
         edge = {(u, v, i, j): draw() for u, v in g.edges for i, j in pairs}
     return WeightSystem.build(g, m, vertex, edge)
+
+
+# Graph builders only the tests use.
+
+
+def path_graph(k):
+    from spinz.graphs import Graph, GraphError
+
+    if k < 2:
+        raise GraphError("path needs at least 2 vertices")
+    return Graph(k, ((i, i + 1) for i in range(k - 1)))
+
+
+def complete_graph(k):
+    from spinz.graphs import Graph
+
+    return Graph(k, ((i, j) for i in range(k) for j in range(i + 1, k)))
+
+
+def disjoint_union(graphs):
+    """Disjoint union, relabeling each part onto a fresh id block."""
+    from spinz.graphs import Graph
+
+    offset = 0
+    edges = []
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph(offset, edges)

@@ -26,6 +26,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    complete_graph,
     independent_sets,
     is_complete_bipartite,
     ising_brute_log_z,
@@ -52,7 +53,6 @@ from spinz.graphs import (
     bipartition,
     certify_biregular,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
     hypercube_graph,
     parse_graph,

@@ -14,8 +14,11 @@ from oracles import (
     full_sample,
     full_sample_block_homs,
     kab_around,
+    path_graph,
 )
 from spinz.blowup import (
+    BlowupStats,
+    _float,
     _reset,
     build_blowup_host,
     concentration_experiment,
@@ -24,7 +27,7 @@ from spinz.blowup import (
     scale_edge_weights,
 )
 from spinz.counting import count_list_homs, ListAssignment, weight_of
-from spinz.graphs import Graph, cycle_graph, path_graph
+from spinz.graphs import Graph, cycle_graph
 from spinz.util import derive_key128, derive_seed
 from spinz.weights import WeightError, WeightSystem, make_hardcore
 
@@ -251,6 +254,22 @@ def test_experiment_all_ones_is_deterministic_unity():
     assert stats.alpha == 17  # 1 + N^2 with every weight 1
     assert stats.threshold_C == Fraction(48)
     assert stats.error_guarantee() is None  # C = 1 is below alpha
+
+
+def test_report_floats_past_the_float_range_are_infinite():
+    huge = Fraction(16) ** 400
+    assert _float(huge) == math.inf
+    assert _float(huge, 16 ** 398) == 256.0  # the exact quotient, rounded once
+    assert _float(Fraction(272), 100) == 272 / 100  # in range: float(x) / divisor, as before
+    # a mean and variance past the float range, and a ratio that the floats alone make 0/0
+    stats = BlowupStats(
+        config=(1,), C=1, trials=2, seed=0, mu=huge, samples=(0, 2 * 16 ** 400),
+        emp_mean=_float(huge), emp_var=_float(2 * huge * huge), alpha=huge,
+        cheb_budget=_float(huge), edge_scale=Fraction(1), threshold_C=None,
+    )
+    assert stats.emp_mean == stats.emp_var == math.inf
+    assert stats.relative_var() == 2.0
+    assert stats.error_guarantee() is None
 
 
 def test_error_guarantee_shrinks_with_scale():

@@ -14,13 +14,16 @@ import spinz.weights as weights_mod
 from oracles import (
     backtrack_list_homs,
     brute_list_homs,
+    complete_graph,
     cover_sum_by_enumeration,
+    disjoint_union,
     kab_around,
     kab_on_edge,
     list_vertex_restriction_rhs,
     lists_for_edge,
     lists_for_vertex,
     partition_brute,
+    path_graph,
     relabel,
     scale_vertex_weights,
     weighted_two_sided_hom_sum,
@@ -55,17 +58,15 @@ from spinz.counting import (
     partition_kab,
 )
 from spinz.graphs import (
+    BiregularCert,
     Graph,
     GraphError,
     bipartition,
     certify_biregular,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
-    disjoint_union,
     hypercube_graph,
     is_connected,
-    path_graph,
 )
 from spinz.harness import (
     enumerate_graphs,
@@ -475,6 +476,22 @@ def test_thm4_and_default_thm5_under_relabelling(rnd):
                 assert r5.rhs_log == r4.rhs_log
             else:
                 assert r5.rhs_log >= r4.rhs_log - 1e-12 * abs(r4.rhs_log)
+
+
+def test_thm4_is_thm5_on_the_neighbourhood_families():
+    for i, g in enumerate(_BIREGULAR_8):
+        cert = _cert(g)
+        for seed in range(3):
+            h = sample_target_graph(4, seed=100 * i + seed)
+            lists = sample_list_assignment(g, h, seed=100 * i + seed)
+            thm4 = list_vertex_restriction_bound(g, h, lists)
+            thm5 = cover_family_report(g, h, lists, neighbourhood_family(g))
+            assert thm4.verdict is thm5.verdict is Verdict.HOLDS
+            assert thm4.lhs.fraction == thm5.lhs.fraction
+            if cert.a != cert.b:
+                assert thm4.rhs.factors == thm5.rhs.factors
+            else:  # thm4 also takes the other orientation's family when it is smaller
+                assert compare_product(thm4.rhs.factors, thm5.rhs.factors) <= 0
 
 
 # ----- per-edge restriction bounds (conj1, conj2) -----
@@ -957,7 +974,7 @@ def test_list_bounds_batch_factors_match_the_backtracker():
         got = [value.fraction for value, _ in thm4.rhs.factors]
         wants = [
             [backtrack_list_homs(kab, h, lists_for_vertex(lists, c, v)) for v in sorted(c.odd)]
-            for c in ([cert, cert.swapped()] if cert.a == cert.b else [cert])
+            for c in _orientation_certs(g)
         ]
         assert got in wants  # with a == b, the smaller orientation
 
@@ -1102,7 +1119,7 @@ def _chosen(products):
 
 def _orientation_certs(g):
     cert = _cert(g)
-    return [cert, cert.swapped()] if cert.a == cert.b else [cert]
+    return [cert, BiregularCert(cert.a, cert.b, cert.odd, cert.even, g)] if cert.a == cert.b else [cert]
 
 
 @pytest.mark.parametrize(
@@ -1178,7 +1195,7 @@ def test_shared_arrays_give_the_brute_force_reports(g):
 
 def test_reports_do_not_depend_on_what_ran_before_on_the_graph():
     def clear_memos():
-        for memo in (bounds_mod._orientations, bounds_mod._list_cover_memo,
+        for memo in (bounds_mod._neighbourhood_families, bounds_mod._list_cover_memo,
                      counting_mod._cover_layout, count_list_homs):
             memo.cache_clear()
 

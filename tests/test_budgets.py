@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import complete_graph
 from spinz.blowup import concentration_experiment
 from spinz.cli import main
 from spinz.counting import (
@@ -24,7 +25,7 @@ from spinz.counting import (
     list_weights,
     uniform_kab_sums,
 )
-from spinz.graphs import Graph, complete_bipartite, complete_graph, cycle_graph
+from spinz.graphs import Graph, complete_bipartite, cycle_graph
 from spinz.harness import EnumerationError, enumerate_graphs
 from spinz.values import Backend
 from spinz.weights import WeightSystem

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import witness_verdict
+from oracles import complete_graph, path_graph, witness_verdict
 from spinz.cli import main
 from spinz.counting import ListAssignment
-from spinz.graphs import complete_bipartite, complete_graph, path_graph
+from spinz.graphs import complete_bipartite
 from spinz.harness import recheck_witness
 from spinz.weights import make_hardcore
 

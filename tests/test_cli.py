@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import complete_graph
 from spinz.cli import main
 from spinz.counting import ListAssignment
-from spinz.graphs import complete_bipartite, cycle_graph, complete_graph, parse_graph
+from spinz.graphs import complete_bipartite, cycle_graph, parse_graph
 from spinz.harness import CampaignConfig, recheck_witness, run_campaign
 
 
@@ -363,6 +364,21 @@ def test_blowup_trivial_variance(capsys, files):
     assert code == 0
     assert doc["emp_var"] == 0.0
     assert doc["emp_mean"] == 1.0
+
+
+def test_blowup_reports_infinity_past_the_float_range(capsys, files):
+    # C_200 with every weight 1/16: alpha is about 16^400
+    g = cycle_graph(200)
+    graph, weights = files["tmp"] / "c200.graph", files["tmp"] / "sixteenth.weights"
+    graph.write_text(g.to_text())
+    weights.write_text("m 1\n" + "".join(f"vw {v} 1 1/16\n" for v in g.vertices())
+                       + "".join(f"ew {u} {v} 1 1 1/16\n" for u, v in g.edges))
+    assert main(["blowup", str(graph), str(weights), "--scale", "16", "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert '"alpha": Infinity' in out and '"delta_C": null' in out
+    doc = json.loads(out)
+    assert doc["cheb_budget"] == math.inf
+    assert (doc["emp_mean"], doc["emp_var"]) == (0.0, 0.0)  # 1-vertex blocks: no sample keeps C_200
 
 
 def test_blowup_writes_samples(capsys, files):

@@ -17,6 +17,7 @@ from oracles import (
     brute_list_homs,
     brute_partition,
     c4_torus_independent_sets,
+    complete_graph,
     count_extensions,
     cover_sum_by_enumeration,
     independent_sets,
@@ -26,6 +27,7 @@ from oracles import (
     kab_on_edge,
     lists_for_vertex,
     partition_brute,
+    path_graph,
     weighted_cover_sum_log,
     weighted_independent_set_sum,
     with_list,
@@ -50,14 +52,13 @@ from spinz.counting import (
     weight_of,
 )
 from spinz.graphs import (
+    BiregularCert,
     Graph,
     GraphError,
     bipartition,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
     hypercube_graph,
-    path_graph,
 )
 from spinz.harness import sample_list_assignment, sample_weights
 from spinz.values import Backend
@@ -1046,7 +1047,7 @@ _VERTEX_KERNEL_GRAPHS = (
 
 def _orientations(g):
     cert = certify_biregular(g, bipartition(g))
-    return [cert, cert.swapped()] if cert.a == cert.b else [cert]
+    return [cert, BiregularCert(cert.a, cert.b, cert.odd, cert.even, g)] if cert.a == cert.b else [cert]
 
 
 def _around(cert):

@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from oracles import path_graph
 from spinz.bounds import (
     cover_family_report,
     edge_restriction_bound,
@@ -30,7 +31,7 @@ from spinz.bounds import (
     vertex_restriction_bound,
 )
 from spinz.counting import CoverFamilyPair
-from spinz.graphs import Graph, complete_bipartite, cycle_graph, hypercube_graph, path_graph
+from spinz.graphs import Graph, complete_bipartite, cycle_graph, hypercube_graph
 from spinz.harness import sample_list_assignment, sample_target_graph, sample_weights
 from spinz.values import Backend
 from spinz.weights import make_hardcore

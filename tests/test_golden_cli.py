@@ -26,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import path_graph
 from spinz.cli import main
-from spinz.graphs import complete_bipartite, cycle_graph, hypercube_graph, path_graph
+from spinz.graphs import complete_bipartite, cycle_graph, hypercube_graph
 
 C4 = "p 4 4\ne 0 1\ne 0 3\ne 1 2\ne 2 3\n"
 K3 = "p 3 3\ne 0 1\ne 0 2\ne 1 2\n"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import is_complete_bipartite, relabel
+from oracles import complete_graph, disjoint_union, is_complete_bipartite, path_graph, relabel
 from spinz.graphs import (
     Graph,
     GraphParseError,
@@ -11,11 +11,8 @@ from spinz.graphs import (
     bipartition,
     certify_biregular,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
-    disjoint_union,
     parse_graph,
-    path_graph,
 )
 
 
@@ -187,15 +184,6 @@ def test_certify_invariant_under_relabeling(perm):
     c1, c2 = _cert(g), _cert(relabeled)
     assert (c1.a, c1.b) == (c2.a, c2.b)
     assert {perm[v] for v in c1.even} == c2.even
-
-
-def test_swapped_orientation_only_for_square_degrees():
-    cert = _cert(cycle_graph(6))
-    swapped = cert.swapped()
-    assert swapped.even == cert.odd
-    cert23 = _cert(complete_bipartite(2, 3))
-    with pytest.raises(Exception):
-        cert23.swapped()
 
 
 def test_is_complete_bipartite():

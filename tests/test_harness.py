@@ -7,20 +7,20 @@ import pytest
 
 from oracles import (
     are_isomorphic,
+    complete_graph,
     draw_rational,
     exhaustive_canonical_form,
     fraction_sample_weights,
     isomorphic_brute,
+    path_graph,
     relabel,
 )
 from spinz.bounds import BOUND_INPUTS, BOUND_NAMES, Verdict, evaluate_bound, evaluate_trials
 from spinz.graphs import (
     Graph,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
     hypercube_graph,
-    path_graph,
 )
 from spinz.harness import (
     WEIGHT_STYLES,

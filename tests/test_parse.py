@@ -4,6 +4,7 @@ input error a command reads exits 2 with that message on stderr."""
 
 import pytest
 
+from oracles import complete_graph
 from spinz import (
     GraphError,
     GraphParseError,
@@ -11,7 +12,6 @@ from spinz import (
     WeightError,
     WeightParseError,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
     parse_campaign_config,
     parse_cover_family,

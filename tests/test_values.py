@@ -180,7 +180,7 @@ def _compare_both_ways(a_factors, b_factors):
 
 def test_passed_logs_decide_the_p4_near_tie_alike():
     from spinz.bounds import evaluate_bound
-    from spinz.graphs import path_graph
+    from oracles import path_graph
     from spinz.weights import make_hardcore
 
     # hard-core P_4 with activities (lam, 1, 1, lam), lam bisected to within

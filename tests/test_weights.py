@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import spinz.weights as weights_mod
 from oracles import (
     clear_fractions,
+    complete_graph,
     fraction_sample_weights,
     fraction_weight_tables,
     kab_around,
     kab_on_edge,
     partition_brute,
+    path_graph,
     weights_file_text,
 )
 from spinz.bounds import edge_restriction_bound, vertex_restriction_bound
@@ -24,10 +26,8 @@ from spinz.graphs import (
     bipartition,
     certify_biregular,
     complete_bipartite,
-    complete_graph,
     cycle_graph,
     hypercube_graph,
-    path_graph,
 )
 from spinz.harness import WEIGHT_STYLES, sample_weights
 from spinz.values import Backend, NonNegValue, log_of_fraction
