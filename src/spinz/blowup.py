@@ -77,6 +77,7 @@ def build_blowup_host(g: Graph, w: WeightSystem, C: int) -> BlowupHost:
     Needs strictly positive rational weights, edge weights already in
     (0,1], and C chosen so every block size C * weight is an integer.
     """
+    w.check_graph(g)
     if w.backend is not Backend.EXACT:
         raise WeightError("blow-up construction needs exact rational weights")
     if C < 1:

@@ -50,7 +50,7 @@ from .values import (
     PowerProduct,
     compare_product,
 )
-from .weights import WeightSystem, make_ising
+from .weights import WeightSystem, make_ising, uniform_edge
 
 LOG_REL_TOL = 1e-9
 _ONE = Fraction(1)
@@ -376,11 +376,12 @@ def edge_restriction_bound(
 
 def edge_restriction_bounds(g: Graph, ws, budget: int = DEFAULT_BUDGET) -> list:
     """``edge_restriction_bound`` for each system of ws (one spin count
-    and backend): the left sides in one contraction, every system's
-    K_{d(u),d(v)} factors in one ``edge_kab_partitions`` call."""
+    and backend): the left sides in one contraction, then each system's
+    shared table (``uniform_edge`` raises without one), then every
+    system's K_{d(u),d(v)} factors in one ``edge_kab_partitions`` call."""
     _require_min_degree(g)
-    return _weights_reports("conj1", g, ws, lambda arrays: [
-        _per_edge_rhs(g, f) for f in edge_kab_partitions(g, ws, budget)
+    return _weights_reports("conj1", g, ws, lambda arrays: all(map(uniform_edge, ws)) and [
+        _per_edge_rhs(g, f) for f in edge_kab_partitions(g, arrays, budget)
     ], budget)
 
 
@@ -391,16 +392,15 @@ def list_edge_restriction_bound(
     budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
     """Conjectured per-edge bound on list-homomorphism counts: conj1's
-    K_{d(u),d(v)} restrictions (``edge_kab_sums``) over the list rows
-    and h's adjacency matrix."""
+    K_{d(u),d(v)} restrictions of the list weights (``list_weights``), in
+    one ``edge_kab_sums`` call."""
     _require_min_degree(g)
     if lists is None:
         lists = ListAssignment.full(g, h)
 
     def right_side():
-        rows = lists.indicator_rows(h.n)[None]
-        (counts,) = edge_kab_sums(g, rows, h.adjacency_matrix(), budget, Backend.EXACT)
-        return _per_edge_rhs(g, [NonNegValue.exact(z) for z in counts])
+        (counts,) = edge_kab_sums(g, [list_weights(g, h, lists)], budget)
+        return _per_edge_rhs(g, counts)
 
     return _target_report("conj2", g, h, lists, right_side, budget)
 

@@ -15,12 +15,11 @@ one bound: the right side of thm3, thm4 or thm5 is one ``cover_sums``
 ``edge_kab_sums`` per degree pair.
 Exact-backend weights are contracted as integer tables in a dtype that
 holds every intermediate exactly, and the single scale factor is divided
-back out; results are exact rationals.  The integer tables are the form
-an EXACT weight system stores (``WeightSystem.cleared``); the bound
-kernels read them, or a LOG system's logs, from the system itself, never
-from a K_{a,b} restriction built from it.  A bound call turns a system's
-rows and tables into arrays once per dtype (``WeightArrays``) for its
-left side and every right side.
+back out; results are exact rationals.  Every bound kernel reads one
+input form, ``WeightArrays``: a system's stored rows and tables over g
+(``weight_arrays``: EXACT integers, ``WeightSystem.cleared``, or LOG
+logs) or list weights (``list_weights``), converted once per dtype and
+shared by a bound call's left side and every right side.
 Log-backend weights are the floats a LOG system stores, contracted
 max-shifted with the shifts carried in the log domain; a contraction
 that would lose terms to float64 underflow runs the same plan on the
@@ -44,7 +43,7 @@ import numpy as np
 from .graphs import Graph, complete_bipartite
 from .util import ParseError, parse_fields, records
 from .values import NEG_INF, Backend, NonNegValue
-from .weights import KabInstance, WeightSystem, make_hardcore, uniform_edge
+from .weights import KabInstance, WeightSystem, make_hardcore
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -97,6 +96,7 @@ def check_config(cfg: SpinConfig, n: int, m: int) -> None:
 
 def weight_of(g: Graph, w: WeightSystem, cfg: SpinConfig) -> NonNegValue:
     """Product of vertex weights and edge weights for one configuration."""
+    w.check_graph(g)
     check_config(cfg, g.n, w.m)
     acc = NonNegValue.one(w.backend)
     for v in g.vertices():
@@ -544,6 +544,7 @@ def _one_object(items) -> bool:
 
 def weight_arrays(g: Graph, w: WeightSystem) -> WeightArrays:
     """The ``WeightArrays`` of the system w over g, nothing converted yet."""
+    w.check_graph(g)
     if w.backend is Backend.LOG:
         rows, tables = w.logs()
         return WeightArrays(Backend.LOG, w.m, (rows, [tables[e] for e in g.edges]))
@@ -558,10 +559,12 @@ def weight_arrays(g: Graph, w: WeightSystem) -> WeightArrays:
 
 def _partitions(g: Graph, arrays: Sequence[WeightArrays], budget: int) -> list:
     """Partition functions over g of the systems given by their
-    ``WeightArrays`` (one spin count and backend), one factor per vertex
-    and one per edge, in one ``contract`` call: a batch of stacked tables
-    when there are several systems.  The tables are converted in the
-    dtype that call picks."""
+    ``WeightArrays`` (one spin count and backend, else ValueError), one
+    factor per vertex and one per edge, in one ``contract`` call: a batch
+    of stacked tables when there are several systems.  The tables are
+    converted in the dtype that call picks."""
+    if len({(a.m, a.backend) for a in arrays}) > 1:
+        raise ValueError("the systems of one batch differ in spin count or backend")
     first = arrays[0]
     exact, sizes = first.backend is Backend.EXACT, [first.m] * g.n
     maxima, dtype = None, np.float64
@@ -653,51 +656,51 @@ def uniform_kab_sums(items: Sequence[tuple], budget: int = DEFAULT_BUDGET) -> li
     return out
 
 
-def edge_kab_sums(g: Graph, rows: np.ndarray, table: np.ndarray, budget: int, backend: Backend) -> list:
+def edge_kab_sums(g: Graph, arrays: Sequence[WeightArrays], budget: int) -> list:
     """Per system, the partition function of the K_{d(u),d(v)} restriction
     of each edge uv of g, in edge order: the w side takes the rows of
-    N(v), the z side those of N(u), and every edge the table, indexed
-    (w spin, z spin).  ``rows`` is B x n x m and ``table`` m x m (shared)
-    or B x m x m, both in the backend's form (EXACT integers, LOG logs).
-    The edges of one degree pair (d(u), d(v)) over every system are one
-    ``contract`` batch, in (system, edge) order."""
+    N(v), the z side those of N(u), and every edge the system's first
+    table.  ``arrays`` (one spin count and backend) are LOG, or EXACT 0/1
+    as ``list_weights`` (float64 could round other EXACT arrays, which
+    raise ValueError).  One ``contract`` batch per degree pair."""
+    m, backend = arrays[0].m, arrays[0].backend
+    if backend is Backend.EXACT and any([a.scaled or max(a.top_r, a.top_t) > 1 for a in arrays]):
+        raise ValueError("edge_kab_sums reads EXACT weights of 0 and 1 only")
+    value = NonNegValue.exact if backend is Backend.EXACT else NonNegValue.from_log
+    rows, tables = zip(*[a.arrays(np.float64) for a in arrays])
+    rows, table = np.stack(rows), np.stack([edges[0] for edges in tables])
     groups: dict[tuple[int, int], list] = {}
     for k, (u, v) in enumerate(g.edges):
         groups.setdefault((g.degree(u), g.degree(v)), []).append(k)
-    m = rows.shape[2]
-    out = [[None] * g.num_edges for _ in range(len(rows))]
+    out = [[None] * g.num_edges for _ in arrays]
     for (a, b), ids in groups.items():
         kab = complete_bipartite(b, a)  # w side on 0..b-1, z side on b..b+a-1
         sources = [(*g.neighbors(v), *g.neighbors(u)) for u, v in (g.edges[k] for k in ids)]
         picked = rows[:, sources].reshape(-1, a + b, m)
-        edge = table if table.ndim == 2 else table.repeat(len(ids), axis=0)
+        edge = table.repeat(len(ids), axis=0)
         factors = [((x,), picked[:, x]) for x in range(a + b)] + [(e, edge) for e in kab.edges]
         sums = contract([m] * (a + b), factors, budget, backend, batch=len(picked))
         for i, z in enumerate(sums):
-            out[i // len(ids)][ids[i % len(ids)]] = z
+            out[i // len(ids)][ids[i % len(ids)]] = value(z)
     return out
 
 
-def edge_kab_partitions(g: Graph, ws: Sequence[WeightSystem], budget: int = DEFAULT_BUDGET) -> list:
-    """For each system w of ws (one backend) and each edge uv of g, Z of
-    K_{d(u),d(v)} with w's stored rows of N(v) on one side, of N(u) on
-    the other and w's shared table on every edge; mixed edge tables raise
-    WeightError.  EXACT: one ``uniform_kab_sums`` call over every system,
-    with the DP over the smaller of N(u) and N(v), so one DP serves every
-    edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
-    log = ws[0].backend is Backend.LOG
-    stored = [w.logs() if log else w.cleared() for w in ws]
-    shared = [tables[uniform_edge(w)] for w, (_, tables) in zip(ws, stored)]
-    if log:
-        rows = np.array([logs for logs, _ in stored])
-        zs = edge_kab_sums(g, rows, np.array(shared), budget, Backend.LOG)
-        return [[NonNegValue.from_log(z) for z in f] for f in zs]
+def edge_kab_partitions(g: Graph, arrays: Sequence[WeightArrays], budget: int = DEFAULT_BUDGET) -> list:
+    """For each system's ``weight_arrays`` (one backend) and each edge uv
+    of g, Z of K_{d(u),d(v)} with its rows of N(v) on one side, of N(u) on
+    the other and its first table (the caller checks every edge shares it)
+    on every edge.  EXACT: one ``uniform_kab_sums`` call over the stored
+    integers, the DP over the smaller of N(u) and N(v), so one DP serves
+    every edge at a vertex.  LOG: one ``edge_kab_sums`` call."""
+    if arrays[0].backend is Backend.LOG:
+        return edge_kab_sums(g, arrays, budget)
     ends = [(u, v) if g.degree(u) <= g.degree(v) else (v, u) for u, v in g.edges]
     items, scales = [], []
-    for (rows, _), (table, den, _) in zip(stored, shared):
-        sides = [[rows[x][0] for x in g.neighbors(v)] for v in range(g.n)]
-        dens = [math.prod(rows[x][1] for x in g.neighbors(v)) for v in range(g.n)]
-        items += [(table, sides[s], sides[t]) for s, t in ends]
+    for a in arrays:
+        (rows, tables), den = a._stored, a.edge_den[0]
+        sides = [[rows[x] for x in g.neighbors(v)] for v in range(g.n)]
+        dens = [math.prod([a.row_den[x] for x in g.neighbors(v)]) for v in range(g.n)]
+        items += [(tables[0], sides[s], sides[t]) for s, t in ends]
         scales += [dens[s] * dens[t] * den ** (len(sides[s]) * len(sides[t])) for s, t in ends]
     zs = uniform_kab_sums(items, budget)
     values = [NonNegValue.exact(Fraction(z, scale)) for z, scale in zip(zs, scales)]
@@ -818,10 +821,10 @@ def count_list_homs(g: Graph, h: Graph, lists: ListAssignment, budget: int = DEF
 
 
 def list_weights(g: Graph, h: Graph, lists: ListAssignment) -> WeightArrays:
-    """List homomorphisms of g into h as ``cover_sums`` weights: each
-    vertex row marks its list, every edge carries h's adjacency matrix.
-    The arrays are the ones ``count_list_homs`` reads, in float64, the
-    only dtype a 0/1 system's kernels pick."""
+    """List homomorphisms of g into h as bound-kernel weights (thm4, thm5
+    and conj2): each vertex row marks its list, every edge carries h's
+    adjacency matrix.  The arrays are the ones ``count_list_homs`` reads,
+    in float64, the only dtype a 0/1 system's kernels pick."""
     rows = _list_rows(g, h, lists)
     edge = h.adjacency_matrix()[None].repeat(g.num_edges, axis=0)
     ones = ((1,) * g.n, (1,) * g.num_edges)

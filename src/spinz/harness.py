@@ -462,6 +462,8 @@ class CampaignConfig:
             raise ValueError(f"unknown graph source {self.source!r}")
         if self.source != "biregular":
             _check_biregular_only(f"source {self.source}", a=self.a, b=self.b, max_degree=self.max_degree)
+        if self.files and self.source != "files":
+            raise ValueError(f"source {self.source} takes no files: they apply to source files only")
 
     def to_json_dict(self) -> dict:
         return asdict(self)  # tuples render as JSON lists

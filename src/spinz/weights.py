@@ -144,6 +144,11 @@ class WeightSystem:
     def edges(self):
         return self._tables.keys()
 
+    def check_graph(self, g: Graph) -> None:
+        if self.n != g.n or self._tables.keys() != g._edge_set:
+            raise WeightError(f"weight system over {self.n} vertices and {len(self._tables)} edges "
+                              f"is not over this graph of {g.n} vertices and {g.num_edges} edges")
+
     def cleared(self):
         """The stored form of an EXACT system: (rows, tables), where
         rows[v] and tables[(u, v)] are (entries, denominator, maximum)

@@ -61,6 +61,49 @@ def ising_cycle_z(k, beta):
     return lam1 ** k + lam2 ** k
 
 
+def kaufman_log_z(p, q, k):
+    """log Z of the zero-field ferromagnetic Ising model with coupling k,
+    weight exp(k * sum_uv s(u)s(v)), on the p x q torus C_p x C_q, by
+    Kaufman's formula (Phys. Rev. 76, 1232, 1949):
+
+        Z = (2 sinh 2k)^(pq/2) / 2 * sum of four products over r < q of
+            2cosh(p g_(2r+1) / 2), 2sinh(p g_(2r+1) / 2),
+            2cosh(p g_(2r) / 2) and 2sinh(p g_(2r) / 2),
+
+    where cosh g_j = cosh 2k coth 2k - cos(pi j / q) with g_j > 0 for
+    j >= 1, and g_0 = 2k + log tanh k, negative below the critical
+    temperature."""
+    def gamma(j):
+        if j == 0:
+            return 2 * k + math.log(math.tanh(k))
+        return math.acosh(math.cosh(2 * k) / math.tanh(2 * k) - math.cos(math.pi * j / q))
+
+    odd = [p * gamma(2 * r + 1) / 2 for r in range(q)]
+    even = [p * gamma(2 * r) / 2 for r in range(q)]
+    total = sum(
+        math.prod(2 * f(x) for x in xs)
+        for xs in (odd, even)
+        for f in (math.cosh, math.sinh)
+    )
+    return p * q / 2 * math.log(2 * math.sinh(2 * k)) + math.log(total / 2)
+
+
+def chromatic_cycle(n, q):
+    """P(C_n, q) = (q - 1)^n + (-1)^n (q - 1), the proper q-colourings of C_n."""
+    return (q - 1) ** n + (-1) ** n * (q - 1)
+
+
+def chromatic_complete_bipartite(a, b, q):
+    """P(K_{a,b}, q) = sum_k S(a, k) q(q-1)...(q-k+1) (q-k)^b: the a side
+    uses exactly k colours, in S(a, k) partitions (Stirling numbers of the
+    second kind), and the b side any of the other q - k."""
+    stirling = [[1]]  # stirling[i][k] = S(i, k)
+    for i in range(1, a + 1):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, i + 1)])
+    return sum(stirling[a][k] * math.perm(q, k) * (q - k) ** b for k in range(a + 1))
+
+
 def ising_brute_log_z(n, edges, beta, h):
     """Direct enumeration of the two-spin model in plain floats."""
     total = 0.0

@@ -98,6 +98,11 @@ def test_build_host_rejects_fractional_blocks():
     build_blowup_host(g, w, 2)  # C=2 clears the denominator
 
 
+def test_build_host_rejects_a_system_of_another_graph():
+    with pytest.raises(WeightError, match="over 5 vertices and 4 edges is not over this graph of 4 vertices"):
+        build_blowup_host(cycle_graph(4), WeightSystem.build(path_graph(5), 2), 1)
+
+
 def test_build_host_rejects_zero_and_oversized_weights():
     g = cycle_graph(4)
     with pytest.raises(WeightError, match="zero"):

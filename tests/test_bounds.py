@@ -75,7 +75,7 @@ from spinz.harness import (
     sample_weights,
 )
 from spinz.values import Backend, NonNegValue, PowerProduct, compare_product
-from spinz.weights import WeightSystem, _kab_layout, make_hardcore, make_ising, restrict_to_edge, restrict_to_kab
+from spinz.weights import WeightError, WeightSystem, _kab_layout, make_hardcore, make_ising, restrict_to_edge, restrict_to_kab
 
 
 def _cert(g):
@@ -589,8 +589,9 @@ def test_log_conj1_batch_equals_each_system_alone(tight):
                 ws += [make_ising(g, beta, 0.25) for beta in (0.5, -1.0)]
             # a K_{3,3} factor's largest tensor is m^3: one restriction per chunk
             budget = m ** 3 if tight else DEFAULT_BUDGET
-            alone = [[z.log() for z in edge_kab_partitions(g, [w], budget)[0]] for w in ws]
-            together = edge_kab_partitions(g, ws, budget)
+            arrays = [counting_mod.weight_arrays(g, w) for w in ws]
+            alone = [[z.log() for z in edge_kab_partitions(g, [a], budget)[0]] for a in arrays]
+            together = edge_kab_partitions(g, arrays, budget)
             assert [[z.log() for z in factors] for factors in together] == alone
 
 
@@ -645,7 +646,7 @@ def test_log_conj1_is_one_contraction_per_degree_pair(monkeypatch):
     w = sample_weights(g, 3, seed=4, style="uniform_edge").to_log()
     wants = [partition_function(*kab_on_edge(g, w, u, v)).log() for u, v in g.edges]
     batches = _spy_batches(monkeypatch)
-    (factors,) = counting_mod.edge_kab_partitions(g, [w])
+    (factors,) = counting_mod.edge_kab_partitions(g, [counting_mod.weight_arrays(g, w)])
     assert [z.log() for z in factors] == pytest.approx(wants, rel=1e-12)
     assert sorted(batches) == [1, 1, 1, 2]
 
@@ -739,12 +740,58 @@ def test_indconj_triangle_numbers():
     assert r.verdict is Verdict.HOLDS
 
 
+_CONNECTED_5 = list(enumerate_graphs(5, "all", True))
+
+
+def _report_body(report) -> dict:
+    """A report's JSON without the fields that name the bound and its inputs."""
+    doc = report.to_json_dict()
+    del doc["bound"], doc["weights_sha"]
+    return doc
+
+
+def _list_system(g, h, lists) -> WeightSystem:
+    """The 0/1 weight system of lists: vertex rows mark the lists, every
+    edge carries h's adjacency matrix (spin i is target i - 1)."""
+    vertex = {(v, i + 1): 0 for v in g.vertices() for i in range(h.n) if i not in lists[v]}
+    spins = [(i, j) for i in range(h.n) for j in range(i, h.n) if not h.has_edge(i, j)]
+    edge = {(u, v, i + 1, j + 1): 0 for u, v in g.edges for i, j in spins}
+    return WeightSystem.build(g, h.n, vertex, edge)
+
+
+def test_conj2_matches_conj1_on_the_list_system():
+    # conj2 runs the einsum kernel, conj1 the exact count-vector DP
+    assert len(_CONNECTED_5) == 30
+    for k, g in enumerate(_CONNECTED_5):
+        for seed in range(3 * k, 3 * k + 3):
+            h = sample_target_graph(3, seed)
+            lists = sample_list_assignment(g, h, seed)
+            conj2 = list_edge_restriction_bound(g, h, lists)
+            conj1 = edge_restriction_bound(g, _list_system(g, h, lists))
+            assert _report_body(conj1) == _report_body(conj2)
+
+
 def test_indconj_matches_conj1_with_unit_hardcore():
-    for g in (cycle_graph(6), complete_graph(4), path_graph(5)):
+    for g in _CONNECTED_5:
         r1 = edge_restriction_bound(g, make_hardcore(g, 1))
         r2 = independent_set_edge_bound(g)
-        assert r1.lhs.fraction == r2.lhs.fraction
-        assert compare_product(r1.rhs.factors, r2.rhs.factors) == 0
+        assert _report_body(r1) == _report_body(r2)
+
+
+@pytest.mark.parametrize("name", ["thm3", "conj1"])
+def test_weight_batches_that_do_not_fit_raise_value_errors(name):
+    g = complete_bipartite(1, 2)
+    for own in (path_graph(3), path_graph(5)):  # g's sizes with other edges, then other sizes
+        w = sample_weights(own, 2, seed=7, style="uniform_edge")
+        want = (f"weight system over {own.n} vertices and {own.num_edges} edges is not over "
+                "this graph of 3 vertices and 2 edges")
+        with pytest.raises(WeightError, match=want):
+            bounds_mod.evaluate_trials(name, g, [{"weights": w}])
+    g = complete_bipartite(2, 3)
+    w2, w3 = (sample_weights(g, m, seed=m, style="uniform_edge") for m in (2, 3))
+    for ws in ([w2, w3], [w2, w2.to_log()]):
+        with pytest.raises(ValueError, match="the systems of one batch differ in spin count or backend"):
+            bounds_mod.evaluate_trials(name, g, [{"weights": w} for w in ws])
 
 
 def test_ind_equals_thm3_with_unit_hardcore():

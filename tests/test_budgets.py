@@ -112,9 +112,8 @@ def test_cover_sums_checks_its_budget_before_any_c_v_table():
 
 
 def test_edge_kab_sums_checks_its_budget_before_contracting():
-    g, h, weights = _k12_12_into_k4()
-    rows, _ = weights.arrays(np.float64)
-    call = lambda: edge_kab_sums(g, rows[None], h.adjacency_matrix(), 10 ** 4, Backend.EXACT)
+    g, _, weights = _k12_12_into_k4()
+    call = lambda: edge_kab_sums(g, [weights], 10 ** 4)
     peak = _peak_of_budget_error(call, 4 ** 12)
     assert peak < PEAK_LIMIT
 

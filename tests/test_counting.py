@@ -17,12 +17,15 @@ from oracles import (
     brute_list_homs,
     brute_partition,
     c4_torus_independent_sets,
+    chromatic_complete_bipartite,
+    chromatic_cycle,
     complete_graph,
     count_extensions,
     cover_sum_by_enumeration,
     independent_sets,
     ising_brute_log_z,
     ising_cycle_z,
+    kaufman_log_z,
     kab_around,
     kab_on_edge,
     lists_for_vertex,
@@ -42,6 +45,7 @@ from spinz.counting import (
     count_list_homs,
     cover_sums,
     edge_kab_partitions,
+    edge_kab_sums,
     list_weights,
     weight_arrays,
     independent_set_count,
@@ -63,6 +67,7 @@ from spinz.graphs import (
 from spinz.harness import sample_list_assignment, sample_weights
 from spinz.values import Backend
 from spinz.weights import (
+    WeightError,
     WeightSystem,
     _kab_layout,
     make_hardcore,
@@ -91,6 +96,18 @@ def test_weight_of_ising_edge():
     g = complete_bipartite(1, 1)
     w = make_ising(g, 1.5, 0.25)
     assert weight_of(g, w, (1, 1)).log() == pytest.approx(-1.5 + 0.5)
+
+
+@pytest.mark.parametrize("own, g", [(path_graph(5), path_graph(3)), (path_graph(3), complete_bipartite(1, 2))])
+def test_a_system_of_another_graph_is_refused(own, g):
+    # P_5's system on P_3 once read Z = 726163/46592 and a weight of 231/16
+    w = sample_weights(own, 2, 7)
+    want = (f"weight system over {own.n} vertices and {own.num_edges} edges is not over "
+            f"this graph of {g.n} vertices and {g.num_edges} edges")
+    for call in (lambda: weight_of(g, w, (1, 2, 1)), lambda: partition_function(g, w),
+                 lambda: partition_function(g, w.to_log())):
+        with pytest.raises(WeightError, match=want):
+            call()
 
 
 def test_weight_of_hardcore_adjacent_pair_is_zero():
@@ -224,6 +241,31 @@ def _torus(p, q):
 def test_independent_sets_of_c4_tori_match_transfer_matrix():
     for n in range(3, 13):
         assert independent_set_count(_torus(4, n)) == c4_torus_independent_sets(n)
+
+
+@pytest.mark.parametrize("p, q", [(4, 6), (4, 8), (6, 6), (8, 8)])
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+def test_log_ising_on_even_tori_matches_kaufman(p, q, beta):
+    # the tori are bipartite, so this antiferromagnetic Z equals the ferromagnetic one
+    t = _torus(p, q)
+    got = partition_function(t, make_ising(t, beta, 0)).log()
+    assert abs(got - kaufman_log_z(p, q, beta)) <= 1e-12  # Z to a relative 1e-12
+
+
+def test_hypercube_independent_sets_match_oeis_a027624():
+    assert [independent_set_count(hypercube_graph(d)) for d in (4, 5)] == [743, 254_475]
+
+
+def test_proper_colourings_match_chromatic_polynomials():
+    def colourings(g, q):
+        h = complete_graph(q)
+        return count_list_homs(g, h, ListAssignment.full(g, h))
+
+    for n, q in ((30, 3), (50, 4), (101, 5)):
+        assert colourings(cycle_graph(n), q) == chromatic_cycle(n, q)
+    for (a, b, q), want in (((3, 3, 3), 42), ((4, 5, 5), 50_780), ((6, 6, 10), 31_351_672_170)):
+        assert chromatic_complete_bipartite(a, b, q) == want
+        assert colourings(complete_bipartite(a, b), q) == want
 
 
 def test_log_backend_ising_on_torus_matches_enumeration():
@@ -363,6 +405,15 @@ def test_underflowing_log_cycle_matches_transfer_matrix():
     assert partition_function(g, make_ising(g, beta, 0)).log() == pytest.approx(want, rel=1e-12)
 
 
+def test_edge_kab_sums_refuses_exact_weights_float64_could_round():
+    g = cycle_graph(5)
+    for w in (make_hardcore(g, 2), make_hardcore(g, Fraction(1, 2)), sample_weights(g, 3, seed=1)):
+        with pytest.raises(ValueError, match="edge_kab_sums reads EXACT weights of 0 and 1 only"):
+            edge_kab_sums(g, [weight_arrays(g, w)], DEFAULT_BUDGET)
+    arrays = [weight_arrays(g, make_hardcore(g, 1))]  # 0/1 weights, so the DP and einsum agree
+    assert edge_kab_sums(g, arrays, DEFAULT_BUDGET) == edge_kab_partitions(g, arrays)
+
+
 def test_underflowing_log_kab_batch_matches_enumeration():
     g = cycle_graph(8)
     rows = [(0.3 * v, -0.3 * v) for v in range(g.n)]  # a field that differs at every vertex
@@ -371,7 +422,7 @@ def test_underflowing_log_kab_batch_matches_enumeration():
     wants = [partition_brute(*kab_on_edge(g, w, u, v)).log() for u, v in g.edges]
     # a log-domain step spans 8 cells, so a budget of 16 runs two restrictions at a time
     for budget in (DEFAULT_BUDGET, 16):
-        (zs,) = edge_kab_partitions(g, [w], budget)
+        (zs,) = edge_kab_partitions(g, [weight_arrays(g, w)], budget)
         assert [z.log() for z in zs] == pytest.approx(wants, rel=1e-12)
 
 

@@ -372,6 +372,7 @@ def test_campaign_config_parsing():
         ("source = files\nfiles = x.graph\nmax_degree = 2\n",
          "source files takes no degree pins (max_degree given): they apply to biregular only"),
         ("source = biregular\nmax_degree = 2\n", {"max_degree": 2}),
+        ("source = biregular\nfiles = a.graph\n", "source biregular takes no files: they apply to source files only"),
     ],
 )
 def test_campaign_config_values_are_strict(text, expect):

@@ -4,16 +4,23 @@
 name, and ``perfbench/workloads.py`` imports from spinz; only the
 benchmark's own self-test runs them.  This test reads those names from
 the benchmark's sources, so a change to spinz that drops or moves one
-fails here, in the fast suite.
+fails here, in the fast suite.  So does a change to what the tracer's
+hooks read of a wrapped call's arguments and result.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
 import spinz
+import spinz.blowup as blowup_mod
+from spinz.counting import partition_kab
+from spinz.graphs import cycle_graph
+from spinz.harness import sample_weights
+from spinz.weights import WeightSystem, restrict_to_edge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +63,22 @@ def test_every_workload_import_resolves():
     assert [(m, n) for m, n in imports if not hasattr(importlib.import_module(m), n)] == []
     assert callable(spinz.util.derive_seed)
     assert "threads" in inspect.signature(spinz.run_campaign).parameters
+
+
+def test_tracer_hooks_read_what_the_traced_calls_pass(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    # wrapped where a traced pass wraps them, so the experiment's own calls reach the hooks
+    for leaf in ("sample_subgraph", "count_block_homs"):
+        hook = getattr(tracer, f"_after_{leaf}")
+        monkeypatch.setattr(blowup_mod, leaf, tracer.wrap(f"blowup.{leaf}", getattr(blowup_mod, leaf), hook))
+    g = cycle_graph(4)
+    blowup_mod.concentration_experiment(g, WeightSystem.build(g, 2), (1, 2, 1, 2), C=2, trials=2, seed=1)
+    inst = restrict_to_edge(g, sample_weights(g, 2, seed=1, style="uniform_edge"), 0, 1)
+    tracer.wrap("counting.partition_kab", partition_kab, tracer._after_partition_kab)(inst)
+    assert tracer.hook_errors == set()
+    assert tracer.calls["blowup.sample_subgraph"] == tracer.calls["blowup.count_block_homs"] == 2
+    assert tracer.cells_drawn == tracer.cells_used == 2 * 4 * 2 * 2  # 4 edges of 2 x 2 blocks, 2 trials
+    assert len(tracer.kab_keys) == 1
